@@ -8,7 +8,6 @@ from .estimator import (
     adam_fit,
     fit_sdrn,
     hyperparams_from_n,
-    scale_covariates,
 )
 from .sparse_grid import (
     BasisId,
@@ -25,19 +24,16 @@ from .sparse_grid import (
     tensor_hat_eval,
 )
 from .relu_product import (
-    ApproxBasisFeature,
     ComplexityReport,
-    ProductApproximator,
     ReluGraph,
     approx_basis_eval,
     build_basis_network,
     build_pair_network,
     build_square_network,
     pair_product,
+    product_features,
     square_approx,
     tooth,
-    tooth_iter,
-    tree_product,
 )
 from .evalsuite import (
     SimModelSpec,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -32,13 +33,13 @@ from .evalsuite import (
 )
 from .losses import LossInputError, LossSpec
 from .relu_product import ComplexityReport, basis_network_complexity
-from .sparse_grid import basis_size, cardinality_bounds, enumerate_basis
+from .sparse_grid import BasisSizeError, basis_size, cardinality_bounds, enumerate_basis
 
 DEFAULT_SEED = 0
 
 
 class DataError(Exception):
-    """Bad input data: missing columns, non-numeric cells, schema mismatch."""
+    """Bad input data: missing columns, non-numeric or non-finite cells, schema mismatch."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,12 +71,16 @@ def read_csv(path: str) -> tuple[list[str], list[list[float]]]:
             values = []
             for j, cell in enumerate(row):
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
+                    value = None
+                if value is None or not math.isfinite(value):
+                    kind = "non-numeric" if value is None else "non-finite"
                     raise DataError(
-                        f"{path}: non-numeric value {cell!r} at row {lineno}, "
+                        f"{path}: {kind} value {cell!r} at row {lineno}, "
                         f"column {header[j]!r}"
-                    ) from None
+                    )
+                values.append(value)
             rows.append(values)
     if header is None:
         raise DataError(f"{path}: empty file, expected a header row")
@@ -146,7 +151,7 @@ def cmd_fit(args) -> int:
     )
     print(f"train sup-norm={_format(diag.sup_norm)}")
     if loss.kind == "quadratic":
-        m_bound = float(np.max(np.abs(model.predict(X) - y)))
+        m_bound = diag.max_residual
         print(f"lipschitz constant=2M={_format(loss.lipschitz_constant(m_bound))} (M={_format(m_bound)})")
     else:
         print(f"lipschitz constant={_format(loss.lipschitz_constant())}")
@@ -320,7 +325,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataError as exc:
+    except (DataError, LossInputError, BasisSizeError) as exc:
         print(f"sdrn: data error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import rng
 from .losses import LossSpec, loss_subgradient, loss_value
-from .relu_product import pair_product
-from .sparse_grid import SparseGridBasis, enumerate_basis, hat_eval
+from .relu_product import product_features
+from .sparse_grid import SparseGridBasis, enumerate_basis
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -75,20 +75,14 @@ class Scaler:
         return np.clip(scaled, 0.0, 1.0)
 
 
-def scale_covariates(X: np.ndarray) -> tuple[np.ndarray, Scaler]:
-    """Fit a scaler on ``X`` and return the scaled matrix with it."""
-    scaler = Scaler.fit(X)
-    return scaler.transform(X), scaler
-
-
 @dataclass(frozen=True)
 class FeatureMap:
     """Maps unit-cube points to the vector of approximate basis values.
 
-    Feature order follows the basis id order.  Internally a binary tree
-    of pair products is evaluated per id; subtrees shared between ids
-    (same coordinate span, same level/node sub-vector) are computed once
-    per batch, which collapses the cost for large bases.
+    Feature order follows the basis id order; each column is the
+    ReLU-product tree of one id, from
+    :func:`~sdrn.relu_product.product_features`, which computes subtrees
+    shared between ids once.
     """
 
     basis: SparseGridBasis
@@ -99,50 +93,7 @@ class FeatureMap:
         d = self.basis.dimension
         if X.shape[1] != d:
             raise ValueError(f"points have dimension {X.shape[1]}, basis has {d}")
-        n = X.shape[0]
-        out = np.empty((n, len(self.basis)))
-        if n == 0:
-            return out
-        hat_cache: dict[tuple[int, int, int], np.ndarray] = {}
-        tree_cache: dict[tuple, np.ndarray] = {}
-        for col, bid in enumerate(self.basis.ids):
-            out[:, col] = self._eval_id(bid, X, hat_cache, tree_cache)
-        return out
-
-    def _eval_id(self, bid, X, hat_cache, tree_cache) -> np.ndarray:
-        d = bid.dimension
-        leaves = []
-        for j in range(d):
-            key = (j, bid.level[j], bid.node[j])
-            vals = hat_cache.get(key)
-            if vals is None:
-                vals = hat_eval(bid.level[j], bid.node[j], X[:, j])
-                hat_cache[key] = vals
-            leaves.append((j, j + 1, key[1:], vals))
-        spans = leaves
-        while len(spans) > 1:
-            nxt = []
-            clamped = len(spans) > 2
-            for i in range(0, len(spans) - 1, 2):
-                lo, _, sig_a, va = spans[i]
-                _, hi, sig_b, vb = spans[i + 1]
-                key = (lo, hi, sig_a + sig_b, clamped)
-                vals = tree_cache.get(key)
-                if vals is None:
-                    vals = pair_product(self.R, va, vb)
-                    if clamped:
-                        vals = np.clip(vals, 0.0, 1.0)
-                    tree_cache[key] = vals
-                nxt.append((lo, hi, sig_a + sig_b, vals))
-            if len(spans) % 2 == 1:
-                nxt.append(spans[-1])
-            spans = nxt
-        return spans[0][3]
-
-
-def feature_matrix(fmap: FeatureMap, X01: np.ndarray) -> np.ndarray:
-    """Rows of approximate basis values for unit-cube points ``X01``."""
-    return fmap(X01)
+        return product_features(self.R, self.basis.level_array(), self.basis.node_array(), X)
 
 
 def objective(
@@ -230,6 +181,8 @@ class FitDiagnostics:
     epochs_run: int
     converged: bool
     sup_norm: float = float("nan")
+    # max |y - Phi gamma| on the training rows; not serialised
+    max_residual: float = float("nan")
     objective_trace: list[float] = field(default_factory=list)
 
 
@@ -431,6 +384,7 @@ def fit_sdrn(
     gamma, diag = adam_fit(Phi, y, config)
     train_scores = Phi @ gamma
     diag.sup_norm = float(np.max(np.abs(train_scores))) if n else float("nan")
+    diag.max_residual = float(np.max(np.abs(train_scores - y))) if n else float("nan")
     model = SdrnModel(
         gamma=gamma,
         d=X.shape[1],

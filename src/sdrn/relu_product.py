@@ -1,34 +1,36 @@
 r"""ReLU approximation of products, from tooth functions to basis features.
 
-The chain of constructions:
-
-* ``tooth`` g and its iterates g_r (sawtooth with ``2**(r-1)`` teeth);
-* ``square_approx`` f_R(x) = x - sum_r g_r(x)/4**r, the piecewise-linear
-  interpolant of x**2 on the dyadic grid of step ``2**-R``, with
-  ``|f_R(x) - x**2| <= 2**(-2R-2)`` on [0, 1];
-* ``pair_product`` applying the polarisation identity
-  xy = ((x+y)**2 - x**2 - y**2)/2 to f_R, accurate to ``3 * 2**(-2R-2)``;
-* ``tree_product`` multiplying q factors through a balanced binary tree
-  of pair products, accurate to ``3 * 2**(-2R-2) * (q-1)``;
-* ``approx_basis_eval`` applying the tree to the hat factors of a
-  tensor-product basis function.
+* ``tooth`` g, the unit sawtooth;
+* ``square_approx`` f_R, the piecewise-linear interpolant of x**2 on the
+  grid ``k * 2**-R``, with ``|f_R(x) - x**2| <= 2**(-2R-2)`` on [0, 1].
+  It is evaluated in closed form; Yarotsky's network computes it as the
+  tooth chain ``x - sum_r g_r(x)/4**r``, which the graphs below build;
+* ``pair_product``, the polarisation identity
+  xy = ((x+y)**2 - x**2 - y**2)/2 applied to f_R, accurate to ``3 * 2**(-2R-2)``;
+* ``product_features``, the one product-tree evaluator: the d hat factors
+  of many basis functions multiplied through binary trees of pair
+  products, accurate to ``3 * 2**(-2R-2) * (d-1)``, with every distinct
+  subtree evaluated once; ``approx_basis_eval`` applies it to one id.
 
 Each closed form has a twin builder returning an explicit
-:class:`ReluGraph` whose evaluation matches it pointwise; the graphs
-carry exact depth/unit/weight accounting (weights = connections plus
-units).  The closed forms are the fast path used to assemble feature
-matrices; the graphs exist for verification and complexity reporting.
+:class:`ReluGraph` that matches it pointwise, with exact
+depth/unit/weight accounting (weights = connections plus units).  The
+closed forms are the fast path used to assemble feature matrices; the
+tooth chain and the graphs are their oracles, used for verification and
+complexity reporting.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .sparse_grid import BasisId, hat_eval
+
+# cells of one tree-level table in a row block of product_features
+_BLOCK_CELLS = 1 << 16
 
 
 def relu(x):
@@ -45,31 +47,24 @@ def tooth(x):
     return 2.0 * relu(x) - 4.0 * relu(x - 0.5) + 2.0 * relu(x - 1.0)
 
 
-def tooth_iter(r: int, x):
-    """r-fold composition of the tooth function, ``r >= 1``."""
-    if r < 1:
-        raise ValueError(f"iteration count must be >= 1, got {r}")
-    out = tooth(x)
-    for _ in range(r - 1):
-        out = tooth(out)
-    return out
-
-
 def square_approx(R: int, x):
-    """f_R(x) = x - sum_{r=1}^{R} g_r(x) / 4**r for x in [0, 1].
+    """f_R(x), the linear interpolant of x**2 on the grid ``k * 2**-R``, for x in [0, 1].
 
-    Exact at every dyadic point ``k * 2**-R``; the error against x**2
+    With ``h = 2**-R`` and ``k = min(floor(x / h), 2**R - 1)`` the cell
+    index, ``f_R(x) = (k h)**2 + (x - k h)(2k + 1) h``.  This equals the
+    tooth chain ``x - sum_{r=1}^{R} g_r(x) / 4**r`` on [0, 1] (to
+    rounding), is exact at every grid point, and its error against x**2
     peaks at cell midpoints with value exactly ``2**(-2R-2)``.
     """
     if R < 1:
         raise ValueError(f"accuracy level R must be >= 1, got {R}")
-    x = np.asarray(x, dtype=float)
-    out = x.copy()
-    g = x
-    for r in range(1, R + 1):
-        g = tooth(g)
-        out = out - g / 4.0 ** r
-    return out
+    t = np.asarray(x, dtype=float) * 2.0 ** R  # x / h, exact
+    k = np.minimum(np.floor(t), 2.0 ** R - 1.0)
+    t -= k  # in place: h**2 (k**2 + (t - k)(2k + 1))
+    t *= 2.0 * k + 1.0
+    t += k * k
+    t *= 4.0 ** -R
+    return t
 
 
 def pair_product(R: int, x, y):
@@ -81,36 +76,69 @@ def pair_product(R: int, x, y):
     """
     x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
     y = np.clip(np.asarray(y, dtype=float), 0.0, 1.0)
-    return 2.0 * (
-        square_approx(R, 0.5 * (x + y))
-        - 0.25 * (square_approx(R, x) + square_approx(R, y))
-    )
+    return _polarise(R, x, y, square_approx(R, x), square_approx(R, y))
 
 
-def tree_product(R: int, values: Sequence):
-    """Left-to-right binary-tree product of ``q >= 1`` factors in [0, 1].
+def _polarise(R: int, x, y, fx, fy):
+    """The pair product from ``fx = f_R(x)`` and ``fy = f_R(y)``; overwrites fx."""
+    fx += fy
+    fx *= 0.25
+    out = square_approx(R, 0.5 * (x + y))
+    out -= fx
+    out *= 2.0
+    return out
 
-    Adjacent factors are paired per level, an unpaired trailing factor is
-    forwarded unchanged, and every internal pair output is clamped back
-    to [0, 1] before the next level (the clamp is ReLU-expressible, and
-    keeps each pair product on the domain where its bound applies).  The
-    root output is returned unclamped.  Error against the exact product
-    is at most ``3 * 2**(-2R-2) * (q - 1)``.
+
+def product_features(R: int, levels, nodes, X) -> np.ndarray:
+    """ReLU-product approximations of k tensor hat functions at n points.
+
+    ``levels`` and ``nodes`` are ``(k, d)`` integer arrays, one basis id
+    per row, and ``X`` is ``(n, d)``; the result is ``(n, k)``.  Column i
+    multiplies the d hat values of id i through a binary tree: adjacent
+    factors are paired left to right per level, an unpaired trailing
+    factor is forwarded, and every pair output but the root is clamped
+    to [0, 1] (ReLU-expressible; it keeps each pair product on the
+    domain of its bound).  The deviation from the exact product is at
+    most ``3 * 2**(-2R-2) * (d - 1)``; for ``d == 1`` it is 0.
+
+    Each tree level is one array operation over the distinct subtrees of
+    that level, so a hat, a subtree value and its f_R are computed once
+    however many ids share them.  Rows go in blocks of ``_BLOCK_CELLS``
+    divided by the widest level, so the output is the only ``n x k`` array.
     """
-    vals = [np.asarray(v, dtype=float) for v in values]
-    if len(vals) == 0:
-        raise ValueError("tree_product needs at least one factor")
-    while len(vals) > 1:
-        nxt = []
-        for i in range(0, len(vals) - 1, 2):
-            prod = pair_product(R, vals[i], vals[i + 1])
-            if len(vals) > 2:
-                prod = np.clip(prod, 0.0, 1.0)
-            nxt.append(prod)
-        if len(vals) % 2 == 1:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
+    levels = np.asarray(levels, dtype=np.int64)
+    k, d = levels.shape
+    coords = np.broadcast_to(np.arange(d), (k, d))
+    triples = np.stack([coords, levels, np.asarray(nodes, dtype=np.int64)], axis=-1)
+    leaves, idx = np.unique(triples.reshape(-1, 3), axis=0, return_inverse=True)
+    idx = idx.reshape(k, d)
+    # per level: the distinct (left, right) child pairs as rows of the table
+    # below, the rows forwarded from it, and whether outputs are clamped
+    plan, width, widest = [], len(leaves), len(leaves)
+    while idx.shape[1] > 1:
+        q = idx.shape[1]
+        forwarded, last = np.unique(idx[:, q - q % 2 :], return_inverse=True)
+        keys = idx[:, 0 : q - 1 : 2] * width + idx[:, 1:q:2]
+        pairs, inverse = np.unique(keys, return_inverse=True)
+        # inverses come flat before numpy 2
+        idx = np.column_stack([inverse.reshape(keys.shape), len(pairs) + last.reshape(k, q % 2)])
+        plan.append((np.divmod(pairs, width), forwarded, q > 2))
+        width = len(pairs) + len(forwarded)
+        widest = max(widest, width)
+
+    X = np.asarray(X, dtype=float)
+    out = np.empty((X.shape[0], k))
+    step = max(1, _BLOCK_CELLS // widest)
+    for lo in range(0, X.shape[0], step):
+        vals = hat_eval(leaves[:, 1:2], leaves[:, 2:3], X[lo : lo + step, leaves[:, 0]].T)
+        for (left, right), forwarded, clamp in plan:
+            squares = square_approx(R, vals)
+            prods = _polarise(R, vals[left], vals[right], squares[left], squares[right])
+            if clamp:
+                np.clip(prods, 0.0, 1.0, out=prods)
+            vals = np.concatenate([prods, vals[forwarded]])
+        out[lo : lo + step] = vals[idx[:, 0]].T
+    return out
 
 
 def approx_basis_eval(R: int, bid: BasisId, x):
@@ -123,57 +151,8 @@ def approx_basis_eval(R: int, bid: BasisId, x):
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     if pts.shape[1] != bid.dimension:
         raise ValueError(f"point dimension {pts.shape[1]} != basis dimension {bid.dimension}")
-    factors = [hat_eval(l, s, pts[:, j]) for j, (l, s) in enumerate(zip(bid.level, bid.node))]
-    out = tree_product(R, factors)
+    out = product_features(R, [bid.level], [bid.node], pts)[:, 0]
     return out if np.ndim(x) == 2 else out[0]
-
-
-@dataclass(frozen=True)
-class ProductApproximator:
-    """A fixed-accuracy multiplier of ``factor_count`` values in [0, 1].
-
-    The pairing schedule is adjacent left-to-right per level (an
-    unpaired trailing value is forwarded), giving ``ceil(log2 q)``
-    levels; callable on a factor sequence like :func:`tree_product`.
-    """
-
-    accuracy_level: int
-    factor_count: int
-
-    def __post_init__(self) -> None:
-        if self.accuracy_level < 1:
-            raise ValueError(f"accuracy level must be >= 1, got {self.accuracy_level}")
-        if self.factor_count < 1:
-            raise ValueError(f"factor count must be >= 1, got {self.factor_count}")
-
-    @property
-    def tree_levels(self) -> int:
-        return math.ceil(math.log2(self.factor_count)) if self.factor_count > 1 else 0
-
-    def error_bound(self) -> float:
-        return 3.0 * 2.0 ** (-2 * self.accuracy_level - 2) * (self.factor_count - 1)
-
-    def __call__(self, values: Sequence):
-        if len(values) != self.factor_count:
-            raise ValueError(f"expected {self.factor_count} factors, got {len(values)}")
-        return tree_product(self.accuracy_level, values)
-
-
-@dataclass(frozen=True)
-class ApproxBasisFeature:
-    """One basis id paired with the product approximator over its hats."""
-
-    bid: BasisId
-    R: int
-
-    def product(self) -> ProductApproximator:
-        return ProductApproximator(accuracy_level=self.R, factor_count=self.bid.dimension)
-
-    def deviation_bound(self) -> float:
-        return self.product().error_bound()
-
-    def __call__(self, x):
-        return approx_basis_eval(self.R, self.bid, x)
 
 
 # --------------------------------------------------------------------------

@@ -31,9 +31,11 @@ from sdrn.relu_product import (
     build_pair_network,
     build_square_network,
     pair_product,
+    product_features,
     square_approx,
 )
 from sdrn.sparse_grid import (
+    BasisId,
     approximation_bound,
     basis_size,
     cardinality_bounds,
@@ -115,12 +117,14 @@ def test_criterion_05_d_factor_basis():
     for d in (2, 3, 4, 5, 8):
         for R in (2, 4, 6):
             bound = 3.0 * 2.0 ** (-2 * R - 2) * (d - 1)
-            for _ in range(1000):
-                bid = ev._random_basis_id(gen, d)
-                x = gen.random(d)
-                dev = abs(float(approx_basis_eval(R, bid, x)) - float(tensor_hat_eval(bid, x)))
-                if dev > bound:
-                    ok = False
+            # 1000 (id, point) pairs; pair i is id i at point i, the diagonal
+            levels, nodes, X = ev._product_sweep_draws(gen, d, 1000)
+            approx = np.diagonal(product_features(R, levels, nodes, X))
+            exact = np.array(
+                [tensor_hat_eval(BasisId(tuple(l), tuple(s)), x) for l, s, x in zip(levels, nodes, X)]
+            )
+            if np.any(np.abs(approx - exact) > bound):
+                ok = False
     assert _report(5, "d-factor deviation bound", ok)
 
 

@@ -82,6 +82,85 @@ def test_fit_data_errors(tmp_path, capsys):
                      "--model-out", str(tmp_path / "m.json")]) == 2
 
 
+def _assert_data_error(rc, capsys, *fragments):
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err and err.startswith("sdrn: data error:")
+    for fragment in fragments:
+        assert fragment in err
+
+
+def test_fit_rejects_non_finite_cell(tmp_path, capsys):
+    bad = tmp_path / "nan.csv"
+    bad.write_text("a,b,y\n1.0,2.0,3.0\n1.5,nan,2.5\n2.0,1.0,1.0\n", encoding="utf-8")
+    rc = cli.main(["fit", "--input", str(bad), "--target", "y",
+                   "--model-out", str(tmp_path / "m.json")])
+    _assert_data_error(rc, capsys, "row 3", "'b'")
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_predict_rejects_non_finite_cell(tmp_path, capsys):
+    _, model_path = _fit_small(tmp_path)
+    capsys.readouterr()
+    bad = tmp_path / "nan.csv"
+    bad.write_text("x1,x2,x3,x4,x5\n0.1,0.2,0.3,0.4,0.5\n0.1,0.2,nan,0.4,0.5\n",
+                   encoding="utf-8")
+    out = tmp_path / "pred.csv"
+    rc = cli.main(["predict", "--model", str(model_path), "--input", str(bad),
+                   "--output", str(out)])
+    _assert_data_error(rc, capsys, "row 3", "'x3'")
+    assert not out.exists()
+
+
+def test_fit_logistic_on_non_binary_target_is_data_error(tmp_path, capsys):
+    train = tmp_path / "train.csv"
+    _write_training_csv(train, n=60)
+    rc = cli.main(["fit", "--input", str(train), "--target", "y",
+                   "--model-out", str(tmp_path / "m.json"), "--loss", "logistic",
+                   "--epochs", "5"])
+    _assert_data_error(rc, capsys, "{0, 1}")
+
+
+def test_fit_on_forty_columns_is_data_error(tmp_path, capsys):
+    # 2**40 ids at m = 0, far beyond the id cap
+    gen = np.random.default_rng(0)
+    data = tmp_path / "wide.csv"
+    header = [f"x{j}" for j in range(40)] + ["y"]
+    rows = [",".join(repr(float(v)) for v in row) for row in gen.random((10, 41))]
+    data.write_text("\n".join([",".join(header)] + rows) + "\n", encoding="utf-8")
+    rc = cli.main(["fit", "--input", str(data), "--target", "y",
+                   "--model-out", str(tmp_path / "m.json")])
+    _assert_data_error(rc, capsys, "exceeding cap")
+
+
+def test_quadratic_fit_builds_one_feature_matrix(tmp_path, capsys, monkeypatch):
+    from sdrn import estimator
+
+    train = tmp_path / "train.csv"
+    model_path = tmp_path / "model.json"
+    _write_training_csv(train, n=80)
+    calls = []
+    original = estimator.FeatureMap.__call__
+
+    def counting(self, X01):
+        calls.append(np.shape(X01))
+        return original(self, X01)
+
+    monkeypatch.setattr(estimator.FeatureMap, "__call__", counting)
+    assert cli.main(["fit", "--input", str(train), "--target", "y",
+                     "--model-out", str(model_path), "--epochs", "60"]) == 0
+    monkeypatch.undo()
+    assert len(calls) == 1
+    # M is the largest training residual, as predicting on the training rows gives it
+    lines = capsys.readouterr().out.splitlines()
+    header, rows = cli.read_csv(str(train))
+    data = np.array(rows)
+    model = SdrnModel.load(model_path)
+    m_bound = float(np.max(np.abs(model.predict(data[:, :-1]) - data[:, -1])))
+    expected = f"lipschitz constant=2M={2.0 * m_bound!r} (M={m_bound!r})"
+    assert [line for line in lines if line.startswith("lipschitz")] == [expected]
+
+
 def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["fit", "--input", "x.csv"])  # missing required flags

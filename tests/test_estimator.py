@@ -5,6 +5,7 @@ import pytest
 
 from sdrn import estimator as est
 from sdrn.losses import LossSpec, loss_value
+from sdrn import relu_product as rp
 from sdrn.relu_product import approx_basis_eval
 from sdrn.sparse_grid import enumerate_basis, tensor_hat_eval
 
@@ -21,18 +22,19 @@ def test_hyperparams_schedule():
 
 def test_scale_covariates():
     X = np.array([[2.0, 0.1], [4.0, 0.9], [6.0, 0.5]])
-    scaled, scaler = est.scale_covariates(X)
+    scaler = est.Scaler.fit(X)
+    scaled = scaler.transform(X)
     assert np.allclose(scaled[:, 0], [0.0, 0.5, 1.0])
     assert np.max(np.abs(scaled[:, 1] - np.array([0.0, 1.0, 0.5]))) <= 1e-12
     # unit-range column is unchanged
     X2 = np.array([[0.0], [1.0], [0.25]])
-    scaled2, _ = est.scale_covariates(X2)
+    scaled2 = est.Scaler.fit(X2).transform(X2)
     assert np.max(np.abs(scaled2[:, 0] - X2[:, 0])) <= 1e-12
     # values beyond the training range clamp to the cube
     assert scaler.transform(np.array([[0.0, 0.5]]))[0, 0] == 0.0
     assert scaler.transform(np.array([[9.0, 0.5]]))[0, 0] == 1.0
     with pytest.raises(est.ConstantColumnError):
-        est.scale_covariates(np.array([[1.0, 2.0], [1.0, 3.0]]))
+        est.Scaler.fit(np.array([[1.0, 2.0], [1.0, 3.0]]))
 
 
 def test_feature_matrix_corner_row():
@@ -65,6 +67,23 @@ def test_feature_matrix_high_r_approaches_exact_tensor():
     Phi = fmap(X)
     exact = np.column_stack([tensor_hat_eval(bid, X) for bid in basis.ids])
     assert np.max(np.abs(Phi - exact)) <= 3.0 * 2.0 ** -26 * 3
+
+
+def test_feature_map_matches_graph_twins_across_row_blocks(monkeypatch):
+    # a small block budget splits 257 rows (a prime) into several blocks,
+    # the last one partial
+    gen = np.random.default_rng(9)
+    X = gen.random((257, 5))
+    for d, m in ((1, 3), (2, 3), (3, 2), (5, 1)):
+        fmap = est.FeatureMap(basis=enumerate_basis(d, m), R=4)
+        whole = fmap(X[:, :d])
+        monkeypatch.setattr(rp, "_BLOCK_CELLS", 1000)
+        Phi = fmap(X[:, :d])
+        monkeypatch.undo()
+        assert np.array_equal(Phi, whole)
+        for col, bid in enumerate(fmap.basis.ids):
+            twin = rp.build_basis_network(4, bid).eval(X[:, :d])
+            assert np.max(np.abs(Phi[:, col] - twin)) <= 1e-12
 
 
 def test_objective_examples():

@@ -20,11 +20,10 @@ def test_tooth_values():
 
 
 def test_tooth_iter():
-    assert rp.tooth_iter(2, 0.25) == 1.0
-    assert rp.tooth_iter(2, 0.125) == 0.5
-    assert rp.tooth_iter(3, 0.5) == 0.0
-    with pytest.raises(ValueError):
-        rp.tooth_iter(0, 0.5)
+    # the r-fold iterates g_r of the tooth, by composition
+    assert rp.tooth(rp.tooth(0.25)) == 1.0
+    assert rp.tooth(rp.tooth(0.125)) == 0.5
+    assert rp.tooth(rp.tooth(rp.tooth(0.5))) == 0.0
 
 
 def test_square_approx_examples():
@@ -46,6 +45,26 @@ def test_square_bound_sweep_and_attainment():
         peak = 2.0 ** (-R - 1)
         gap = abs(rp.square_approx(R, peak) - peak ** 2)
         assert abs(gap - bound) <= 1e-12
+
+
+def _tooth_chain(R, x):
+    """Yarotsky's f_R = x - sum_r g_r(x) / 4**r from composed teeth."""
+    out = np.array(x, dtype=float)
+    g = out
+    for r in range(1, R + 1):
+        g = rp.tooth(g)
+        out = out - g / 4.0 ** r
+    return out
+
+
+def test_square_approx_matches_tooth_chain():
+    gen = np.random.default_rng(8)
+    xs = np.concatenate([np.linspace(0.0, 1.0, 10_001), gen.random(20_000)])
+    for R in range(1, 21):
+        assert np.max(np.abs(rp.square_approx(R, xs) - _tooth_chain(R, xs))) <= 1e-15
+        # exact at every grid point k 2**-R, the endpoints included
+        grid = np.arange(2 ** R + 1) * 2.0 ** -R
+        assert np.array_equal(rp.square_approx(R, grid), grid ** 2)
 
 
 def test_pair_product_examples():
@@ -79,18 +98,27 @@ def test_pair_product_symmetry_exact():
         assert np.all(a == b)
 
 
+def _tree_of(R, values):
+    """The product tree over ``values`` in [0, 1], through level-0 hats:
+    hat_{0,0}(1 - v) = v."""
+    q = len(values)
+    bid = BasisId((0,) * q, (0,) * q)
+    return rp.approx_basis_eval(R, bid, 1.0 - np.asarray(values, dtype=float))
+
+
 def test_tree_product():
-    assert rp.tree_product(3, [0.7]) == 0.7
-    val = rp.tree_product(3, [0.5] * 4)
+    assert _tree_of(3, [0.75]) == 0.75
+    val = _tree_of(3, [0.5] * 4)
     assert abs(val - 0.0625) <= 9.0 * 2.0 ** -8
     gen = np.random.default_rng(2)
     for q in (2, 3, 5, 7):
         vals = gen.random(q)
         vals[int(gen.integers(0, q))] = 0.0
-        approx = rp.tree_product(5, list(vals))
+        approx = _tree_of(5, vals)
         assert abs(approx) <= 3.0 * 2.0 ** -12 * (q - 1)
+    # an id needs at least one factor
     with pytest.raises(ValueError):
-        rp.tree_product(3, [])
+        BasisId((), ())
 
 
 def test_approx_basis_eval():
@@ -202,21 +230,3 @@ def test_graph_json_layout():
     first = doc["layers"][0][0]
     assert set(first) == {"inputs", "bias", "relu"}
     assert first["inputs"] == [[0, 0, 1.0]]
-
-
-def test_product_approximator_and_feature_handles():
-    prod = rp.ProductApproximator(accuracy_level=3, factor_count=5)
-    assert prod.tree_levels == 3
-    assert prod.error_bound() == 3.0 * 2.0 ** -8 * 4
-    vals = [0.5, 0.5, 0.5, 0.5, 0.5]
-    assert prod(vals) == rp.tree_product(3, vals)
-    with pytest.raises(ValueError):
-        prod([0.5, 0.5])
-    with pytest.raises(ValueError):
-        rp.ProductApproximator(accuracy_level=0, factor_count=2)
-
-    bid = BasisId((1, 0, 1), (1, 0, 1))
-    feat = rp.ApproxBasisFeature(bid=bid, R=4)
-    pts = np.random.default_rng(0).random((10, 3))
-    assert np.all(feat(pts) == rp.approx_basis_eval(4, bid, pts))
-    assert feat.deviation_bound() == 3.0 * 2.0 ** -10 * 2
