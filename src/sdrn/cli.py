@@ -20,6 +20,7 @@ from .estimator import (
     ConstantColumnError,
     FitConfig,
     FitDiagnostics,
+    NonFiniteObjectiveError,
     SdrnModel,
     fit_sdrn,
     hyperparams_from_n,
@@ -36,6 +37,7 @@ from .relu_product import ComplexityReport, basis_network_complexity
 from .sparse_grid import BasisSizeError, basis_size, cardinality_bounds, enumerate_basis
 
 DEFAULT_SEED = 0
+ADAM_ONLY = "; huber, quantile and logistic losses only (quadratic is solved exactly)"
 
 
 class DataError(Exception):
@@ -281,8 +283,8 @@ def build_parser() -> _Parser:
     p_fit.add_argument("--c", type=int, default=None, help="offset in the m-schedule (conflicts with --m)")
     p_fit.add_argument("--m", type=int, default=None, help="override the level-sum budget m")
     p_fit.add_argument("--r", type=int, default=None, help="override the product accuracy R")
-    p_fit.add_argument("--epochs", type=int, default=5000)
-    p_fit.add_argument("--tol", type=float, default=1e-8)
+    p_fit.add_argument("--epochs", type=int, default=5000, help="Adam epoch cap" + ADAM_ONLY)
+    p_fit.add_argument("--tol", type=float, default=1e-8, help="Adam step tolerance" + ADAM_ONLY)
     p_fit.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_fit.set_defaults(func=cmd_fit)
 
@@ -300,8 +302,8 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--loss", default="quadratic")
     p_sim.add_argument("--kappas", default=",".join(str(k) for k in DEFAULT_KAPPAS))
     p_sim.add_argument("--cs", default=",".join(str(c) for c in DEFAULT_CS))
-    p_sim.add_argument("--epochs", type=int, default=3000)
-    p_sim.add_argument("--tol", type=float, default=1e-8)
+    p_sim.add_argument("--epochs", type=int, default=3000, help="Adam epoch cap" + ADAM_ONLY)
+    p_sim.add_argument("--tol", type=float, default=1e-8, help="Adam step tolerance" + ADAM_ONLY)
     p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_sim.add_argument("--out-csv", default=None)
     p_sim.add_argument("--out-json", default=None)
@@ -325,7 +327,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, LossInputError, BasisSizeError) as exc:
+    except (DataError, LossInputError, BasisSizeError, NonFiniteObjectiveError) as exc:
         print(f"sdrn: data error: {exc}", file=sys.stderr)
         return 2
 

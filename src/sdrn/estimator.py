@@ -5,8 +5,10 @@ approximations of every sparse-grid basis function.  Fitting therefore
 means (i) min-max scaling the covariates into the unit cube, (ii)
 assembling the feature matrix of approximate basis values, and (iii)
 minimising ``sum_i loss(features_i . gamma, y_i) + lambda_star/2 *
-gamma.gamma`` with full-batch Adam.  ``lambda_star`` equals the tuning
-parameter ``kappa`` (the per-sample ridge weight is ``kappa / n``).
+gamma.gamma``.  ``lambda_star`` equals the tuning parameter ``kappa``
+(the per-sample ridge weight is ``kappa / n``).  For the quadratic loss
+this is ridge regression, solved exactly; the Huber, quantile and
+logistic losses are minimised with Adam.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from . import rng
 from .losses import LossSpec, loss_subgradient, loss_value
 from .relu_product import product_features
-from .sparse_grid import SparseGridBasis, enumerate_basis
+from .sparse_grid import SparseGridBasis, basis_size, enumerate_basis
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -148,7 +150,10 @@ class FitConfig:
     """Everything the fitter needs besides the data.
 
     ``kappa`` is the ridge tuning parameter (``lambda = kappa / n``);
-    ``c_offset`` shifts the sample-size schedule for ``m``.  The Adam
+    ``c_offset`` shifts the sample-size schedule for ``m``.  The
+    quadratic loss is solved exactly; ``epochs``, ``tol``, ``alpha``,
+    ``beta1``, ``beta2``, ``eps`` and ``batch_size`` apply only to the
+    Adam fit of the Huber, quantile and logistic losses.  The Adam
     constants default to step size 0.1, decay rates 0.9 / 0.999 and
     eps 1e-8.  Optimisation runs full-batch unless ``batch_size`` is
     set, stopping at ``epochs`` or when the sup-norm of the parameter
@@ -186,10 +191,39 @@ class FitDiagnostics:
     objective_trace: list[float] = field(default_factory=list)
 
 
-def adam_fit(Phi: np.ndarray, y: np.ndarray, config: FitConfig) -> tuple[np.ndarray, FitDiagnostics]:
-    """Minimise the penalised empirical risk with Adam from gamma = 0.
+def _ridge_solve(Phi: np.ndarray, y: np.ndarray, kappa: float) -> np.ndarray:
+    """The minimiser of ``|y - Phi gamma|^2 + kappa/2 |gamma|^2``.
 
-    Full-batch by default: one gradient of the whole objective per
+    For ``kappa > 0`` it solves ``(2 Phi'Phi + kappa I) gamma = 2 Phi'y``
+    by Cholesky on the smaller Gram matrix: the primal one when
+    ``p <= n``, else the dual ``(2 Phi Phi' + kappa I) alpha = 2 y`` with
+    ``gamma = Phi' alpha``.  For ``kappa = 0`` it returns the minimum-norm
+    least-squares solution, the ``kappa -> 0`` limit.
+    """
+    if kappa == 0:
+        return np.linalg.lstsq(Phi, y, rcond=None)[0]
+    from scipy.linalg import cho_factor, cho_solve
+
+    n, p = Phi.shape
+    dual = p > n
+    gram = Phi @ Phi.T if dual else Phi.T @ Phi
+    gram *= 2.0
+    gram.flat[:: gram.shape[0] + 1] += kappa
+    # the transpose of the symmetric C-ordered Gram is Fortran-ordered, so
+    # LAPACK factors it in place
+    factor = cho_factor(gram.T, overwrite_a=True, check_finite=False)
+    if dual:
+        return Phi.T @ cho_solve(factor, 2.0 * y, check_finite=False)
+    return cho_solve(factor, 2.0 * (Phi.T @ y), check_finite=False)
+
+
+def adam_fit(Phi: np.ndarray, y: np.ndarray, config: FitConfig) -> tuple[np.ndarray, FitDiagnostics]:
+    """Minimise the penalised empirical risk from gamma = 0.
+
+    The quadratic loss is minimised exactly by :func:`_ridge_solve`
+    (``epochs_run`` 0, ``converged`` True, no objective trace); the Adam
+    settings of ``config`` are not used for it.  The other losses run Adam:
+    full-batch by default, one gradient of the whole objective per
     epoch.  With ``batch_size`` set, each epoch walks a seeded random
     permutation in batches (the ridge term is split proportionally).
     Deterministic given (data, config).
@@ -200,6 +234,16 @@ def adam_fit(Phi: np.ndarray, y: np.ndarray, config: FitConfig) -> tuple[np.ndar
     y = np.asarray(y, dtype=float)
     n, p = Phi.shape
     lambda_star = config.kappa
+    if config.loss.kind == "quadratic":
+        try:
+            gamma = _ridge_solve(Phi, y, lambda_star)
+        except np.linalg.LinAlgError as exc:
+            # for finite data the factorisation and the least-squares SVD succeed
+            raise NonFiniteObjectiveError(f"exact ridge solve failed: {exc}") from exc
+        final = objective(gamma, Phi, y, config.loss, lambda_star)
+        if not (np.all(np.isfinite(gamma)) and np.isfinite(final)):
+            raise NonFiniteObjectiveError(f"non-finite objective {final!r} of the exact ridge solve")
+        return gamma, FitDiagnostics(final_objective=final, epochs_run=0, converged=True)
     gamma = np.zeros(p)
     state = AdamState(m=np.zeros(p), v=np.zeros(p))
     trace: list[float] = []
@@ -328,18 +372,29 @@ class SdrnModel:
                 converged=doc["diagnostics"]["converged"],
                 sup_norm=doc["diagnostics"]["sup_norm"],
             )
+        d, m, R = doc["d"], doc["m"], doc["R"]
+        if m < 0 or R < 1:
+            raise ValueError(f"need m >= 0 and R >= 1, got m={m!r}, R={R!r}")
+        gamma = np.array(doc["gamma"], dtype=float)
+        mins = np.array(doc["scaler"]["min"], dtype=float)
+        maxs = np.array(doc["scaler"]["max"], dtype=float)
+        columns = tuple(doc["columns"]) if doc.get("columns") else None
+        size = basis_size(d, m)
+        if gamma.shape != (size,):
+            raise ValueError(f"gamma has {gamma.size} entries, the d={d}, m={m} basis has {size}")
+        if mins.shape != (d,) or maxs.shape != (d,) or (columns and len(columns) != d):
+            raise ValueError(f"scaler and columns must have d={d} entries")
+        if not all(np.all(np.isfinite(a)) for a in (gamma, mins, maxs)):
+            raise ValueError("gamma and scaler values must be finite")
         return cls(
-            gamma=np.array(doc["gamma"], dtype=float),
-            d=doc["d"],
-            m=doc["m"],
-            R=doc["R"],
+            gamma=gamma,
+            d=d,
+            m=m,
+            R=R,
             loss=loss,
             kappa=doc["kappa"],
-            scaler=Scaler(
-                mins=np.array(doc["scaler"]["min"], dtype=float),
-                maxs=np.array(doc["scaler"]["max"], dtype=float),
-            ),
-            column_names=tuple(doc["columns"]) if doc.get("columns") else None,
+            scaler=Scaler(mins=mins, maxs=maxs),
+            column_names=columns,
             diagnostics=diag,
         )
 

@@ -25,7 +25,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import expit
-from scipy.stats import rankdata
 
 from . import rng
 from .estimator import FeatureMap, FitConfig, adam_fit, hyperparams_from_n
@@ -275,6 +274,8 @@ def classification_metrics(y_hat, y_true, scores) -> ClassificationMetrics:
     if n1 == 0 or n0 == 0:
         auc = float("nan")
     else:
+        from scipy.stats import rankdata
+
         ranks = rankdata(scores)
         auc = (float(np.sum(ranks[y_true == 1])) - n1 * (n1 + 1) / 2.0) / (n1 * n0)
     return ClassificationMetrics(
@@ -382,10 +383,10 @@ def run_replications(
     conditional probability puts more mass on).  Scoring model 4
     against freshly drawn labels instead would cap every method at the
     Bayes accuracy of the link, about 0.67, and could not discriminate
-    between fits.  Feature matrices are shared where valid: the
-    evaluation design's features are computed once per schedule cell
-    ``c``, and each replication's training features are reused across
-    the ``kappa`` grid.
+    between fits.  Each replication's training features are reused
+    across the ``kappa`` grid.  The evaluation design's features are
+    computed once per schedule cell ``c``, after all its replications
+    are fitted, so they never sit in memory beside a training matrix.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -397,10 +398,6 @@ def run_replications(
     for c in cs:
         m, R = hyperparams_from_n(spec.n, c)
         fmap = FeatureMap(basis=enumerate_basis(d, m), R=R)
-        base = generate(spec, rep=0)
-        eval_phi = fmap(base.eval_points)
-        eval_truth = base.eval_truth
-        eval_class = (eval_truth >= 0.5).astype(int)
 
         def run_one(rep: int) -> dict:
             data = generate(spec, rep=rep)
@@ -409,24 +406,26 @@ def run_replications(
             for kappa in kappas:
                 cfg = replace(fit_config, kappa=kappa, c_offset=c, track_objective=False)
                 try:
-                    gamma, _ = adam_fit(phi_train, data.y, cfg)
+                    out[kappa], _ = adam_fit(phi_train, data.y, cfg)
                 except Exception as exc:
                     raise RuntimeError(
                         f"fit failed at kappa={kappa}, c={c}, rep={rep}: {exc}"
                     ) from exc
-                if classification:
-                    probs = expit(eval_phi @ gamma)
-                    out[kappa] = classification_metrics(
-                        (probs >= 0.5).astype(int), eval_class, probs
-                    )
-                else:
-                    out[kappa] = eval_phi @ gamma
             return out
 
         per_rep = _map_indexed(run_one, reps)
+        base = generate(spec, rep=0)
+        eval_phi = fmap(base.eval_points)
+        eval_truth = base.eval_truth
+        eval_class = (eval_truth >= 0.5).astype(int)
         for kappa in kappas:
+            scores = [eval_phi @ per_rep[r][kappa] for r in range(reps)]
             if classification:
-                per_metric = [per_rep[r][kappa].as_dict() for r in range(reps)]
+                probs = [expit(score) for score in scores]
+                per_metric = [
+                    classification_metrics((prob >= 0.5).astype(int), eval_class, prob).as_dict()
+                    for prob in probs
+                ]
                 averaged = ClassificationMetrics(
                     **{
                         name: float(np.mean([pm[name] for pm in per_metric]))
@@ -435,9 +434,9 @@ def run_replications(
                 )
                 metrics: RegressionMetrics | ClassificationMetrics = averaged
             else:
-                preds = np.vstack([per_rep[r][kappa] for r in range(reps)])
-                metrics = regression_metrics(preds, eval_truth)
+                metrics = regression_metrics(np.vstack(scores), eval_truth)
             report.cells.append(GridCell(kappa=kappa, c=c, m=m, R=R, metrics=metrics))
+        del eval_phi  # not held through the next cell's fits
     return report
 
 

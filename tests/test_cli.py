@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +114,57 @@ def test_predict_rejects_non_finite_cell(tmp_path, capsys):
                    "--output", str(out)])
     _assert_data_error(rc, capsys, "row 3", "'x3'")
     assert not out.exists()
+
+
+def _write_with_targets(path, targets):
+    """The 60-row training file with its first targets replaced."""
+    _write_training_csv(path, n=60)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for i, target in enumerate(targets, start=1):
+        lines[i] = ",".join(lines[i].split(",")[:-1] + [repr(target)])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_fit_with_non_finite_objective_is_data_error(tmp_path, capsys):
+    # finite cells whose loss overflows: the squared residual of 1e200, and
+    # two Huber losses of about 1e308 each, whose sum does
+    for loss, targets in (("quadratic", [1e200]), ("huber:1.0", [1e308, 1e308])):
+        train = tmp_path / "big.csv"
+        _write_with_targets(train, targets)
+        rc = cli.main(["fit", "--input", str(train), "--target", "y", "--loss", loss,
+                       "--model-out", str(tmp_path / "m.json"), "--epochs", "20"])
+        _assert_data_error(rc, capsys, "non-finite objective")
+        assert not (tmp_path / "m.json").exists()
+
+
+def test_predict_rejects_malformed_model_files(tmp_path, capsys):
+    train, model_path = _fit_small(tmp_path)
+    capsys.readouterr()
+    good = json.loads(model_path.read_text())
+    edits = {
+        "short-gamma": lambda doc: doc["gamma"].pop(),
+        "one-entry-scaler": lambda doc: doc["scaler"].update(min=doc["scaler"]["min"][:1]),
+        "nan-gamma": lambda doc: doc["gamma"].__setitem__(0, float("nan")),
+    }
+    for name, edit in edits.items():
+        doc = json.loads(json.dumps(good))
+        edit(doc)
+        bad = tmp_path / f"{name}.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / f"{name}.csv"
+        rc = cli.main(["predict", "--model", str(bad), "--input", str(train),
+                       "--output", str(out)])
+        _assert_data_error(rc, capsys, "cannot load model")
+        assert not out.exists()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, sdrn.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_fit_logistic_on_non_binary_target_is_data_error(tmp_path, capsys):

@@ -10,6 +10,7 @@ from sdrn.relu_product import approx_basis_eval
 from sdrn.sparse_grid import enumerate_basis, tensor_hat_eval
 
 QUADRATIC = LossSpec("quadratic")
+HUBER = LossSpec("huber", delta=1.0)
 
 
 def test_hyperparams_schedule():
@@ -144,8 +145,8 @@ def test_gradient_matches_finite_differences():
 def test_adam_single_step_value():
     # with |gradient| = 1 the bias corrections cancel: step = alpha / (1 + eps)
     Phi = np.array([[1.0]])
-    y = np.array([0.5])  # gradient at gamma=0 is 2*(0-0.5)*1 = -1
-    cfg = est.FitConfig(loss=QUADRATIC, kappa=0.0, epochs=1, tol=0.0)
+    y = np.array([2.0])  # Huber gradient at gamma=0 is clip(0-2, -1, 1)*1 = -1
+    cfg = est.FitConfig(loss=HUBER, kappa=0.0, epochs=1, tol=0.0)
     gamma, diag = est.adam_fit(Phi, y, cfg)
     assert gamma[0] == pytest.approx(0.1 / (1.0 + 1e-8), rel=1e-14)
     assert diag.epochs_run == 1
@@ -158,30 +159,42 @@ def test_adam_rejects_zero_epochs():
 
 
 def test_adam_nonfinite_aborts():
-    cfg = est.FitConfig(loss=QUADRATIC, epochs=10)
-    with pytest.raises(est.NonFiniteObjectiveError):
-        est.adam_fit(np.ones((2, 1)), np.array([np.inf, 1.0]), cfg)
+    for loss in (QUADRATIC, HUBER):
+        cfg = est.FitConfig(loss=loss, epochs=10)
+        with pytest.raises(est.NonFiniteObjectiveError):
+            est.adam_fit(np.ones((2, 1)), np.array([np.inf, 1.0]), cfg)
 
 
 def test_adam_matches_ridge_closed_form():
+    # primal Gram for p < n, dual Gram for p > n
     gen = np.random.default_rng(7)
-    Phi = gen.random((50, 20))
-    y = gen.standard_normal(50)
-    lam = 2.0
-    closed = np.linalg.solve(2.0 * Phi.T @ Phi + lam * np.eye(20), 2.0 * Phi.T @ y)
-    cfg = est.FitConfig(loss=QUADRATIC, kappa=lam, epochs=10_000)
-    gamma, diag = est.adam_fit(Phi, y, cfg)
-    assert np.max(np.abs(gamma - closed)) <= 1e-4
-    assert diag.converged
+    for n, p in ((50, 20), (20, 50)):
+        Phi = gen.random((n, p))
+        y = gen.standard_normal(n)
+        for lam in (0.5, 2.0):
+            closed = np.linalg.solve(2.0 * Phi.T @ Phi + lam * np.eye(p), 2.0 * Phi.T @ y)
+            gamma, diag = est.adam_fit(Phi, y, est.FitConfig(loss=QUADRATIC, kappa=lam))
+            assert np.max(np.abs(gamma - closed)) <= 1e-10
+            assert diag.epochs_run == 0 and diag.converged
+            assert diag.final_objective == est.objective(gamma, Phi, y, QUADRATIC, lam)
+
+
+def test_quadratic_fit_at_kappa_zero_is_minimum_norm():
+    gen = np.random.default_rng(13)
+    Phi = gen.random((15, 40))
+    y = gen.standard_normal(15)
+    gamma, _ = est.adam_fit(Phi, y, est.FitConfig(loss=QUADRATIC, kappa=0.0))
+    assert np.max(np.abs(gamma - np.linalg.pinv(Phi) @ y)) <= 1e-10
 
 
 def test_adam_objective_decreases_over_windows():
     gen = np.random.default_rng(8)
     Phi = gen.random((40, 10))
     y = gen.standard_normal(40)
-    cfg = est.FitConfig(loss=QUADRATIC, kappa=1.0, epochs=600, tol=0.0, track_objective=True)
+    cfg = est.FitConfig(loss=HUBER, kappa=1.0, epochs=600, tol=0.0, track_objective=True)
     _, diag = est.adam_fit(Phi, y, cfg)
     trace = diag.objective_trace
+    assert len(trace) == 600
     warmup = 100
     for t in range(warmup, len(trace) - 50):
         assert trace[t + 50] <= trace[t] + 1e-9 * max(1.0, abs(trace[t]))
@@ -202,6 +215,14 @@ def test_adam_deterministic():
     g4, _ = est.adam_fit(Phi, y, minibatch)
     assert np.all(g3 == g4)
     assert not np.all(g3 == g1)
+    # the exact quadratic solve, on the primal (p < n) and the dual (p > n) Gram
+    for n, p in ((60, 25), (25, 60)):
+        Phi = gen.random((n, p))
+        y = gen.standard_normal(n)
+        exact = est.FitConfig(loss=QUADRATIC, kappa=0.7)
+        g5, _ = est.adam_fit(Phi, y, exact)
+        g6, _ = est.adam_fit(Phi.copy(), y.copy(), exact)
+        assert np.array_equal(g5, g6)
 
 
 def test_unpenalized_equals_kappa_zero():
@@ -261,6 +282,26 @@ def test_model_schema_version_guard():
     doc["schema_version"] = 99
     with pytest.raises(ValueError):
         est.SdrnModel.from_json(doc)
+
+
+def test_model_from_json_rejects_inconsistent_files():
+    model, _ = _small_model()
+    good = model.to_json()
+    est.SdrnModel.from_json(good)
+    edits = (
+        lambda doc: doc["gamma"].append(0.0),
+        lambda doc: doc["scaler"]["max"].pop(),
+        lambda doc: doc.update(columns=["a"]),
+        lambda doc: doc.update(m=-1),
+        lambda doc: doc.update(R=0),
+        lambda doc: doc["scaler"]["min"].__setitem__(1, float("-inf")),
+        lambda doc: doc["gamma"].__setitem__(3, float("inf")),
+    )
+    for edit in edits:
+        doc = json.loads(json.dumps(good))
+        edit(doc)
+        with pytest.raises(ValueError):
+            est.SdrnModel.from_json(doc)
 
 
 def test_logistic_prediction_threshold():
