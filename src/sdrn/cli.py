@@ -34,7 +34,7 @@ from .evalsuite import (
 )
 from .losses import LossInputError, LossSpec
 from .relu_product import ComplexityReport, basis_network_complexity
-from .sparse_grid import BasisSizeError, basis_size, cardinality_bounds, enumerate_basis
+from .sparse_grid import BasisSizeError, basis_size, cardinality_bounds
 
 DEFAULT_SEED = 0
 ADAM_ONLY = "; huber, quantile and logistic losses only (quadratic is solved exactly)"
@@ -129,7 +129,6 @@ def cmd_fit(args) -> int:
         c_offset=c_offset,
         epochs=args.epochs,
         tol=args.tol,
-        seed=args.seed,
     )
     try:
         model = fit_sdrn(X, y, config, m=args.m, R=args.r, column_names=columns)
@@ -220,7 +219,7 @@ def cmd_simulate(args) -> int:
         raise DataError(str(exc)) from exc
     kappas = _parse_grid(args.kappas, float)
     cs = _parse_grid(args.cs, int)
-    config = FitConfig(loss=loss, epochs=args.epochs, tol=args.tol, seed=args.seed)
+    config = FitConfig(loss=loss, epochs=args.epochs, tol=args.tol)
     report = run_replications(spec, config, reps=args.reps, kappas=kappas, cs=cs)
     csv_text = report.to_csv()
     if args.out_csv:
@@ -236,6 +235,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_basis_info(args) -> int:
+    if args.d < 1 or args.m < 0 or args.r is not None and args.r < 1:
+        raise DataError("need --d >= 1, --m >= 0 and --r >= 1")
     size = basis_size(args.d, args.m)
     print(f"d={args.d} m={args.m}")
     print(f"basis size={size}")
@@ -285,7 +286,9 @@ def build_parser() -> _Parser:
     p_fit.add_argument("--r", type=int, default=None, help="override the product accuracy R")
     p_fit.add_argument("--epochs", type=int, default=5000, help="Adam epoch cap" + ADAM_ONLY)
     p_fit.add_argument("--tol", type=float, default=1e-8, help="Adam step tolerance" + ADAM_ONLY)
-    p_fit.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_fit.add_argument(
+        "--seed", type=int, default=DEFAULT_SEED, help="echoed in the summary; the fit does not use it"
+    )
     p_fit.set_defaults(func=cmd_fit)
 
     p_pred = sub.add_parser("predict", help="append predictions to a CSV file")

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rng
 from .losses import LossSpec, loss_subgradient, loss_value
 from .relu_product import product_features
 from .sparse_grid import SparseGridBasis, basis_size, enumerate_basis
@@ -95,7 +94,7 @@ class FeatureMap:
         d = self.basis.dimension
         if X.shape[1] != d:
             raise ValueError(f"points have dimension {X.shape[1]}, basis has {d}")
-        return product_features(self.R, self.basis.level_array(), self.basis.node_array(), X)
+        return product_features(self.R, self.basis.levels, self.basis.nodes, X)
 
 
 def objective(
@@ -127,22 +126,11 @@ def objective_gradient(
     return Phi.T @ loss_subgradient(loss, Phi @ gamma, y) + lambda_star * gamma
 
 
-@dataclass
-class AdamState:
-    """First/second moment accumulators and the step counter."""
-
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-
-    def step(self, gamma, grad, alpha, beta1, beta2, eps):
-        self.t += 1
-        self.m = beta1 * self.m + (1.0 - beta1) * grad
-        self.v = beta2 * self.v + (1.0 - beta2) * grad * grad
-        m_hat = self.m / (1.0 - beta1 ** self.t)
-        v_hat = self.v / (1.0 - beta2 ** self.t)
-        update = alpha * m_hat / (np.sqrt(v_hat) + eps)
-        return gamma - update, update
+# Adam step size, moment decay rates and denominator guard
+ADAM_ALPHA = 0.1
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -151,13 +139,10 @@ class FitConfig:
 
     ``kappa`` is the ridge tuning parameter (``lambda = kappa / n``);
     ``c_offset`` shifts the sample-size schedule for ``m``.  The
-    quadratic loss is solved exactly; ``epochs``, ``tol``, ``alpha``,
-    ``beta1``, ``beta2``, ``eps`` and ``batch_size`` apply only to the
-    Adam fit of the Huber, quantile and logistic losses.  The Adam
-    constants default to step size 0.1, decay rates 0.9 / 0.999 and
-    eps 1e-8.  Optimisation runs full-batch unless ``batch_size`` is
-    set, stopping at ``epochs`` or when the sup-norm of the parameter
-    update falls below ``tol``.
+    quadratic loss is solved exactly; ``epochs``, ``tol`` and
+    ``track_objective`` apply only to the full-batch Adam fit of the
+    Huber, quantile and logistic losses, which stops at ``epochs`` or
+    when the sup-norm of the parameter update falls below ``tol``.
     """
 
     loss: LossSpec
@@ -165,17 +150,9 @@ class FitConfig:
     c_offset: int = 0
     epochs: int = 5000
     tol: float = 1e-8
-    seed: int = 0
-    alpha: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    batch_size: int | None = None
     track_objective: bool = False
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0 or not (0 < self.beta1 < 1) or not (0 < self.beta2 < 1) or self.eps <= 0:
-            raise ValueError("need alpha > 0, beta1/beta2 in (0, 1), eps > 0")
         if self.kappa < 0:
             raise ValueError("kappa must be nonnegative")
 
@@ -222,17 +199,15 @@ def adam_fit(Phi: np.ndarray, y: np.ndarray, config: FitConfig) -> tuple[np.ndar
 
     The quadratic loss is minimised exactly by :func:`_ridge_solve`
     (``epochs_run`` 0, ``converged`` True, no objective trace); the Adam
-    settings of ``config`` are not used for it.  The other losses run Adam:
-    full-batch by default, one gradient of the whole objective per
-    epoch.  With ``batch_size`` set, each epoch walks a seeded random
-    permutation in batches (the ridge term is split proportionally).
+    settings of ``config`` are not used for it.  The other losses run
+    full-batch Adam, one gradient of the whole objective per epoch.
     Deterministic given (data, config).
     """
     if config.epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {config.epochs}")
     Phi = np.asarray(Phi, dtype=float)
     y = np.asarray(y, dtype=float)
-    n, p = Phi.shape
+    p = Phi.shape[1]
     lambda_star = config.kappa
     if config.loss.kind == "quadratic":
         try:
@@ -245,40 +220,27 @@ def adam_fit(Phi: np.ndarray, y: np.ndarray, config: FitConfig) -> tuple[np.ndar
             raise NonFiniteObjectiveError(f"non-finite objective {final!r} of the exact ridge solve")
         return gamma, FitDiagnostics(final_objective=final, epochs_run=0, converged=True)
     gamma = np.zeros(p)
-    state = AdamState(m=np.zeros(p), v=np.zeros(p))
+    m = np.zeros(p)  # first and second moment accumulators
+    v = np.zeros(p)
     trace: list[float] = []
-    gen = rng.stream(config.seed, "adam-batches") if config.batch_size else None
 
     converged = False
     epochs_run = 0
-    for epoch in range(config.epochs):
-        epochs_run = epoch + 1
-        if config.batch_size is None:
-            grad = objective_gradient(gamma, Phi, y, config.loss, lambda_star)
-            if not np.all(np.isfinite(grad)):
-                raise NonFiniteObjectiveError(
-                    f"non-finite gradient at epoch {epoch + 1}; "
-                    f"objective={objective(gamma, Phi, y, config.loss, lambda_star)!r}"
-                )
-            gamma, update = state.step(
-                gamma, grad, config.alpha, config.beta1, config.beta2, config.eps
+    for t in range(1, config.epochs + 1):
+        epochs_run = t
+        grad = objective_gradient(gamma, Phi, y, config.loss, lambda_star)
+        if not np.all(np.isfinite(grad)):
+            raise NonFiniteObjectiveError(
+                f"non-finite gradient at epoch {t}; "
+                f"objective={objective(gamma, Phi, y, config.loss, lambda_star)!r}"
             )
-            sup_update = float(np.max(np.abs(update))) if p else 0.0
-        else:
-            order = gen.permutation(n)
-            sup_update = 0.0
-            for start in range(0, n, config.batch_size):
-                idx = order[start : start + config.batch_size]
-                frac = len(idx) / n
-                grad = objective_gradient(
-                    gamma, Phi[idx], y[idx], config.loss, frac * lambda_star
-                )
-                if not np.all(np.isfinite(grad)):
-                    raise NonFiniteObjectiveError(f"non-finite gradient at epoch {epoch + 1}")
-                gamma, update = state.step(
-                    gamma, grad, config.alpha, config.beta1, config.beta2, config.eps
-                )
-                sup_update = max(sup_update, float(np.max(np.abs(update))) if p else 0.0)
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
+        update = ADAM_ALPHA * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        gamma = gamma - update
+        sup_update = float(np.max(np.abs(update))) if p else 0.0
         if config.track_objective:
             trace.append(objective(gamma, Phi, y, config.loss, lambda_star))
         if sup_update <= config.tol:
@@ -416,26 +378,17 @@ def fit_sdrn(
     m: int | None = None,
     R: int | None = None,
     column_names=None,
-    fmap: FeatureMap | None = None,
-    scaler: Scaler | None = None,
 ) -> SdrnModel:
-    """Scale, featurise and fit; ``m``/``R`` override the n-schedule.
-
-    A pre-built ``fmap`` (with matching ``m``/``R``) and ``scaler`` can
-    be passed to amortise feature bookkeeping across repeated fits.
-    """
+    """Scale, featurise and fit; ``m``/``R`` override the n-schedule."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n = X.shape[0]
     m_sched, R_sched = hyperparams_from_n(n, config.c_offset)
     m = m_sched if m is None else m
     R = R_sched if R is None else R
-    if scaler is None:
-        scaler = Scaler.fit(X)
-    X01 = scaler.transform(X)
-    if fmap is None:
-        fmap = FeatureMap(basis=enumerate_basis(X.shape[1], m), R=R)
-    Phi = fmap(X01)
+    scaler = Scaler.fit(X)
+    fmap = FeatureMap(basis=enumerate_basis(X.shape[1], m), R=R)
+    Phi = fmap(scaler.transform(X))
     gamma, diag = adam_fit(Phi, y, config)
     train_scores = Phi @ gamma
     diag.sup_norm = float(np.max(np.abs(train_scores))) if n else float("nan")

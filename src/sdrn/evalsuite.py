@@ -18,10 +18,8 @@ interpolation decay) and reports measured-vs-bound outcomes.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -55,15 +53,6 @@ CARDINALITY_TABLE = {
     7: (128, 576, 2144, 7184, 22472),
     8: (256, 1280, 5120, 18176, 59744),
 }
-
-
-def worker_count() -> int:
-    """Replication workers; capped by the SDRN_THREADS env var (default 1)."""
-    raw = os.environ.get("SDRN_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # --------------------------------------------------------------------------
@@ -359,15 +348,6 @@ class SimulationReport:
         }
 
 
-def _map_indexed(fn: Callable[[int], object], count: int) -> list:
-    """Run fn(0..count-1), optionally threaded; results in index order."""
-    workers = worker_count()
-    if workers <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 def run_replications(
     spec: SimModelSpec,
     fit_config: FitConfig,
@@ -413,7 +393,7 @@ def run_replications(
                     ) from exc
             return out
 
-        per_rep = _map_indexed(run_one, reps)
+        per_rep = [run_one(rep) for rep in range(reps)]
         base = generate(spec, rep=0)
         eval_phi = fmap(base.eval_points)
         eval_truth = base.eval_truth

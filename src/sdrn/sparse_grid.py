@@ -12,6 +12,8 @@ In ``d`` dimensions the basis functions are tensor products indexed by a
 pair of integer vectors ``(level, node)``.  The sparse grid of order
 ``m`` keeps exactly the indices with ``sum(level) <= m``, which grows
 like ``2**m * m**(d-1)`` instead of the full-grid ``(2**m + 1)**d``.
+An enumerated basis holds them as two ``(k, d)`` integer arrays; a
+single id is a :class:`BasisId`.
 
 Every function with square-integrable mixed second derivatives has a
 unique expansion in this basis; the coefficients (hierarchical
@@ -23,10 +25,9 @@ oracle for the first.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -125,64 +126,71 @@ def _level_vectors(d: int, total: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _level_size(level: int) -> int:
-    return 2 if level == 0 else 2 ** (level - 1)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseGridBasis:
     """Enumerated basis ``{(level, node) : sum(level) <= max_level_sum}``.
 
-    Ids are ordered lexicographically in ``(sum(level), level, node)``,
-    which fixes the coefficient indexing across runs and serialisation.
+    ``levels`` and ``nodes`` are ``(k, d)`` int64 arrays, one row per
+    id, ordered lexicographically in ``(sum(level), level, node)``, which
+    fixes the coefficient indexing across runs and serialisation.
+    ``basis[i]`` is the ``i``-th id as a :class:`BasisId`, so iterating
+    the basis yields its ids in that order.
     """
 
     dimension: int
     max_level_sum: int
-    ids: tuple[BasisId, ...]
+    levels: np.ndarray
+    nodes: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.levels)
 
-    def __iter__(self) -> Iterator[BasisId]:
-        return iter(self.ids)
-
-    def level_array(self) -> np.ndarray:
-        return np.array([bid.level for bid in self.ids], dtype=np.int64)
-
-    def node_array(self) -> np.ndarray:
-        return np.array([bid.node for bid in self.ids], dtype=np.int64)
+    def __getitem__(self, i: int) -> BasisId:
+        return BasisId(tuple(self.levels[i]), tuple(self.nodes[i]))
 
 
 def basis_size(d: int, m: int) -> int:
-    """Cardinality of the sparse basis without enumerating it."""
+    """Cardinality of the sparse basis without enumerating it.
+
+    A level carries 2 nodes at 0 and ``2**(l-1)`` above, so the number
+    of ids per level sum is the ``d``-fold convolution of those counts;
+    the size is its sum up to ``m`` (exact integers, ``O(d m**2)``).
+    """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if m < 0:
         raise ValueError(f"max level sum must be >= 0, got {m}")
-    total = 0
-    for k in range(m + 1):
-        for lv in _level_vectors(d, k):
-            total += math.prod(_level_size(l) for l in lv)
-    return total
+    per_level = [2] + [2 ** (l - 1) for l in range(1, m + 1)]
+    counts = [1] + [0] * m
+    for _ in range(d):
+        counts = [sum(counts[k - l] * per_level[l] for l in range(k + 1)) for k in range(m + 1)]
+    return sum(counts)
 
 
 def enumerate_basis(d: int, m: int, id_cap: int = DEFAULT_ID_CAP) -> SparseGridBasis:
     """Enumerate all ids with ``sum(level) <= m`` in dimension ``d``.
 
     Raises ``BasisSizeError`` before allocating anything if the count
-    would exceed ``id_cap`` (default 10**7).
+    would exceed ``id_cap`` (default 10**7).  Each level vector fills one
+    block of rows with the tensor grid of its index sets.
     """
     size = basis_size(d, m)
     if size > id_cap:
         raise BasisSizeError(f"basis for d={d}, m={m} has {size} ids, exceeding cap {id_cap}")
-    ids: list[BasisId] = []
+    levels = np.empty((size, d), dtype=np.int64)
+    nodes = np.empty((size, d), dtype=np.int64)
+    start = 0
     for k in range(m + 1):
         for lv in _level_vectors(d, k):
             sets = [index_set(l) for l in lv]
-            for node in itertools.product(*sets):
-                ids.append(BasisId(lv, node))
-    return SparseGridBasis(dimension=d, max_level_sum=m, ids=tuple(ids))
+            shape = [len(s) for s in sets]
+            stop = start + math.prod(shape)
+            levels[start:stop] = lv
+            block = nodes[start:stop].reshape(shape + [d])
+            for j, grid in enumerate(np.ix_(*sets)):
+                block[..., j] = grid
+            start = stop
+    return SparseGridBasis(dimension=d, max_level_sum=m, levels=levels, nodes=nodes)
 
 
 def cardinality_bounds(d: int, m: int) -> tuple[float, float]:
@@ -342,7 +350,7 @@ class SurplusSet:
     def __call__(self, x) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(x, dtype=float))
         out = np.zeros(pts.shape[0])
-        for gamma, bid in zip(self.coefficients, self.basis.ids):
+        for gamma, bid in zip(self.coefficients, self.basis):
             if gamma != 0.0:
                 out += gamma * tensor_hat_eval(bid, pts)
         return out if np.ndim(x) == 2 else out[0]
@@ -354,7 +362,7 @@ class SurplusSet:
         ``norm_d2f`` bounds the L2 norm of the mixed second derivative.
         """
         d = self.basis.dimension
-        sums = self.basis.level_array().sum(axis=1)
+        sums = self.basis.levels.sum(axis=1)
         return 6.0 ** (-d / 2.0) * 2.0 ** (-1.5 * sums) * norm_d2f
 
 
@@ -370,7 +378,7 @@ def interpolate(
     ``f`` exactly at every grid point of the basis.
     """
     basis = enumerate_basis(d, m, id_cap=id_cap)
-    coeffs = np.array([surplus_oracle(f, bid) for bid in basis.ids])
+    coeffs = np.array([surplus_oracle(f, bid) for bid in basis])
     return SurplusSet(basis=basis, coefficients=coeffs)
 
 

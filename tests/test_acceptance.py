@@ -143,7 +143,7 @@ def test_criterion_06_graph_recursion_oracle():
         ok = ok and diff <= 1e-12
     for d in (2, 3, 5):
         basis = enumerate_basis(d, 2)
-        bid = basis.ids[len(basis) // 2]
+        bid = basis[len(basis) // 2]
         pts = gen.random((1000, d))
         net = build_basis_network(4, bid)
         diff = np.max(np.abs(net.eval(pts) - approx_basis_eval(4, bid, pts)))

@@ -347,6 +347,16 @@ def test_basis_info(capsys):
     assert "per-feature network (R=4): depth=12 units=84 weights=446" in out
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--d", "0", "--m", "2"], ["--d", "2", "--m", "-1"], ["--d", "2", "--m", "2", "--r", "0"]],
+    ids=["d=0", "m=-1", "r=0"],
+)
+def test_basis_info_rejects_bad_values(flags, capsys):
+    assert cli.main(["basis-info"] + flags) == 2
+    assert capsys.readouterr().err.startswith("sdrn: data error: ")
+
+
 def test_predict_on_training_file_matches_diagnostics(tmp_path):
     train, model_path = _fit_small(tmp_path)
     out = tmp_path / "roundtrip.csv"

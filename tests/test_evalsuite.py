@@ -181,14 +181,3 @@ def test_verify_bounds_light_config():
     assert m0 and all(not c.asserted for c in m0)
     csv_text = report.to_csv()
     assert csv_text.splitlines()[0] == "name,measured,bound,passed,asserted,note"
-
-
-def test_thread_cap_keeps_reports_identical(monkeypatch):
-    spec = ev.SimModelSpec(model_id=1, n=70, noise="normal", seed=6)
-    cfg = FitConfig(loss=LossSpec("quadratic"), epochs=50, tol=1e-6)
-    monkeypatch.delenv("SDRN_THREADS", raising=False)
-    sequential = ev.run_replications(spec, cfg, reps=4, kappas=(1.0,), cs=(-1,))
-    monkeypatch.setenv("SDRN_THREADS", "3")
-    assert ev.worker_count() == 3
-    threaded = ev.run_replications(spec, cfg, reps=4, kappas=(1.0,), cs=(-1,))
-    assert sequential.to_csv() == threaded.to_csv()

@@ -46,11 +46,53 @@ def test_enumerate_basis_matches_size_helper():
             assert len(sg.enumerate_basis(d, m)) == sg.basis_size(d, m)
 
 
+def test_basis_size_at_high_dimension():
+    # sizes far beyond any enumerable basis, as exact integers
+    assert sg.basis_size(15, 10) == 64737532320
+    assert sg.basis_size(40, 30) == 98537441928628180503082655367168
+
+
+def _brute_force_basis(d, m):
+    levels, nodes = [], []
+    for k in range(m + 1):
+        for lv in itertools.product(range(k + 1), repeat=d):
+            if sum(lv) == k:
+                for node in itertools.product(*(sg.index_set(l) for l in lv)):
+                    levels.append(lv)
+                    nodes.append(node)
+    return levels, nodes
+
+
+def test_enumerate_basis_arrays_match_brute_force(monkeypatch):
+    for d in range(1, 6):
+        for m in range(5):
+            basis = sg.enumerate_basis(d, m)
+            levels, nodes = _brute_force_basis(d, m)
+            for array, expected in ((basis.levels, levels), (basis.nodes, nodes)):
+                assert array.dtype == np.int64
+                assert array.shape == (sg.basis_size(d, m), d)
+                assert array.tolist() == [list(row) for row in expected]
+            for i in range(len(basis)):
+                assert basis[i] == sg.BasisId(levels[i], nodes[i])
+    # enumerating builds no BasisId; indexing builds one
+    made = []
+    post_init = sg.BasisId.__post_init__
+
+    def counting_post_init(self):
+        made.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(sg.BasisId, "__post_init__", counting_post_init)
+    basis = sg.enumerate_basis(5, 4)
+    assert made == []
+    assert basis[-1] == made[0]
+
+
 def test_enumerate_basis_order_is_lexicographic():
     basis = sg.enumerate_basis(2, 2)
     keys = [(bid.level_sum, bid.level, bid.node) for bid in basis]
     assert keys == sorted(keys)
-    assert len(set(basis.ids)) == len(basis)
+    assert len(set(basis)) == len(basis)
 
 
 def test_enumerate_basis_rejections():
@@ -223,7 +265,7 @@ def test_coefficient_envelope_on_boundary_vanishing_family():
         for _ in range(3):
             func = random_product_function(gen, d, boundary_vanishing=True)
             norm = func.l2_norm_d2f()
-            coeffs = np.array([sg.surplus_oracle(func.value, bid) for bid in basis.ids])
+            coeffs = np.array([sg.surplus_oracle(func.value, bid) for bid in basis])
             surplus = sg.SurplusSet(basis=basis, coefficients=coeffs)
             bounds = surplus.coefficient_bounds(norm)
             assert np.all(np.abs(coeffs) <= bounds + 1e-12)
@@ -237,7 +279,7 @@ def test_interpolation_reproduces_grid_values():
     multilinear = lambda X: coef[0] + X @ coef[1:]
     for m in (0, 1, 3):
         fm = sg.interpolate(multilinear, 3, m)
-        for bid in fm.basis.ids:
+        for bid in fm.basis:
             point = bid.grid_point()
             assert abs(fm(point) - multilinear(point[None, :])[0]) <= 1e-12
 
