@@ -34,10 +34,17 @@ from .evalsuite import (
 )
 from .losses import LossInputError, LossSpec
 from .relu_product import ComplexityReport, basis_network_complexity
-from .sparse_grid import BasisSizeError, basis_size, cardinality_bounds
+from .sparse_grid import BasisSizeError, basis_size, cardinality_bounds, cardinality_log_bounds
 
 DEFAULT_SEED = 0
-ADAM_ONLY = "; huber, quantile and logistic losses only (quadratic is solved exactly)"
+EPOCHS_HELP = (
+    "iteration cap of the Newton (huber, logistic) and interior-point (quantile) fits; "
+    "the quadratic loss is solved exactly"
+)
+TOL_HELP = (
+    "relative target for the fit's optimality certificate (huber, logistic) "
+    "or duality gap (quantile)"
+)
 
 
 class DataError(Exception):
@@ -91,6 +98,12 @@ def read_csv(path: str) -> tuple[list[str], list[list[float]]]:
 
 def _format(value: float) -> str:
     return repr(float(value))
+
+
+def _format_log(log_value: float) -> str:
+    """The positive number ``exp(log_value)`` in e-notation, also beyond the float range."""
+    exponent, fraction = divmod(log_value / math.log(10.0), 1.0)
+    return f"{10.0 ** fraction!r}e+{int(exponent)}"
 
 
 def implied_network_complexity(d: int, p: int, R: int) -> ComplexityReport:
@@ -147,8 +160,8 @@ def cmd_fit(args) -> int:
     print(f"basis size={len(model.gamma)}")
     print(f"network depth={net.depth} units={net.units} weights={net.weights}")
     print(
-        f"final objective={_format(diag.final_objective)} epochs={diag.epochs_run} "
-        f"converged={diag.converged}"
+        f"final objective={_format(diag.final_objective)} iterations={diag.epochs_run} "
+        f"certificate={diag.certificate:.3g} converged={diag.converged}"
     )
     print(f"train sup-norm={_format(diag.sup_norm)}")
     if loss.kind == "quadratic":
@@ -241,8 +254,13 @@ def cmd_basis_info(args) -> int:
     print(f"d={args.d} m={args.m}")
     print(f"basis size={size}")
     if args.d >= 2:
-        lower, upper = cardinality_bounds(args.d, args.m)
-        print(f"cardinality bounds: lower={_format(lower)} upper={_format(upper)}")
+        lower, upper = (
+            _format(value) if math.isfinite(value) else _format_log(log_value)
+            for value, log_value in zip(
+                cardinality_bounds(args.d, args.m), cardinality_log_bounds(args.d, args.m)
+            )
+        )
+        print(f"cardinality bounds: lower={lower} upper={upper}")
     if args.r is not None:
         per = basis_network_complexity(args.d, args.r)
         net = implied_network_complexity(args.d, size, args.r)
@@ -284,8 +302,8 @@ def build_parser() -> _Parser:
     p_fit.add_argument("--c", type=int, default=None, help="offset in the m-schedule (conflicts with --m)")
     p_fit.add_argument("--m", type=int, default=None, help="override the level-sum budget m")
     p_fit.add_argument("--r", type=int, default=None, help="override the product accuracy R")
-    p_fit.add_argument("--epochs", type=int, default=5000, help="Adam epoch cap" + ADAM_ONLY)
-    p_fit.add_argument("--tol", type=float, default=1e-8, help="Adam step tolerance" + ADAM_ONLY)
+    p_fit.add_argument("--epochs", type=int, default=5000, help=EPOCHS_HELP)
+    p_fit.add_argument("--tol", type=float, default=1e-12, help=TOL_HELP)
     p_fit.add_argument(
         "--seed", type=int, default=DEFAULT_SEED, help="echoed in the summary; the fit does not use it"
     )
@@ -305,8 +323,8 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--loss", default="quadratic")
     p_sim.add_argument("--kappas", default=",".join(str(k) for k in DEFAULT_KAPPAS))
     p_sim.add_argument("--cs", default=",".join(str(c) for c in DEFAULT_CS))
-    p_sim.add_argument("--epochs", type=int, default=3000, help="Adam epoch cap" + ADAM_ONLY)
-    p_sim.add_argument("--tol", type=float, default=1e-8, help="Adam step tolerance" + ADAM_ONLY)
+    p_sim.add_argument("--epochs", type=int, default=3000, help=EPOCHS_HELP)
+    p_sim.add_argument("--tol", type=float, default=1e-12, help=TOL_HELP)
     p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_sim.add_argument("--out-csv", default=None)
     p_sim.add_argument("--out-json", default=None)

@@ -22,10 +22,10 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from . import rng
 from .estimator import FeatureMap, FitConfig, adam_fit, hyperparams_from_n
+from .losses import sigmoid
 from .relu_product import pair_product, product_features, square_approx
 from .sparse_grid import (
     approximation_bound,
@@ -98,7 +98,7 @@ def true_regression(model_id: int, X: np.ndarray) -> np.ndarray:
             + 1.0
         )
     if model_id == 4:
-        return expit(model4_logodds(X))
+        return sigmoid(model4_logodds(X))
     raise ValueError(f"unknown model id {model_id}; expected 1..4")
 
 
@@ -375,6 +375,8 @@ def run_replications(
     )
     d = spec.dimension
     classification = spec.model_id == 4
+    # built before the first fit, so a bad kappa fails fast
+    configs = {kappa: replace(fit_config, kappa=kappa) for kappa in kappas}
     for c in cs:
         m, R = hyperparams_from_n(spec.n, c)
         fmap = FeatureMap(basis=enumerate_basis(d, m), R=R)
@@ -384,7 +386,9 @@ def run_replications(
             phi_train = fmap(data.X)
             out = {}
             for kappa in kappas:
-                cfg = replace(fit_config, kappa=kappa, c_offset=c, track_objective=False)
+                # c_offset does not change the fit; it labels the config for
+                # wrappers of adam_fit that record fits per schedule cell
+                cfg = replace(configs[kappa], c_offset=c)
                 try:
                     out[kappa], _ = adam_fit(phi_train, data.y, cfg)
                 except Exception as exc:
@@ -401,7 +405,7 @@ def run_replications(
         for kappa in kappas:
             scores = [eval_phi @ per_rep[r][kappa] for r in range(reps)]
             if classification:
-                probs = [expit(score) for score in scores]
+                probs = [sigmoid(score) for score in scores]
                 per_metric = [
                     classification_metrics((prob >= 0.5).astype(int), eval_class, prob).as_dict()
                     for prob in probs

@@ -2,8 +2,10 @@
 
 Four convex losses share one interface: quadratic (mean regression),
 Huber and quantile (robust regression), and logistic (binary
-responses).  Each exposes its value, a subgradient in the prediction,
-and a Lipschitz constant.  All functions broadcast over numpy arrays.
+responses).  Each exposes its value, a subgradient in the prediction
+and a Lipschitz constant; the Huber and logistic losses also a
+(generalised) second derivative.  All functions broadcast over numpy
+arrays.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 KINDS = ("quadratic", "huber", "quantile", "logistic")
 
@@ -84,6 +85,14 @@ class LossSpec:
         return 2.0
 
 
+def sigmoid(f):
+    """The logistic function ``1 / (1 + exp(-f))``, as ``exp(f) / (1 + exp(f))``
+    for negative ``f`` so that no ``exp`` overflows."""
+    f = np.asarray(f, dtype=float)
+    e = np.exp(-np.abs(f))
+    return np.where(f >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def _check_binary(y: np.ndarray) -> None:
     if not np.all((y == 0.0) | (y == 1.0)):
         raise LossInputError("logistic loss needs responses in {0, 1}")
@@ -126,4 +135,23 @@ def loss_subgradient(spec: LossSpec, f, y):
         u = y - f
         return np.where(u <= 0.0, 1.0 - spec.tau, -spec.tau)
     _check_binary(y)
-    return expit(f) - y
+    return sigmoid(f) - y
+
+
+def loss_curvature(spec: LossSpec, f, y):
+    """Second derivative in ``f`` of the Huber and logistic losses, the
+    ones fitted by Newton's method.
+
+    Huber: 1 where the residual is at most ``delta`` in size, else 0, an
+    element of the generalised Hessian, which makes Newton's method on
+    the Huber risk semismooth; logistic: ``sigmoid(f) (1 - sigmoid(f))``.
+    """
+    f = np.asarray(f, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if spec.kind == "huber":
+        return (np.abs(f - y) <= spec.delta).astype(float)
+    if spec.kind != "logistic":
+        raise LossInputError(f"no Newton curvature for the {spec.kind} loss")
+    _check_binary(y)
+    e = np.exp(-np.abs(f))
+    return e / ((1.0 + e) * (1.0 + e))

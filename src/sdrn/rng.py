@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-from scipy.special import ndtri
 
 _TINY = 2.0 ** -53
 
@@ -35,6 +34,8 @@ def _open_uniform(gen: np.random.Generator, size) -> np.ndarray:
 
 def standard_normal(gen: np.random.Generator, size) -> np.ndarray:
     """N(0, 1) variates by inversion of the normal CDF."""
+    from scipy.special import ndtri
+
     return ndtri(_open_uniform(gen, size))
 
 

@@ -193,26 +193,45 @@ def enumerate_basis(d: int, m: int, id_cap: int = DEFAULT_ID_CAP) -> SparseGridB
     return SparseGridBasis(dimension=d, max_level_sum=m, levels=levels, nodes=nodes)
 
 
+def cardinality_log_bounds(d: int, m: int) -> tuple[float, float]:
+    """Natural logarithms of the two :func:`cardinality_bounds`.
+
+    They are finite for every ``d >= 2`` and ``m >= 0``, including where
+    the bounds themselves exceed the float range.
+    """
+    if d < 2:
+        raise ValueError(f"cardinality bounds require d >= 2, got {d}")
+    if m < 0:
+        raise ValueError(f"max level sum must be >= 0, got {m}")
+    ln2 = math.log(2.0)
+    lower = (d - 1 + m) * ln2 + math.log1p(2.0 ** -m)
+    upper = (
+        math.log(2.0 * math.sqrt(2.0 / math.pi))
+        + 0.5 * math.log(d - 1.0)
+        - math.log(m + d)
+        + m * ln2
+        + (d - 1) * math.log(4.0 * math.e * (m + d) / (d - 1.0))
+    )
+    return lower, upper
+
+
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
+
 def cardinality_bounds(d: int, m: int) -> tuple[float, float]:
     """Closed-form lower and upper bounds on the sparse-basis size.
 
     Only defined for the multivariate case ``d >= 2``.  The lower bound
     is ``2**(d-1) * (2**m + 1)``; the upper bound is
     ``2*sqrt(2/pi) * sqrt(d-1)/(m+d) * 2**m * (4e(m+d)/(d-1))**(d-1)``.
+    Both are decided in log space (:func:`cardinality_log_bounds`): a
+    bound beyond the float range is ``inf``.  In range, the lower bound
+    keeps its direct formula (at ``m = 0`` it equals the basis size) and
+    the upper bound is the exponential of its logarithm.
     """
-    if d < 2:
-        raise ValueError(f"cardinality bounds require d >= 2, got {d}")
-    if m < 0:
-        raise ValueError(f"max level sum must be >= 0, got {m}")
-    lower = 2.0 ** (d - 1) * (2.0 ** m + 1.0)
-    upper = (
-        2.0
-        * math.sqrt(2.0 / math.pi)
-        * math.sqrt(d - 1.0)
-        / (m + d)
-        * 2.0 ** m
-        * (4.0 * math.e * (m + d) / (d - 1.0)) ** (d - 1)
-    )
+    log_lower, log_upper = cardinality_log_bounds(d, m)
+    lower = math.ldexp(2.0 ** m + 1.0, d - 1) if log_lower < _LOG_FLOAT_MAX else math.inf
+    upper = math.exp(log_upper) if log_upper < _LOG_FLOAT_MAX else math.inf
     return lower, upper
 
 

@@ -159,12 +159,44 @@ def test_predict_rejects_malformed_model_files(tmp_path, capsys):
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    code = "import sys, sdrn.cli; print('scipy.stats' in sys.modules)"
+    # no scipy module at all: the solvers use numpy.linalg only, and the
+    # normal draws and the rank-based AUC import scipy when they run
+    code = "import sys, sdrn.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
+
+
+def test_fit_summary_reports_certified_iterations(tmp_path, capsys):
+    train = tmp_path / "train.csv"
+    _write_training_csv(train, n=120)
+    for loss in ("huber:1.0", "quantile:0.5", "quadratic"):
+        rc = cli.main(["fit", "--input", str(train), "--target", "y", "--loss", loss,
+                       "--model-out", str(tmp_path / "m.json")])
+        assert rc == 0
+        line = [l for l in capsys.readouterr().out.splitlines() if l.startswith("final objective")]
+        assert len(line) == 1
+        fields = dict(part.split("=") for part in line[0].split()[1:])
+        assert fields["converged"] == "True" and float(fields["certificate"]) <= 1e-12
+        assert int(fields["iterations"]) >= (loss != "quadratic")
+        doc = json.loads((tmp_path / "m.json").read_text())
+        assert sorted(doc["diagnostics"]) == ["converged", "epochs_run", "final_objective", "sup_norm"]
+
+
+@pytest.mark.parametrize("command", ["fit", "simulate"])
+def test_zero_kappa_with_non_quadratic_loss_is_data_error(tmp_path, capsys, command):
+    if command == "fit":
+        train = tmp_path / "train.csv"
+        _write_training_csv(train, n=60)
+        argv = ["fit", "--input", str(train), "--target", "y",
+                "--model-out", str(tmp_path / "m.json"), "--loss", "huber:1.0", "--kappa", "0"]
+    else:
+        argv = ["simulate", "--model", "1", "--n", "60", "--reps", "1", "--loss", "huber:1.0",
+                "--kappas", "1.0,0", "--cs=-2", "--out-csv", str(tmp_path / "sim.csv")]
+    _assert_data_error(cli.main(argv), capsys, "kappa > 0")
+    assert not list(tmp_path.glob("*.json")) + list(tmp_path.glob("sim.csv"))
 
 
 def test_fit_logistic_on_non_binary_target_is_data_error(tmp_path, capsys):
@@ -345,6 +377,21 @@ def test_basis_info(capsys):
     assert cli.main(["basis-info", "--d", "3", "--m", "1", "--r", "4"]) == 0
     out = capsys.readouterr().out
     assert "per-feature network (R=4): depth=12 units=84 weights=446" in out
+
+
+@pytest.mark.parametrize("d, m", [(400, 3), (2000, 0)])
+def test_basis_info_beyond_float_range(d, m, capsys):
+    # both cardinality bounds exceed the float range at d=2000, the upper one at d=400
+    assert cli.main(["basis-info", "--d", str(d), "--m", str(m)]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    line = [l for l in captured.out.splitlines() if l.startswith("cardinality bounds")][0]
+    lower, upper = (part.split("=")[1] for part in line.split()[2:])
+    size = basis_size(d, m)
+    for text in (lower, upper):
+        mantissa, exponent = text.split("e+")
+        assert 1.0 <= float(mantissa) < 10.0
+    assert int(lower.split("e+")[1]) <= len(str(size)) - 1 <= int(upper.split("e+")[1])
 
 
 @pytest.mark.parametrize(

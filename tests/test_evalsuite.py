@@ -135,6 +135,21 @@ def test_run_replications_smoke_and_determinism():
     )
 
 
+def test_run_replications_labels_each_fit_with_its_cell(monkeypatch):
+    seen = []
+    fit = ev.adam_fit
+
+    def recording_fit(Phi, y, config):
+        seen.append((config.kappa, config.c_offset, Phi.shape[1]))
+        return fit(Phi, y, config)
+
+    monkeypatch.setattr(ev, "adam_fit", recording_fit)
+    spec = ev.SimModelSpec(model_id=1, n=60, noise="normal", seed=3)
+    ev.run_replications(spec, FitConfig(loss=LossSpec("quadratic")), reps=1,
+                        kappas=(0.5, 1.0), cs=(-1, 0))
+    assert seen == [(0.5, -1, 32), (1.0, -1, 32), (0.5, 0, 112), (1.0, 0, 112)]
+
+
 def test_run_replications_classification_columns():
     spec = ev.SimModelSpec(model_id=4, n=60, seed=4)
     cfg = FitConfig(loss=LossSpec("logistic"), epochs=40, tol=1e-6)

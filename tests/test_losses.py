@@ -1,11 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdrn.losses import LossInputError, LossSpec, loss_subgradient, loss_value
+from sdrn.losses import (
+    LossInputError,
+    LossSpec,
+    loss_curvature,
+    loss_subgradient,
+    loss_value,
+    sigmoid,
+)
 
 QUANTILE = LossSpec("quantile", tau=0.25)
 HUBER = LossSpec("huber", delta=1.0)
@@ -91,6 +99,37 @@ def test_subgradient_matches_finite_differences():
             fd = (loss_value(spec, f + h, y) - loss_value(spec, f - h, y)) / (2.0 * h)
             assert abs(grad - fd) <= 1e-4, (spec.kind, f, y)
             checked += 1
+
+
+def test_curvature_matches_finite_differences_of_subgradient():
+    gen = np.random.default_rng(12)
+    h = 1e-6
+    for spec in (HUBER, LOGISTIC):
+        f = gen.uniform(-3.0, 3.0, 1000)
+        if spec.kind == "logistic":
+            y = gen.integers(0, 2, 1000).astype(float)
+        else:
+            y = gen.uniform(-3.0, 3.0, 1000)
+        away = np.abs(np.abs(y - f) - HUBER.delta) > 1e-4  # off the Huber threshold
+        fd = (loss_subgradient(spec, f + h, y) - loss_subgradient(spec, f - h, y)) / (2.0 * h)
+        curvature = loss_curvature(spec, f, y)
+        assert curvature.shape == f.shape
+        assert np.max(np.abs(curvature - fd)[away]) <= 1e-6, spec.kind
+    with pytest.raises(LossInputError):
+        loss_curvature(QUANTILE, 0.0, 1.0)
+
+
+def test_sigmoid_matches_scipy_expit_without_warnings():
+    from scipy.special import expit
+
+    f = np.linspace(-800.0, 800.0, 320_001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sigmoid(f)
+    # relative agreement wherever expit is a normal float; below that both
+    # are subnormal or zero
+    np.testing.assert_allclose(got, expit(f), rtol=1e-15, atol=np.finfo(float).tiny)
+    assert sigmoid(0.0) == 0.5
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -110,6 +111,19 @@ def test_cardinality_bounds():
     assert lower <= 59744 <= upper
     with pytest.raises(ValueError):
         sg.cardinality_bounds(1, 2)
+
+
+def test_cardinality_log_bounds():
+    for d in range(2, 9):
+        for m in range(0, 7):
+            logs = sg.cardinality_log_bounds(d, m)
+            for bound, log in zip(sg.cardinality_bounds(d, m), logs):
+                assert abs(math.log(bound) - log) <= 1e-14 * abs(log)
+    # beyond the float range the bounds are inf and their logarithms finite
+    assert sg.cardinality_bounds(2000, 0) == (math.inf, math.inf)
+    log_lower, log_upper = sg.cardinality_log_bounds(2000, 0)
+    assert log_lower == pytest.approx(2000 * math.log(2.0), rel=1e-15)
+    assert log_lower < math.log(2.0) * 2000 + 1e-9 < log_upper
 
 
 def test_cardinality_lower_bound_is_tight_at_m0():
