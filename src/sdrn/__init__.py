@@ -17,7 +17,6 @@ from .sparse_grid import (
     cardinality_bounds,
     enumerate_basis,
     hat_eval,
-    hierarchical_coefficient,
     index_set,
     interpolate,
     surplus_oracle,

@@ -2,7 +2,8 @@
 
 CSV dialect: comma separated, first row is the header, UTF-8, ``.``
 decimal point, numeric fields unquoted.  Lines starting with ``#`` are
-configuration echoes and are skipped on read.  Exit codes: 0 success,
+configuration echoes and are skipped on read, so no column name may
+start with ``#``.  Exit codes: 0 success,
 1 usage error, 2 data error, 3 bound violation (verify-bounds only).
 """
 
@@ -13,6 +14,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from .evalsuite import (
     verify_bounds,
 )
 from .losses import LossInputError, LossSpec
-from .relu_product import ComplexityReport, basis_network_complexity
+from .relu_product import MAX_R, ComplexityReport, basis_network_complexity
 from .sparse_grid import BasisSizeError, basis_size, cardinality_bounds, cardinality_log_bounds
 
 DEFAULT_SEED = 0
@@ -60,40 +62,55 @@ class _Parser(argparse.ArgumentParser):
 def read_csv(path: str) -> tuple[list[str], list[list[float]]]:
     """Read a numeric CSV with a header row; report bad cells by row/column."""
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        with open(path, newline="", encoding="utf-8") as fh:
+            return _parse_csv(path, csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header: list[str] | None = None
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=1):
-            if not row or (row[0].startswith("#") and header is None):
-                continue
-            if header is None:
-                header = [c.strip() for c in row]
-                continue
-            if len(row) != len(header):
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: unreadable CSV: {exc}") from exc
+
+
+def _parse_csv(path: str, reader) -> tuple[list[str], list[list[float]]]:
+    header: list[str] | None = None
+    rows: list[list[float]] = []
+    for lineno, row in enumerate(reader, start=1):
+        if not row or (row[0].startswith("#") and header is None):
+            continue
+        if header is None:
+            header = [c.strip() for c in row]
+            if any(name.startswith("#") for name in header):
+                # a header line starting with one would be skipped as a comment
+                raise DataError(f"{path}: column names may not start with '#'")
+            continue
+        if len(row) != len(header):
+            raise DataError(
+                f"{path}: row {lineno} has {len(row)} fields, header has {len(header)}"
+            )
+        values = []
+        for j, cell in enumerate(row):
+            try:
+                value = float(cell)
+            except ValueError:
+                value = None
+            if value is None or not math.isfinite(value):
+                kind = "non-numeric" if value is None else "non-finite"
                 raise DataError(
-                    f"{path}: row {lineno} has {len(row)} fields, header has {len(header)}"
+                    f"{path}: {kind} value {cell!r} at row {lineno}, "
+                    f"column {header[j]!r}"
                 )
-            values = []
-            for j, cell in enumerate(row):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    value = None
-                if value is None or not math.isfinite(value):
-                    kind = "non-numeric" if value is None else "non-finite"
-                    raise DataError(
-                        f"{path}: {kind} value {cell!r} at row {lineno}, "
-                        f"column {header[j]!r}"
-                    )
-                values.append(value)
-            rows.append(values)
+            values.append(value)
+        rows.append(values)
     if header is None:
         raise DataError(f"{path}: empty file, expected a header row")
     return header, rows
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
 
 
 def _format(value: float) -> str:
@@ -123,12 +140,20 @@ def cmd_fit(args) -> int:
         raise DataError(str(exc)) from exc
     if args.m is not None and args.c is not None:
         raise DataError("--m overrides the schedule; passing --c as well is contradictory")
-    if args.m is not None and args.m < 0 or args.r is not None and args.r < 1:
-        raise DataError("need --m >= 0 and --r >= 1")
+    if args.m is not None and args.m < 0 or args.r is not None and not 1 <= args.r <= MAX_R:
+        raise DataError(f"need --m >= 0 and 1 <= --r <= {MAX_R}")
     c_offset = 0 if args.c is None else args.c
+    try:
+        config = FitConfig(
+            loss=loss, kappa=args.kappa, c_offset=c_offset, epochs=args.epochs, tol=args.tol
+        )
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
     header, rows = read_csv(args.input)
     if args.target not in header:
         raise DataError(f"target column {args.target!r} not found in {args.input}")
+    if len(header) < 2:
+        raise DataError(f"{args.input}: need at least one covariate column besides the target")
     if len(rows) < 2:
         raise DataError(f"{args.input}: need at least two data rows to fit")
     t_idx = header.index(args.target)
@@ -136,18 +161,14 @@ def cmd_fit(args) -> int:
     y = data[:, t_idx]
     X = np.delete(data, t_idx, axis=1)
     columns = [h for i, h in enumerate(header) if i != t_idx]
-    config = FitConfig(
-        loss=loss,
-        kappa=args.kappa,
-        c_offset=c_offset,
-        epochs=args.epochs,
-        tol=args.tol,
-    )
     try:
         model = fit_sdrn(X, y, config, m=args.m, R=args.r, column_names=columns)
     except ConstantColumnError as exc:
         raise DataError(str(exc)) from exc
-    model.save(args.model_out)
+    try:
+        model.save(args.model_out)
+    except OSError as exc:
+        raise DataError(f"cannot write {args.model_out}: {exc}") from exc
     diag: FitDiagnostics = model.diagnostics
     net = implied_network_complexity(model.d, len(model.gamma), model.R)
     sched_m, sched_R = hyperparams_from_n(len(y), c_offset)
@@ -176,7 +197,7 @@ def cmd_fit(args) -> int:
 def cmd_predict(args) -> int:
     try:
         model = SdrnModel.load(args.model)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"cannot load model {args.model}: {exc}") from exc
     header, rows = read_csv(args.input)
     if model.column_names:
@@ -207,8 +228,7 @@ def cmd_predict(args) -> int:
             lines.append(",".join(cells))
     text = "\n".join(lines) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.output, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -225,31 +245,37 @@ def _parse_grid(text: str, cast) -> tuple:
 
 
 def cmd_simulate(args) -> int:
+    if args.reps < 1:
+        raise DataError(f"need --reps >= 1, got {args.reps}")
+    kappas = _parse_grid(args.kappas, float)
+    cs = _parse_grid(args.cs, int)
     try:
         loss = LossSpec.parse(args.loss)
         spec = SimModelSpec(model_id=args.model, n=args.n, noise=args.noise, seed=args.seed)
-    except (LossInputError, ValueError) as exc:
+        config = FitConfig(loss=loss, epochs=args.epochs, tol=args.tol)
+        for kappa in kappas:  # the config of each grid point, checked before any fit
+            replace(config, kappa=kappa)
+    except ValueError as exc:
         raise DataError(str(exc)) from exc
-    kappas = _parse_grid(args.kappas, float)
-    cs = _parse_grid(args.cs, int)
-    config = FitConfig(loss=loss, epochs=args.epochs, tol=args.tol)
-    report = run_replications(spec, config, reps=args.reps, kappas=kappas, cs=cs)
+    try:
+        report = run_replications(spec, config, reps=args.reps, kappas=kappas, cs=cs)
+    except RuntimeError as exc:  # a failed fit, named by its cell
+        if isinstance(exc.__cause__, (LossInputError, NonFiniteObjectiveError)):
+            raise DataError(str(exc)) from exc
+        raise
     csv_text = report.to_csv()
     if args.out_csv:
-        with open(args.out_csv, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+        _write(args.out_csv, csv_text)
     else:
         sys.stdout.write(csv_text)
     if args.out_json:
-        with open(args.out_json, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write(args.out_json, json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
     return 0
 
 
 def cmd_basis_info(args) -> int:
-    if args.d < 1 or args.m < 0 or args.r is not None and args.r < 1:
-        raise DataError("need --d >= 1, --m >= 0 and --r >= 1")
+    if args.d < 1 or args.m < 0 or args.r is not None and not 1 <= args.r <= MAX_R:
+        raise DataError(f"need --d >= 1, --m >= 0 and 1 <= --r <= {MAX_R}")
     size = basis_size(args.d, args.m)
     print(f"d={args.d} m={args.m}")
     print(f"basis size={size}")
@@ -272,9 +298,7 @@ def cmd_basis_info(args) -> int:
 def cmd_verify_bounds(args) -> int:
     report = verify_bounds()
     if args.out_csv:
-        with open(args.out_csv, "w", encoding="utf-8") as fh:
-            fh.write("# sdrn verify-bounds (default sweep)\n")
-            fh.write(report.to_csv())
+        _write(args.out_csv, "# sdrn verify-bounds (default sweep)\n" + report.to_csv())
     width = max(len(c.name) for c in report.checks)
     for c in report.checks:
         status = "pass" if c.passed else "FAIL"

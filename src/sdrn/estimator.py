@@ -24,7 +24,7 @@ from itertools import count
 import numpy as np
 
 from .losses import LossInputError, LossSpec, loss_curvature, loss_subgradient, loss_value, sigmoid
-from .relu_product import product_features
+from .relu_product import MAX_R, product_features
 from .sparse_grid import SparseGridBasis, basis_size, enumerate_basis
 
 MODEL_SCHEMA_VERSION = 1
@@ -42,14 +42,15 @@ def hyperparams_from_n(n: int, c: int = 0) -> tuple[int, int]:
     """Schedule ``(m, R)`` from the sample size.
 
     ``m = max(floor(0.2 * log2 n) + c, 0)`` and
-    ``R = 3 * max(floor(0.2 * log2 n), m)``; the offset ``c`` trades
-    grid resolution against variance.
+    ``R = 3 * max(floor(0.2 * log2 n), m, 1)``; the offset ``c`` trades
+    grid resolution against variance.  The floor of 1 keeps ``R >= 1``
+    below 32 samples, where the schedule's base level is 0.
     """
     if n < 2:
         raise ValueError(f"sample size must be >= 2, got {n}")
     base = math.floor(0.2 * math.log2(n))
     m = max(base + c, 0)
-    R = 3 * max(base, m)
+    R = 3 * max(base, m, 1)
     return m, R
 
 
@@ -151,8 +152,10 @@ class FitConfig:
     tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if self.kappa < 0:
-            raise ValueError("kappa must be nonnegative")
+        if not (math.isfinite(self.kappa) and self.kappa >= 0):
+            raise ValueError(f"kappa must be finite and nonnegative, got {self.kappa!r}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.kappa == 0 and self.loss.kind != "quadratic":
             raise LossInputError(
                 f"the {self.loss.kind} loss needs kappa > 0: without the ridge term "
@@ -451,8 +454,6 @@ def adam_fit(Phi: np.ndarray, y: np.ndarray, config: FitConfig) -> tuple[np.ndar
     predates the exact solvers and stays because the benchmark harness
     looks the solver up by it.  Deterministic given (data, config).
     """
-    if config.epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {config.epochs}")
     Phi = np.asarray(Phi, dtype=float)
     y = np.asarray(y, dtype=float)
     loss, kappa = config.loss, config.kappa
@@ -525,10 +526,6 @@ class SdrnModel:
             raise ValueError("probabilities are only defined for the logistic loss")
         return sigmoid(self.predict(X))
 
-    def predict_class(self, X: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-        """Class labels; probability >= threshold maps to 1 (ties go to 1)."""
-        return (self.predict_proba(X) >= threshold).astype(int)
-
     def to_json(self) -> dict:
         return {
             "schema_version": MODEL_SCHEMA_VERSION,
@@ -552,6 +549,8 @@ class SdrnModel:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SdrnModel":
+        if not isinstance(doc, dict):
+            raise ValueError("a model file holds one JSON object")
         version = doc.get("schema_version")
         if version != MODEL_SCHEMA_VERSION:
             raise ValueError(f"unsupported model schema version {version!r}")
@@ -567,17 +566,17 @@ class SdrnModel:
                 sup_norm=doc["diagnostics"]["sup_norm"],
             )
         d, m, R = doc["d"], doc["m"], doc["R"]
-        if m < 0 or R < 1:
-            raise ValueError(f"need m >= 0 and R >= 1, got m={m!r}, R={R!r}")
+        if m < 0 or not 1 <= R <= MAX_R:
+            raise ValueError(f"need m >= 0 and 1 <= R <= {MAX_R}, got m={m!r}, R={R!r}")
         gamma = np.array(doc["gamma"], dtype=float)
         mins = np.array(doc["scaler"]["min"], dtype=float)
         maxs = np.array(doc["scaler"]["max"], dtype=float)
         columns = tuple(doc["columns"]) if doc.get("columns") else None
-        size = basis_size(d, m)
-        if gamma.shape != (size,):
-            raise ValueError(f"gamma has {gamma.size} entries, the d={d}, m={m} basis has {size}")
         if mins.shape != (d,) or maxs.shape != (d,) or (columns and len(columns) != d):
             raise ValueError(f"scaler and columns must have d={d} entries")
+        # the basis has over 2**m ids, so a large m is refused without counting
+        if m >= gamma.size.bit_length() or gamma.shape != (basis_size(d, m),):
+            raise ValueError(f"gamma has {gamma.size} entries, not the size of the d={d}, m={m} basis")
         if not all(np.all(np.isfinite(a)) for a in (gamma, mins, maxs)):
             raise ValueError("gamma and scaler values must be finite")
         return cls(

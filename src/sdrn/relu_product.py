@@ -47,6 +47,11 @@ def tooth(x):
     return 2.0 * relu(x) - 4.0 * relu(x - 0.5) + 2.0 * relu(x - 1.0)
 
 
+# the largest R at which square_approx stays finite: the cell index k
+# reaches 2**R - 1, and k * k overflows a float from R = 512 on
+MAX_R = 511
+
+
 def square_approx(R: int, x):
     """f_R(x), the linear interpolant of x**2 on the grid ``k * 2**-R``, for x in [0, 1].
 
@@ -55,9 +60,10 @@ def square_approx(R: int, x):
     tooth chain ``x - sum_{r=1}^{R} g_r(x) / 4**r`` on [0, 1] (to
     rounding), is exact at every grid point, and its error against x**2
     peaks at cell midpoints with value exactly ``2**(-2R-2)``.
+    ``R`` ranges over ``1..MAX_R``.
     """
-    if R < 1:
-        raise ValueError(f"accuracy level R must be >= 1, got {R}")
+    if not 1 <= R <= MAX_R:
+        raise ValueError(f"accuracy level R must be in 1..{MAX_R}, got {R}")
     t = np.asarray(x, dtype=float) * 2.0 ** R  # x / h, exact
     k = np.minimum(np.floor(t), 2.0 ** R - 1.0)
     t -= k  # in place: h**2 (k**2 + (t - k)(2k + 1))

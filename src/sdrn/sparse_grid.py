@@ -16,11 +16,12 @@ An enumerated basis holds them as two ``(k, d)`` integer arrays; a
 single id is a :class:`BasisId`.
 
 Every function with square-integrable mixed second derivatives has a
-unique expansion in this basis; the coefficients (hierarchical
-surpluses) can be obtained either from a weighted integral of the mixed
-second derivative or from a cheap nodal difference stencil.  Both
-routes are implemented here, the second serving as an independent
-oracle for the first.
+unique expansion in this basis.  Its coefficients (hierarchical
+surpluses) equal a weighted integral of the mixed second derivative,
+which bounds them (:meth:`SurplusSet.coefficient_bounds`); they are
+computed here from the cheap nodal difference stencil
+(:func:`surplus_oracle`), and the tests check that stencil against a
+Gauss quadrature of the integral.
 """
 
 from __future__ import annotations
@@ -30,17 +31,12 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 DEFAULT_ID_CAP = 10_000_000
 
 
 class BasisSizeError(ValueError):
     """Requested enumeration would exceed the configured id cap."""
-
-
-class QuadratureError(RuntimeError):
-    """Successive quadrature orders disagree beyond the tolerance."""
 
 
 def index_set(level: int) -> list[int]:
@@ -82,14 +78,6 @@ class BasisId:
     def dimension(self) -> int:
         return len(self.level)
 
-    @property
-    def level_sum(self) -> int:
-        return sum(self.level)
-
-    def grid_point(self) -> np.ndarray:
-        """Coordinates ``node * 2**-level`` of the associated grid point."""
-        return np.array([s * 2.0 ** -l for l, s in zip(self.level, self.node)])
-
 
 def hat_eval(level: int, node: int, x):
     """Evaluate the level-``level`` hat centred at ``node * 2**-level``.
@@ -128,7 +116,7 @@ def _level_vectors(d: int, total: int) -> Iterator[tuple[int, ...]]:
 
 @dataclass(frozen=True, eq=False)
 class SparseGridBasis:
-    """Enumerated basis ``{(level, node) : sum(level) <= max_level_sum}``.
+    """Enumerated basis ``{(level, node) : sum(level) <= m}``.
 
     ``levels`` and ``nodes`` are ``(k, d)`` int64 arrays, one row per
     id, ordered lexicographically in ``(sum(level), level, node)``, which
@@ -138,7 +126,6 @@ class SparseGridBasis:
     """
 
     dimension: int
-    max_level_sum: int
     levels: np.ndarray
     nodes: np.ndarray
 
@@ -174,6 +161,8 @@ def enumerate_basis(d: int, m: int, id_cap: int = DEFAULT_ID_CAP) -> SparseGridB
     would exceed ``id_cap`` (default 10**7).  Each level vector fills one
     block of rows with the tensor grid of its index sets.
     """
+    if m >= id_cap.bit_length():  # more than 2**m ids, so no exact count is needed
+        raise BasisSizeError(f"basis for d={d}, m={m} has over 2**{m} ids, exceeding cap {id_cap}")
     size = basis_size(d, m)
     if size > id_cap:
         raise BasisSizeError(f"basis for d={d}, m={m} has {size} ids, exceeding cap {id_cap}")
@@ -190,7 +179,7 @@ def enumerate_basis(d: int, m: int, id_cap: int = DEFAULT_ID_CAP) -> SparseGridB
             for j, grid in enumerate(np.ix_(*sets)):
                 block[..., j] = grid
             start = stop
-    return SparseGridBasis(dimension=d, max_level_sum=m, levels=levels, nodes=nodes)
+    return SparseGridBasis(dimension=d, levels=levels, nodes=nodes)
 
 
 def cardinality_log_bounds(d: int, m: int) -> tuple[float, float]:
@@ -233,98 +222,6 @@ def cardinality_bounds(d: int, m: int) -> tuple[float, float]:
     lower = math.ldexp(2.0 ** m + 1.0, d - 1) if log_lower < _LOG_FLOAT_MAX else math.inf
     upper = math.exp(log_upper) if log_upper < _LOG_FLOAT_MAX else math.inf
     return lower, upper
-
-
-@dataclass(frozen=True)
-class SmoothFunction:
-    """A function on the unit cube with analytic mixed second derivatives.
-
-    ``value`` maps a batch of points ``(n, d)`` to values ``(n,)``.
-    ``mixed_second(x, dims)`` returns the derivative of order two in each
-    coordinate listed in ``dims`` (and order zero elsewhere), again
-    batched.  ``mixed_second(x, all dims)`` is the full mixed second
-    derivative entering the coefficient integral.
-    """
-
-    dimension: int
-    value: Callable[[np.ndarray], np.ndarray]
-    mixed_second: Callable[[np.ndarray, tuple[int, ...]], np.ndarray]
-
-
-def _cell_quadrature(level: int, node: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights over the two linear cells of a hat.
-
-    The hat with level ``l >= 1`` is linear on ``[c-h, c]`` and
-    ``[c, c+h]``; integrating each cell separately keeps polynomial
-    integrands exact.
-    """
-    base_x, base_w = leggauss(order)
-    h = 2.0 ** -level
-    c = node * h
-    lo = max(c - h, 0.0)
-    hi = min(c + h, 1.0)
-    xs, ws = [], []
-    for a, b in ((lo, c), (c, hi)):
-        if b <= a:
-            continue
-        half = 0.5 * (b - a)
-        xs.append(0.5 * (a + b) + half * base_x)
-        ws.append(half * base_w)
-    return np.concatenate(xs), np.concatenate(ws)
-
-
-def _coefficient_integral(func: SmoothFunction, bid: BasisId, order: int) -> float:
-    active = [j for j, l in enumerate(bid.level) if l >= 1]
-    if not active:
-        point = bid.grid_point()[None, :]
-        return float(func.value(point)[0])
-    axes = [_cell_quadrature(bid.level[j], bid.node[j], order) for j in active]
-    grids = np.meshgrid(*(x for x, _ in axes), indexing="ij")
-    weights = np.meshgrid(*(w for _, w in axes), indexing="ij")
-    pts = np.empty((grids[0].size, bid.dimension))
-    pts[:, :] = bid.grid_point()[None, :]
-    wtotal = np.ones(grids[0].size)
-    for k, j in enumerate(active):
-        xj = grids[k].ravel()
-        pts[:, j] = xj
-        wtotal *= weights[k].ravel()
-        wtotal *= -(2.0 ** -(bid.level[j] + 1)) * hat_eval(bid.level[j], bid.node[j], xj)
-    deriv = func.mixed_second(pts, tuple(active))
-    return float(np.dot(wtotal, deriv))
-
-
-def hierarchical_coefficient(
-    func: SmoothFunction,
-    bid: BasisId,
-    order: int = 8,
-    convergence_tol: float | None = None,
-) -> float:
-    """Surplus of ``func`` at ``bid`` via the derivative-integral formula.
-
-    For every coordinate at level >= 1 the integrand carries the factor
-    ``-2**-(l+1) * phi_{l,s}`` against the mixed second derivative over
-    those coordinates; level-0 coordinates are pinned at their endpoint
-    node (nodal convention).  Integration is per-cell Gauss-Legendre of
-    the given ``order``.
-
-    When ``convergence_tol`` is set the integral is recomputed at
-    ``order + 2`` and a :class:`QuadratureError` is raised if the two
-    values differ by more than the tolerance.
-    """
-    if order < 2:
-        raise ValueError(f"quadrature order must be >= 2, got {order}")
-    if func.dimension != bid.dimension:
-        raise ValueError("function and basis id dimensions differ")
-    value = _coefficient_integral(func, bid, order)
-    if convergence_tol is not None:
-        refined = _coefficient_integral(func, bid, order + 2)
-        if abs(refined - value) > convergence_tol:
-            raise QuadratureError(
-                f"quadrature not converged at order {order}: "
-                f"{value!r} vs {refined!r} at order {order + 2}"
-            )
-        value = refined
-    return value
 
 
 def surplus_oracle(f: Callable[[np.ndarray], np.ndarray], bid: BasisId) -> float:
@@ -385,18 +282,13 @@ class SurplusSet:
         return 6.0 ** (-d / 2.0) * 2.0 ** (-1.5 * sums) * norm_d2f
 
 
-def interpolate(
-    f: Callable[[np.ndarray], np.ndarray],
-    d: int,
-    m: int,
-    id_cap: int = DEFAULT_ID_CAP,
-) -> SurplusSet:
+def interpolate(f: Callable[[np.ndarray], np.ndarray], d: int, m: int) -> SurplusSet:
     """Sparse-grid interpolant of ``f`` with level-sum budget ``m``.
 
     Coefficients come from the nodal stencil, so the result reproduces
     ``f`` exactly at every grid point of the basis.
     """
-    basis = enumerate_basis(d, m, id_cap=id_cap)
+    basis = enumerate_basis(d, m)
     coeffs = np.array([surplus_oracle(f, bid) for bid in basis])
     return SurplusSet(basis=basis, coefficients=coeffs)
 

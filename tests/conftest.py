@@ -1,11 +1,117 @@
-"""Shared test fixtures: random smooth functions with known derivatives."""
+"""Shared test fixtures: random smooth functions with known derivatives,
+and the derivative-integral route to hierarchical surpluses, the
+independent oracle for :func:`sdrn.sparse_grid.surplus_oracle`."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from sdrn.sparse_grid import SmoothFunction
+from sdrn.sparse_grid import BasisId, hat_eval
+
+
+class QuadratureError(RuntimeError):
+    """Successive quadrature orders disagree beyond the tolerance."""
+
+
+@dataclass(frozen=True)
+class SmoothFunction:
+    """A function on the unit cube with analytic mixed second derivatives.
+
+    ``value`` maps a batch of points ``(n, d)`` to values ``(n,)``.
+    ``mixed_second(x, dims)`` returns the derivative of order two in each
+    coordinate listed in ``dims`` (and order zero elsewhere), again
+    batched.  ``mixed_second(x, all dims)`` is the full mixed second
+    derivative entering the coefficient integral.
+    """
+
+    dimension: int
+    value: Callable[[np.ndarray], np.ndarray]
+    mixed_second: Callable[[np.ndarray, tuple[int, ...]], np.ndarray]
+
+
+def _cell_quadrature(level: int, node: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights over the two linear cells of a hat.
+
+    The hat with level ``l >= 1`` is linear on ``[c-h, c]`` and
+    ``[c, c+h]``; integrating each cell separately keeps polynomial
+    integrands exact.
+    """
+    base_x, base_w = leggauss(order)
+    h = 2.0 ** -level
+    c = node * h
+    lo = max(c - h, 0.0)
+    hi = min(c + h, 1.0)
+    xs, ws = [], []
+    for a, b in ((lo, c), (c, hi)):
+        if b <= a:
+            continue
+        half = 0.5 * (b - a)
+        xs.append(0.5 * (a + b) + half * base_x)
+        ws.append(half * base_w)
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+def _grid_point(bid: BasisId) -> np.ndarray:
+    """Coordinates ``node * 2**-level`` of the grid point of ``bid``."""
+    return np.array([s * 2.0 ** -l for l, s in zip(bid.level, bid.node)])
+
+
+def _coefficient_integral(func: SmoothFunction, bid: BasisId, order: int) -> float:
+    active = [j for j, l in enumerate(bid.level) if l >= 1]
+    if not active:
+        point = _grid_point(bid)[None, :]
+        return float(func.value(point)[0])
+    axes = [_cell_quadrature(bid.level[j], bid.node[j], order) for j in active]
+    grids = np.meshgrid(*(x for x, _ in axes), indexing="ij")
+    weights = np.meshgrid(*(w for _, w in axes), indexing="ij")
+    pts = np.empty((grids[0].size, bid.dimension))
+    pts[:, :] = _grid_point(bid)[None, :]
+    wtotal = np.ones(grids[0].size)
+    for k, j in enumerate(active):
+        xj = grids[k].ravel()
+        pts[:, j] = xj
+        wtotal *= weights[k].ravel()
+        wtotal *= -(2.0 ** -(bid.level[j] + 1)) * hat_eval(bid.level[j], bid.node[j], xj)
+    deriv = func.mixed_second(pts, tuple(active))
+    return float(np.dot(wtotal, deriv))
+
+
+def hierarchical_coefficient(
+    func: SmoothFunction,
+    bid: BasisId,
+    order: int = 8,
+    convergence_tol: float | None = None,
+) -> float:
+    """Surplus of ``func`` at ``bid`` via the derivative-integral formula.
+
+    For every coordinate at level >= 1 the integrand carries the factor
+    ``-2**-(l+1) * phi_{l,s}`` against the mixed second derivative over
+    those coordinates; level-0 coordinates are pinned at their endpoint
+    node (nodal convention).  Integration is per-cell Gauss-Legendre of
+    the given ``order``.
+
+    When ``convergence_tol`` is set the integral is recomputed at
+    ``order + 2`` and a :class:`QuadratureError` is raised if the two
+    values differ by more than the tolerance.
+    """
+    if order < 2:
+        raise ValueError(f"quadrature order must be >= 2, got {order}")
+    if func.dimension != bid.dimension:
+        raise ValueError("function and basis id dimensions differ")
+    value = _coefficient_integral(func, bid, order)
+    if convergence_tol is not None:
+        refined = _coefficient_integral(func, bid, order + 2)
+        if abs(refined - value) > convergence_tol:
+            raise QuadratureError(
+                f"quadrature not converged at order {order}: "
+                f"{value!r} vs {refined!r} at order {order + 2}"
+            )
+        value = refined
+    return value
 
 
 class Component:

@@ -145,10 +145,19 @@ def test_predict_rejects_malformed_model_files(tmp_path, capsys):
         "short-gamma": lambda doc: doc["gamma"].pop(),
         "one-entry-scaler": lambda doc: doc["scaler"].update(min=doc["scaler"]["min"][:1]),
         "nan-gamma": lambda doc: doc["gamma"].__setitem__(0, float("nan")),
+        # f_R is inf from R = 512 and NaN from R = 538 on
+        "R-beyond-float-range": lambda doc: doc.update(R=600),
+        "string-m": lambda doc: doc.update(m="1"),
+        "list-scaler": lambda doc: doc.update(scaler=[0.0, 1.0]),
+        # refused without the O(d m**2) exact basis count
+        "huge-m": lambda doc: doc.update(m=10 ** 6),
     }
+    docs = {}
     for name, edit in edits.items():
-        doc = json.loads(json.dumps(good))
-        edit(doc)
+        docs[name] = json.loads(json.dumps(good))
+        edit(docs[name])
+    docs["top-level-list"] = [good]
+    for name, doc in docs.items():
         bad = tmp_path / f"{name}.json"
         bad.write_text(json.dumps(doc), encoding="utf-8")
         out = tmp_path / f"{name}.csv"
@@ -396,8 +405,9 @@ def test_basis_info_beyond_float_range(d, m, capsys):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--d", "0", "--m", "2"], ["--d", "2", "--m", "-1"], ["--d", "2", "--m", "2", "--r", "0"]],
-    ids=["d=0", "m=-1", "r=0"],
+    [["--d", "0", "--m", "2"], ["--d", "2", "--m", "-1"], ["--d", "2", "--m", "2", "--r", "0"],
+     ["--d", "2", "--m", "2", "--r", "512"]],
+    ids=["d=0", "m=-1", "r=0", "r=512"],
 )
 def test_basis_info_rejects_bad_values(flags, capsys):
     assert cli.main(["basis-info"] + flags) == 2
@@ -424,20 +434,15 @@ def test_fit_rejects_m_with_c(tmp_path, capsys):
     assert "contradictory" in capsys.readouterr().err
 
 
-def test_verify_bounds_csv_has_config_echo(tmp_path, monkeypatch):
-    import sdrn.evalsuite as ev_mod
-
-    light = ev_mod.BoundConfig(
-        square_grid=501, square_rs=(1,), pair_grid=21, pair_rs=(1,),
-        product_dims=(2,), product_rs=(2,), product_points=20,
-        interp_ms=(1, 2), mc_points=500,
-    )
-    monkeypatch.setattr(cli, "verify_bounds", lambda: ev_mod.verify_bounds(light))
+def test_verify_bounds_csv_has_config_echo(tmp_path, capsys):
     out = tmp_path / "bounds.csv"
     assert cli.main(["verify-bounds", "--out-csv", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0].startswith("#")
     assert lines[1] == "name,measured,bound,passed,asserted,note"
+    assert lines[-1] == "coefficient-envelope m=6,0.75,1.0,1,1,"
+    asserted = sum(int(line.split(",")[4]) for line in lines[2:])
+    assert capsys.readouterr().out.splitlines()[-1] == f"all {asserted} asserted checks passed"
 
 
 def test_verify_bounds_exit_three_on_violation(monkeypatch, capsys):
@@ -449,3 +454,84 @@ def test_verify_bounds_exit_three_on_violation(monkeypatch, capsys):
     monkeypatch.setattr(cli, "verify_bounds", lambda: failing)
     assert cli.main(["verify-bounds"]) == 3
     assert "violations" in capsys.readouterr().err
+
+
+def _fit_argv(tmp_path, *flags, train=None, model_out=None):
+    if train is None:
+        train = tmp_path / "train.csv"
+        _write_training_csv(train, n=60)
+    return ["fit", "--input", str(train), "--target", "y",
+            "--model-out", str(model_out or tmp_path / "m.json"), *flags]
+
+
+def _simulate_argv(tmp_path, *flags):
+    return ["simulate", "--model", "1", "--n", "60", "--reps", "1", "--kappas", "1.0",
+            "--cs=-2", "--out-csv", str(tmp_path / "sim.csv"), *flags]
+
+
+def _csv_bytes(tmp_path, data):
+    path = tmp_path / "raw.csv"
+    path.write_bytes(data)
+    return path
+
+
+BAD_INPUTS = {
+    "fit-kappa=-1": lambda tmp: _fit_argv(tmp, "--kappa", "-1"),
+    "fit-epochs=0": lambda tmp: _fit_argv(tmp, "--epochs", "0"),
+    "fit-r=2000": lambda tmp: _fit_argv(tmp, "--r", "2000"),
+    "fit-target-only": lambda tmp: _fit_argv(
+        tmp, train=_csv_bytes(tmp, b"y\n1.0\n2.0\n3.0\n")),
+    "fit-not-utf8": lambda tmp: _fit_argv(
+        tmp, train=_csv_bytes(tmp, b"a,y\n1.0,2.0\n2.0,\xff\n3.0,1.0\n")),
+    # predict would skip a header that starts with this name as a comment
+    "fit-hash-column-name": lambda tmp: _fit_argv(
+        tmp, train=_csv_bytes(tmp, b"a,#b,y\n1.0,2.0,0.5\n2.0,1.0,1.5\n3.0,0.0,1.0\n")),
+    "fit-unwritable-model-out": lambda tmp: _fit_argv(tmp, model_out=tmp / "no-dir" / "m.json"),
+    "simulate-reps=0": lambda tmp: _simulate_argv(tmp, "--reps", "0"),
+    "simulate-kappas=-1": lambda tmp: _simulate_argv(tmp, "--kappas=-1"),
+    "simulate-kappas=nan": lambda tmp: _simulate_argv(tmp, "--kappas", "nan"),
+    "simulate-epochs=0-huber": lambda tmp: _simulate_argv(tmp, "--epochs", "0", "--loss", "huber:1"),
+    "simulate-unwritable-out-csv": lambda tmp: _simulate_argv(
+        tmp, "--out-csv", str(tmp / "no-dir" / "sim.csv")),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_options_and_inputs_are_data_errors(case, tmp_path, capsys):
+    _assert_data_error(cli.main(BAD_INPUTS[case](tmp_path)), capsys)
+    assert not (tmp_path / "m.json").exists() and not (tmp_path / "sim.csv").exists()
+
+
+def test_predict_to_unwritable_output_is_data_error(tmp_path, capsys):
+    train, model_path = _fit_small(tmp_path)
+    capsys.readouterr()
+    rc = cli.main(["predict", "--model", str(model_path), "--input", str(train),
+                   "--output", str(tmp_path / "no-dir" / "pred.csv")])
+    _assert_data_error(rc, capsys, "cannot write")
+
+
+@pytest.mark.parametrize("columns", [5, 1])
+def test_fit_predict_round_trip_below_32_rows(tmp_path, columns):
+    # below 32 rows the schedule's base level is 0, and R keeps its floor of 3
+    train = tmp_path / "train.csv"
+    _write_training_csv(train, n=31)
+    if columns == 1:
+        lines = [line.split(",") for line in train.read_text().splitlines()]
+        train.write_text("\n".join(",".join([row[0], row[-1]]) for row in lines) + "\n")
+    model_path = tmp_path / "model.json"
+    assert cli.main(_fit_argv(tmp_path, train=train, model_out=model_path)) == 0
+    assert (SdrnModel.load(model_path).m, SdrnModel.load(model_path).R) == (0, 3)
+    out = tmp_path / "pred.csv"
+    assert cli.main(["predict", "--model", str(model_path), "--input", str(train),
+                     "--output", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 2 + 31
+
+
+def test_simulate_below_32_rows(tmp_path):
+    assert cli.main(_simulate_argv(tmp_path, "--n", "20")) == 0
+    assert ",0,3," in (tmp_path / "sim.csv").read_text().splitlines()[2]
+
+
+def test_simulate_logistic_on_a_regression_model_is_data_error(tmp_path, capsys):
+    rc = cli.main(_simulate_argv(tmp_path, "--loss", "logistic"))
+    _assert_data_error(rc, capsys, "kappa=1.0, c=-2, rep=0", "{0, 1}")

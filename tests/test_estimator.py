@@ -20,6 +20,10 @@ def test_hyperparams_schedule():
     assert est.hyperparams_from_n(2000, 0) == (2, 6)
     assert est.hyperparams_from_n(2000, -2) == (0, 6)
     assert est.hyperparams_from_n(5000, 1) == (3, 9)
+    # below 32 samples the base level is 0; R keeps its floor of 3
+    assert est.hyperparams_from_n(31, 0) == (0, 3)
+    assert est.hyperparams_from_n(2, -1) == (0, 3)
+    assert est.hyperparams_from_n(32, 0) == (1, 3)
     with pytest.raises(ValueError):
         est.hyperparams_from_n(1, 0)
 
@@ -146,9 +150,12 @@ def test_gradient_matches_finite_differences():
 
 
 def test_adam_rejects_zero_epochs():
-    cfg = est.FitConfig(loss=QUADRATIC, epochs=0)
-    with pytest.raises(ValueError):
-        est.adam_fit(np.ones((2, 1)), np.ones(2), cfg)
+    # FitConfig rejects the cap, and a non-finite or negative kappa
+    with pytest.raises(ValueError, match="epochs"):
+        est.FitConfig(loss=QUADRATIC, epochs=0)
+    for kappa in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="kappa"):
+            est.FitConfig(loss=QUADRATIC, kappa=kappa)
 
 
 def test_adam_nonfinite_aborts():
@@ -346,6 +353,8 @@ def test_model_from_json_rejects_inconsistent_files():
         lambda doc: doc.update(columns=["a"]),
         lambda doc: doc.update(m=-1),
         lambda doc: doc.update(R=0),
+        # beyond the float range of the square approximator
+        lambda doc: doc.update(R=600),
         lambda doc: doc["scaler"]["min"].__setitem__(1, float("-inf")),
         lambda doc: doc["gamma"].__setitem__(3, float("inf")),
     )
@@ -358,8 +367,7 @@ def test_model_from_json_rejects_inconsistent_files():
 
 def test_logistic_prediction_threshold():
     model, X = _small_model(loss=LossSpec("logistic"))
-    model.gamma[:] = 0.0  # score 0 everywhere: sigmoid = 0.5, ties go to class 1
-    assert np.all(model.predict_class(X[:5]) == 1)
+    model.gamma[:] = 0.0  # score 0 everywhere: sigmoid = 0.5
     probs = model.predict_proba(X[:5])
     assert np.all(probs == 0.5)
     plain, _ = _small_model()

@@ -174,21 +174,18 @@ def test_cardinality_table_against_enumeration():
             assert basis_size(d, m) == expected
 
 
-def test_verify_bounds_light_config():
-    cfg = ev.BoundConfig(
-        square_grid=2001,
-        square_rs=(1, 3),
-        pair_grid=51,
-        pair_rs=(1, 2),
-        product_dims=(2, 3),
-        product_rs=(2,),
-        product_points=100,
-        interp_ms=(1, 2, 3),
-        mc_points=4000,
-    )
-    report = ev.verify_bounds(cfg)
+def test_verify_bounds_default_sweep():
+    report = ev.verify_bounds()
     assert report.all_passed
     names = [c.name for c in report.checks]
+    # 35 table, 49 sandwich, 8 square, 6 pair, 15 product, 6 interp-decay,
+    # 4 interp-ratio and 5 coefficient-envelope rows
+    assert len(names) == 128
+    envelope = [c for c in report.checks if c.name.startswith("coefficient-envelope")]
+    assert [c.name for c in envelope] == [f"coefficient-envelope m={m}" for m in range(2, 7)]
+    for c in envelope:
+        # max over interior ids of 1.5 * 2**(-|l|/2), reached at |l| = 2
+        assert c.asserted and c.bound == 1.0 and c.measured == pytest.approx(0.75, rel=1e-14)
     assert "cardinality-table d=2 m=2" in names
     assert any(n.startswith("square R=1") for n in names)
     # m=0 sandwich rows are present but not asserted

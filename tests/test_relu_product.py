@@ -34,6 +34,11 @@ def test_square_approx_examples():
     assert rp.square_approx(3, 1.0) == 1.0
     with pytest.raises(ValueError):
         rp.square_approx(0, 0.5)
+    # k * k stays finite up to R = MAX_R and overflows from R = 512 on
+    assert rp.MAX_R == 511
+    assert rp.square_approx(rp.MAX_R, 1.0) == 1.0
+    with pytest.raises(ValueError):
+        rp.square_approx(rp.MAX_R + 1, 0.5)
 
 
 def test_square_bound_sweep_and_attainment():

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_product_function
+from conftest import (
+    QuadratureError,
+    SmoothFunction,
+    hierarchical_coefficient,
+    random_product_function,
+)
 from sdrn import sparse_grid as sg
 
 
@@ -91,7 +96,7 @@ def test_enumerate_basis_arrays_match_brute_force(monkeypatch):
 
 def test_enumerate_basis_order_is_lexicographic():
     basis = sg.enumerate_basis(2, 2)
-    keys = [(bid.level_sum, bid.level, bid.node) for bid in basis]
+    keys = [(sum(bid.level), bid.level, bid.node) for bid in basis]
     assert keys == sorted(keys)
     assert len(set(basis)) == len(basis)
 
@@ -101,6 +106,11 @@ def test_enumerate_basis_rejections():
         sg.enumerate_basis(0, 1)
     with pytest.raises(sg.BasisSizeError):
         sg.enumerate_basis(4, 3, id_cap=100)
+    # refused from the lower bound 2**m, without the O(d m**2) exact count
+    with pytest.raises(sg.BasisSizeError, match="over 2\\*\\*10"):
+        sg.enumerate_basis(2, 10, id_cap=1000)
+    with pytest.raises(sg.BasisSizeError):
+        sg.enumerate_basis(5, 10 ** 6)
 
 
 def test_cardinality_bounds():
@@ -185,7 +195,7 @@ def test_same_level_supports_are_disjoint():
 
 def _poly_1d():
     value = lambda X: X[:, 0] * (1.0 - X[:, 0])
-    return sg.SmoothFunction(
+    return SmoothFunction(
         dimension=1,
         value=value,
         mixed_second=lambda X, dims: np.full(X.shape[0], -2.0),
@@ -194,7 +204,7 @@ def _poly_1d():
 
 def test_hierarchical_coefficient_examples():
     func = _poly_1d()
-    got = sg.hierarchical_coefficient(func, sg.BasisId((1,), (1,)))
+    got = hierarchical_coefficient(func, sg.BasisId((1,), (1,)))
     assert got == pytest.approx(0.25, abs=1e-12)
 
     def value2(X):
@@ -206,35 +216,35 @@ def test_hierarchical_coefficient_examples():
             out *= -2.0 if j in dims else X[:, j] * (1 - X[:, j])
         return out
 
-    func2 = sg.SmoothFunction(dimension=2, value=value2, mixed_second=mixed2)
-    got = sg.hierarchical_coefficient(func2, sg.BasisId((1, 1), (1, 1)))
+    func2 = SmoothFunction(dimension=2, value=value2, mixed_second=mixed2)
+    got = hierarchical_coefficient(func2, sg.BasisId((1, 1), (1, 1)))
     assert got == pytest.approx(0.0625, abs=1e-12)
 
-    linear = sg.SmoothFunction(
+    linear = SmoothFunction(
         dimension=2,
         value=lambda X: 1.0 + 2.0 * X[:, 0] - 0.5 * X[:, 1],
         mixed_second=lambda X, dims: np.zeros(X.shape[0]),
     )
     for bid in (sg.BasisId((1, 2), (1, 3)), sg.BasisId((3, 1), (5, 1))):
-        assert sg.hierarchical_coefficient(linear, bid) == 0.0
+        assert hierarchical_coefficient(linear, bid) == 0.0
 
 
 def test_hierarchical_coefficient_convergence_check():
-    wiggly = sg.SmoothFunction(
+    wiggly = SmoothFunction(
         dimension=1,
         value=lambda X: np.sin(40.0 * X[:, 0]),
         mixed_second=lambda X, dims: -1600.0 * np.sin(40.0 * X[:, 0]),
     )
-    with pytest.raises(sg.QuadratureError):
-        sg.hierarchical_coefficient(
+    with pytest.raises(QuadratureError):
+        hierarchical_coefficient(
             wiggly, sg.BasisId((1,), (1,)), order=2, convergence_tol=1e-12
         )
     # high order passes the same check
-    sg.hierarchical_coefficient(
+    hierarchical_coefficient(
         wiggly, sg.BasisId((1,), (1,)), order=20, convergence_tol=1e-9
     )
     with pytest.raises(ValueError):
-        sg.hierarchical_coefficient(wiggly, sg.BasisId((1,), (1,)), order=1)
+        hierarchical_coefficient(wiggly, sg.BasisId((1,), (1,)), order=1)
 
 
 def test_surplus_oracle_examples():
@@ -265,7 +275,7 @@ def test_coefficient_matches_oracle_on_random_ids():
         smooth = func.smooth()
         for _ in range(25):
             bid = _random_id(gen, d)
-            a = sg.hierarchical_coefficient(smooth, bid, order=8)
+            a = hierarchical_coefficient(smooth, bid, order=8)
             b = sg.surplus_oracle(func.value, bid)
             assert abs(a - b) <= 1e-8, (bid, a, b)
             checked += 1
@@ -294,7 +304,7 @@ def test_interpolation_reproduces_grid_values():
     for m in (0, 1, 3):
         fm = sg.interpolate(multilinear, 3, m)
         for bid in fm.basis:
-            point = bid.grid_point()
+            point = np.array(bid.node) * 2.0 ** -np.array(bid.level)
             assert abs(fm(point) - multilinear(point[None, :])[0]) <= 1e-12
 
 
