@@ -34,7 +34,7 @@ from .evalsuite import (
     run_replications,
     verify_bounds,
 )
-from .losses import LossInputError, LossSpec
+from .losses import LossInputError, LossSpec, sigmoid
 from .relu_product import MAX_R, ComplexityReport, basis_network_complexity
 from .sparse_grid import BasisSizeError, basis_size, cardinality_bounds, cardinality_log_bounds
 
@@ -121,6 +121,15 @@ def _format_log(log_value: float) -> str:
     """The positive number ``exp(log_value)`` in e-notation, also beyond the float range."""
     exponent, fraction = divmod(log_value / math.log(10.0), 1.0)
     return f"{10.0 ** fraction!r}e+{int(exponent)}"
+
+
+def _format_count(n: int) -> str:
+    """The positive integer ``n`` in full, or in e-notation where it has
+    more digits than Python converts to text (4300 by default)."""
+    try:
+        return str(n)
+    except ValueError:
+        return _format_log(math.log(n))
 
 
 def implied_network_complexity(d: int, p: int, R: int) -> ComplexityReport:
@@ -218,14 +227,11 @@ def cmd_predict(args) -> int:
     lines = [f"# sdrn-predict model={args.model} schema_version=1"]
     lines.append(",".join(out_header))
     if rows:
-        X = np.array(rows, dtype=float)[:, order]
-        scores = model.predict(X)
-        probs = model.predict_proba(X) if logistic else None
-        for i, row in enumerate(rows):
-            cells = [_format(v) for v in row] + [_format(scores[i])]
-            if logistic:
-                cells.append(_format(probs[i]))
-            lines.append(",".join(cells))
+        data = np.array(rows, dtype=float)
+        scores = model.predict(data[:, order])
+        table = [data, scores, sigmoid(scores)] if logistic else [data, scores]
+        # repr of each float, as _format writes it
+        lines.extend(",".join(map(repr, row)) for row in np.column_stack(table).tolist())
     text = "\n".join(lines) + "\n"
     if args.output:
         _write(args.output, text)
@@ -278,7 +284,7 @@ def cmd_basis_info(args) -> int:
         raise DataError(f"need --d >= 1, --m >= 0 and 1 <= --r <= {MAX_R}")
     size = basis_size(args.d, args.m)
     print(f"d={args.d} m={args.m}")
-    print(f"basis size={size}")
+    print(f"basis size={_format_count(size)}")
     if args.d >= 2:
         lower, upper = (
             _format(value) if math.isfinite(value) else _format_log(log_value)
@@ -291,7 +297,10 @@ def cmd_basis_info(args) -> int:
         per = basis_network_complexity(args.d, args.r)
         net = implied_network_complexity(args.d, size, args.r)
         print(f"per-feature network (R={args.r}): depth={per.depth} units={per.units} weights={per.weights}")
-        print(f"full network: depth={net.depth} units={net.units} weights={net.weights}")
+        print(
+            f"full network: depth={net.depth} units={_format_count(net.units)} "
+            f"weights={_format_count(net.weights)}"
+        )
     return 0
 
 

@@ -24,7 +24,7 @@ from itertools import count
 import numpy as np
 
 from .losses import LossInputError, LossSpec, loss_curvature, loss_subgradient, loss_value, sigmoid
-from .relu_product import MAX_R, product_features
+from .relu_product import MAX_R, product_features, product_scores
 from .sparse_grid import SparseGridBasis, basis_size, enumerate_basis
 
 MODEL_SCHEMA_VERSION = 1
@@ -88,18 +88,27 @@ class FeatureMap:
     Feature order follows the basis id order; each column is the
     ReLU-product tree of one id, from
     :func:`~sdrn.relu_product.product_features`, which computes subtrees
-    shared between ids once.
+    shared between ids once.  Calling the map builds the ``n x p``
+    feature matrix, which only fits need; :meth:`scores` gives
+    ``features @ coef`` without it.
     """
 
     basis: SparseGridBasis
     R: int
 
     def __call__(self, X01: np.ndarray) -> np.ndarray:
+        return product_features(self.R, self.basis.levels, self.basis.nodes, self._points(X01))
+
+    def scores(self, X01: np.ndarray, coef: np.ndarray) -> np.ndarray:
+        """``self(X01) @ coef``, evaluated per row block with no ``n x p`` array."""
+        return product_scores(self.R, self.basis.levels, self.basis.nodes, self._points(X01), coef)
+
+    def _points(self, X01: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X01, dtype=float))
         d = self.basis.dimension
         if X.shape[1] != d:
             raise ValueError(f"points have dimension {X.shape[1]}, basis has {d}")
-        return product_features(self.R, self.basis.levels, self.basis.nodes, X)
+        return X
 
 
 def objective(
@@ -514,12 +523,11 @@ class SdrnModel:
         return self._fmap
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Scores ``features(x) . gamma`` for raw (unscaled) points."""
+        """Scores ``features(x) . gamma`` for raw (unscaled) points, per row block."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.d:
             raise ValueError(f"expected {self.d} covariates, got {X.shape[1]}")
-        Phi = self.feature_map()(self.scaler.transform(X))
-        return Phi @ self.gamma
+        return self.feature_map().scores(self.scaler.transform(X), self.gamma)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         if self.loss.kind != "logistic":
@@ -619,9 +627,10 @@ def fit_sdrn(
     R = R_sched if R is None else R
     scaler = Scaler.fit(X)
     fmap = FeatureMap(basis=enumerate_basis(X.shape[1], m), R=R)
-    Phi = fmap(scaler.transform(X))
-    gamma, diag = adam_fit(Phi, y, config)
-    train_scores = Phi @ gamma
+    X01 = scaler.transform(X)
+    gamma, diag = adam_fit(fmap(X01), y, config)
+    # scored as predict scores, so both diagnostics are what predict gives
+    train_scores = fmap.scores(X01, gamma)
     diag.sup_norm = float(np.max(np.abs(train_scores))) if n else float("nan")
     diag.max_residual = float(np.max(np.abs(train_scores - y))) if n else float("nan")
     model = SdrnModel(

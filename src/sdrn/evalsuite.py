@@ -365,9 +365,10 @@ def run_replications(
     against freshly drawn labels instead would cap every method at the
     Bayes accuracy of the link, about 0.67, and could not discriminate
     between fits.  Each replication's training features are reused
-    across the ``kappa`` grid.  The evaluation design's features are
-    computed once per schedule cell ``c``, after all its replications
-    are fitted, so they never sit in memory beside a training matrix.
+    across the ``kappa`` grid.  The evaluation design is scored once per
+    schedule cell ``c``, after all its replications are fitted: one
+    ``(p, reps * len(kappas))`` coefficient matrix goes through
+    :meth:`FeatureMap.scores`, so no evaluation feature matrix exists.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -400,11 +401,12 @@ def run_replications(
 
         per_rep = [run_one(rep) for rep in range(reps)]
         base = generate(spec, rep=0)
-        eval_phi = fmap(base.eval_points)
+        coefs = np.column_stack([fit[kappa] for kappa in kappas for fit in per_rep])
+        # row (kappa, rep) of the cube holds that fit's evaluation scores
+        cube = fmap.scores(base.eval_points, coefs).T.reshape(len(kappas), reps, -1)
         eval_truth = base.eval_truth
         eval_class = (eval_truth >= 0.5).astype(int)
-        for kappa in kappas:
-            scores = [eval_phi @ per_rep[r][kappa] for r in range(reps)]
+        for kappa, scores in zip(kappas, cube):
             if classification:
                 probs = [sigmoid(score) for score in scores]
                 per_metric = [
@@ -419,9 +421,8 @@ def run_replications(
                 )
                 metrics: RegressionMetrics | ClassificationMetrics = averaged
             else:
-                metrics = regression_metrics(np.vstack(scores), eval_truth)
+                metrics = regression_metrics(scores, eval_truth)
             report.cells.append(GridCell(kappa=kappa, c=c, m=m, R=R, metrics=metrics))
-        del eval_phi  # not held through the next cell's fits
     return report
 
 
@@ -556,7 +557,12 @@ def verify_bounds() -> BoundReport:
     for d in (2, 3, 4, 5, 8):
         for R in (2, 4, 6):
             levels, nodes, X = _product_sweep_draws(gen, d, 1000)
-            approx = np.diagonal(product_features(R, levels, nodes, X))
+            # the diagonal of 100-pair chunks; no entry depends on the other
+            # pairs of its call, so this is the diagonal of the whole product
+            approx = np.concatenate([
+                np.diagonal(product_features(R, *(a[i : i + 100] for a in (levels, nodes, X))))
+                for i in range(0, len(X), 100)
+            ])
             exact = np.prod(hat_eval(levels, nodes, X), axis=1)
             worst = float(np.max(np.abs(approx - exact)))
             bound = 3.0 * 2.0 ** (-2 * R - 2) * (d - 1)

@@ -7,10 +7,13 @@ r"""ReLU approximation of products, from tooth functions to basis features.
   tooth chain ``x - sum_r g_r(x)/4**r``, which the graphs below build;
 * ``pair_product``, the polarisation identity
   xy = ((x+y)**2 - x**2 - y**2)/2 applied to f_R, accurate to ``3 * 2**(-2R-2)``;
-* ``product_features``, the one product-tree evaluator: the d hat factors
+* ``product_features``, the product-tree evaluator: the d hat factors
   of many basis functions multiplied through binary trees of pair
   products, accurate to ``3 * 2**(-2R-2) * (d-1)``, with every distinct
-  subtree evaluated once; ``approx_basis_eval`` applies it to one id.
+  subtree evaluated once; ``approx_basis_eval`` applies it to one id;
+* ``product_scores``, the same trees contracted against coefficients
+  (``product_features(...) @ coef``) per row block, without the feature
+  matrix.
 
 Each closed form has a twin builder returning an explicit
 :class:`ReluGraph` that matches it pointwise, with exact
@@ -29,7 +32,7 @@ import numpy as np
 
 from .sparse_grid import BasisId, hat_eval
 
-# cells of one tree-level table in a row block of product_features
+# cells of one tree-level table in a row block of _product_trees
 _BLOCK_CELLS = 1 << 16
 
 
@@ -67,8 +70,11 @@ def square_approx(R: int, x):
     t = np.asarray(x, dtype=float) * 2.0 ** R  # x / h, exact
     k = np.minimum(np.floor(t), 2.0 ** R - 1.0)
     t -= k  # in place: h**2 (k**2 + (t - k)(2k + 1))
-    t *= 2.0 * k + 1.0
-    t += k * k
+    odd = k * 2.0
+    odd += 1.0
+    t *= odd
+    k *= k
+    t += k
     t *= 4.0 ** -R
     return t
 
@@ -95,22 +101,25 @@ def _polarise(R: int, x, y, fx, fy):
     return out
 
 
-def product_features(R: int, levels, nodes, X) -> np.ndarray:
-    """ReLU-product approximations of k tensor hat functions at n points.
+def _product_trees(R: int, levels, nodes, X):
+    """Plan the product trees of k basis ids and run them below the root, per row block.
 
-    ``levels`` and ``nodes`` are ``(k, d)`` integer arrays, one basis id
-    per row, and ``X`` is ``(n, d)``; the result is ``(n, k)``.  Column i
-    multiplies the d hat values of id i through a binary tree: adjacent
-    factors are paired left to right per level, an unpaired trailing
-    factor is forwarded, and every pair output but the root is clamped
-    to [0, 1] (ReLU-expressible; it keeps each pair product on the
-    domain of its bound).  The deviation from the exact product is at
-    most ``3 * 2**(-2R-2) * (d - 1)``; for ``d == 1`` it is 0.
+    ``levels`` and ``nodes`` are ``(k, d)`` integer arrays, one id per
+    row.  Adjacent factors are paired left to right per level, an
+    unpaired trailing factor is forwarded, and every pair output below
+    the root is clamped to [0, 1].  Each level is one array operation
+    over its distinct subtrees, so a hat, a subtree value and its f_R
+    are computed once however many ids share them.
 
-    Each tree level is one array operation over the distinct subtrees of
-    that level, so a hat, a subtree value and its f_R are computed once
-    however many ids share them.  Rows go in blocks of ``_BLOCK_CELLS``
-    divided by the widest level, so the output is the only ``n x k`` array.
+    Returns ``(root, top, blocks)``.  For ``d >= 2``, ``root`` is
+    ``(left, right, width)``, the child rows of the distinct root pairs
+    in the ``width``-row table below the root, and ``top[i]`` is the
+    root pair of id i; for ``d == 1``, ``root`` is None and ``top[i]``
+    is the leaf of id i.  ``blocks`` yields ``(rows, table)`` per row
+    block of ``X``: the row slice and the table below the root (the leaf
+    hats for ``d == 1``), one row per subtree and one column per point.
+    A block holds ``_BLOCK_CELLS`` cells of the widest level, the root's
+    included.
     """
     levels = np.asarray(levels, dtype=np.int64)
     k, d = levels.shape
@@ -118,32 +127,94 @@ def product_features(R: int, levels, nodes, X) -> np.ndarray:
     triples = np.stack([coords, levels, np.asarray(nodes, dtype=np.int64)], axis=-1)
     leaves, idx = np.unique(triples.reshape(-1, 3), axis=0, return_inverse=True)
     idx = idx.reshape(k, d)
-    # per level: the distinct (left, right) child pairs as rows of the table
-    # below, the rows forwarded from it, and whether outputs are clamped
+    # per level: the distinct (left, right) child pairs and the forwarded
+    # rows, as rows of the table below; ``below`` is that table's width
     plan, width, widest = [], len(leaves), len(leaves)
     while idx.shape[1] > 1:
-        q = idx.shape[1]
+        q, below = idx.shape[1], width
         forwarded, last = np.unique(idx[:, q - q % 2 :], return_inverse=True)
         keys = idx[:, 0 : q - 1 : 2] * width + idx[:, 1:q:2]
         pairs, inverse = np.unique(keys, return_inverse=True)
         # inverses come flat before numpy 2
         idx = np.column_stack([inverse.reshape(keys.shape), len(pairs) + last.reshape(k, q % 2)])
-        plan.append((np.divmod(pairs, width), forwarded, q > 2))
+        plan.append((*np.divmod(pairs, width), forwarded))
         width = len(pairs) + len(forwarded)
         widest = max(widest, width)
-
-    X = np.asarray(X, dtype=float)
-    out = np.empty((X.shape[0], k))
+    # the root level pairs the two halves and forwards nothing
+    root = (*plan.pop()[:2], below) if plan else None
     step = max(1, _BLOCK_CELLS // widest)
-    for lo in range(0, X.shape[0], step):
-        vals = hat_eval(leaves[:, 1:2], leaves[:, 2:3], X[lo : lo + step, leaves[:, 0]].T)
-        for (left, right), forwarded, clamp in plan:
-            squares = square_approx(R, vals)
-            prods = _polarise(R, vals[left], vals[right], squares[left], squares[right])
-            if clamp:
+
+    def blocks():
+        for lo in range(0, X.shape[0], step):
+            rows = slice(lo, lo + step)
+            vals = hat_eval(leaves[:, 1:2], leaves[:, 2:3], X[rows, leaves[:, 0]].T)
+            for left, right, forwarded in plan:
+                squares = square_approx(R, vals)
+                prods = _polarise(R, vals[left], vals[right], squares[left], squares[right])
                 np.clip(prods, 0.0, 1.0, out=prods)
-            vals = np.concatenate([prods, vals[forwarded]])
-        out[lo : lo + step] = vals[idx[:, 0]].T
+                vals = np.concatenate([prods, vals[forwarded]])
+            yield rows, vals
+
+    return root, idx[:, 0], blocks()
+
+
+def product_features(R: int, levels, nodes, X) -> np.ndarray:
+    """ReLU-product approximations of k tensor hat functions at n points.
+
+    ``levels`` and ``nodes`` are ``(k, d)`` integer arrays, one basis id
+    per row, and ``X`` is ``(n, d)``; the result is ``(n, k)``.  Column i
+    multiplies the d hat values of id i through the binary tree of
+    :func:`_product_trees`, whose pair outputs below the root are clamped
+    to [0, 1] (ReLU-expressible; it keeps each pair product on the
+    domain of its bound).  The deviation from the exact product is at
+    most ``3 * 2**(-2R-2) * (d - 1)``; for ``d == 1`` it is 0.  Rows go
+    in blocks, so the output is the only ``n x k`` array.
+    """
+    X = np.asarray(X, dtype=float)
+    root, top, blocks = _product_trees(R, levels, nodes, X)
+    out = np.empty((X.shape[0], len(top)))
+    for rows, vals in blocks:
+        if root is not None:
+            left, right, _ = root
+            squares = square_approx(R, vals)
+            vals = _polarise(R, vals[left], vals[right], squares[left], squares[right])
+        out[rows] = vals[top].T
+    return out
+
+
+def product_scores(R: int, levels, nodes, X, coef) -> np.ndarray:
+    """``product_features(R, levels, nodes, X) @ coef`` without any ``n x k`` array.
+
+    ``coef`` is ``(k,)`` or ``(k, q)``; the result is ``(n,)`` or
+    ``(n, q)``.  The root pair product ``2 f_R(mid) - (f_R(l) + f_R(r)) / 2``
+    is linear in the children's f_R values, so the coefficients are
+    summed onto the children, rows of the narrower table below the root,
+    and each row block forms only the k midpoint f_R values and that
+    table.  The result agrees with the product to rounding, and for a
+    one-hot ``coef`` it is the feature column bitwise: every scaling is a
+    power of two and every other term is an exact zero.
+    """
+    X = np.asarray(X, dtype=float)
+    coef = np.asarray(coef, dtype=float)
+    root, top, blocks = _product_trees(R, levels, nodes, X)
+    if coef.shape[:1] != top.shape:
+        raise ValueError(f"coef has shape {coef.shape}, need {len(top)} rows")
+    out = np.empty(X.shape[:1] + coef.shape[1:])
+    if root is None:
+        for rows, vals in blocks:
+            out[rows] = vals[top].T @ coef
+        return out
+    left, right, width = root
+    at_root = np.zeros((len(left),) + coef.shape[1:])
+    np.add.at(at_root, top, 2.0 * coef)
+    at_children = np.zeros((width,) + coef.shape[1:])
+    np.add.at(at_children, left, 0.25 * at_root)
+    np.add.at(at_children, right, 0.25 * at_root)
+    for rows, vals in blocks:
+        mids = vals[left]
+        mids += vals[right]
+        mids *= 0.5
+        out[rows] = square_approx(R, mids).T @ at_root - square_approx(R, vals).T @ at_children
     return out
 
 

@@ -334,13 +334,30 @@ def test_predict_header_only_and_schema_errors(tmp_path, capsys):
                      "--input", str(train), "--output", str(out)]) == 2
 
 
-def test_predict_logistic_adds_probability(tmp_path):
+def test_predict_logistic_adds_probability(tmp_path, monkeypatch):
+    from sdrn import estimator
+    from sdrn.losses import sigmoid
+
     train, model_path = _fit_small(tmp_path, loss="logistic")
     out = tmp_path / "pred.csv"
+    calls = []
+    original = estimator.product_scores
+
+    def counting(*args):
+        calls.append(len(args[3]))
+        return original(*args)
+
+    monkeypatch.setattr(estimator, "product_scores", counting)
     assert cli.main(["predict", "--model", str(model_path),
                      "--input", str(train), "--output", str(out)]) == 0
-    header = out.read_text().splitlines()[1]
-    assert header.endswith("prediction,probability")
+    monkeypatch.undo()
+    # the probability is the sigmoid of the score, not a second pass over the tree
+    assert calls == [80]
+    lines = out.read_text().splitlines()
+    assert lines[1].endswith("prediction,probability")
+    for line in lines[2:]:
+        score, prob = (float(cell) for cell in line.split(",")[-2:])
+        assert prob == float(sigmoid(np.array([score]))[0])
 
 
 def test_simulate_deterministic_bytes(tmp_path):
@@ -401,6 +418,16 @@ def test_basis_info_beyond_float_range(d, m, capsys):
         mantissa, exponent = text.split("e+")
         assert 1.0 <= float(mantissa) < 10.0
     assert int(lower.split("e+")[1]) <= len(str(size)) - 1 <= int(upper.split("e+")[1])
+
+
+def test_basis_info_beyond_integer_text_limit(capsys):
+    # 2**14300 has 4305 digits, past the 4300 that str() converts
+    assert cli.main(["basis-info", "--d", "14300", "--m", "0"]) == 0
+    assert "basis size=5.357201662400581e+4304" in capsys.readouterr().out.splitlines()
+    # the --r units and weights lines print through the same helper
+    assert cli._format_count(2 ** 14300) == "5.357201662400581e+4304"
+    assert cli._format_count(17) == "17"
+    assert cli._format_count(10 ** 4299) == str(10 ** 4299)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -324,6 +325,39 @@ def test_fit_predict_and_one_hot():
     fmap = probe.feature_map()
     expected = fmap(model.scaler.transform(pts))[:, k]
     assert np.all(probe.predict(pts) == expected)
+    # the same bitwise in other dimensions, where the scores contract the
+    # root pairs of deeper trees against gamma
+    gen = np.random.default_rng(15)
+    for d, m in ((1, 3), (3, 2), (5, 2), (8, 1)):
+        scaler = est.Scaler(mins=np.zeros(d), maxs=np.ones(d))
+        pts = gen.random((300, d))
+        Phi = est.FeatureMap(basis=enumerate_basis(d, m), R=6)(pts)
+        for k in range(0, Phi.shape[1], 1 + Phi.shape[1] // 40):
+            one_hot = np.zeros(Phi.shape[1])
+            one_hot[k] = 1.0
+            probe = est.SdrnModel(
+                gamma=one_hot, d=d, m=m, R=6, loss=QUADRATIC, kappa=1.0, scaler=scaler
+            )
+            assert np.array_equal(probe.predict(pts), Phi[:, k])
+
+
+def test_predict_holds_no_feature_matrix():
+    # p = 352 features of 20 000 rows would be a 56 MB matrix
+    gen = np.random.default_rng(16)
+    basis = enumerate_basis(5, 2)
+    model = est.SdrnModel(
+        gamma=gen.standard_normal(len(basis)), d=5, m=2, R=6, loss=QUADRATIC, kappa=1.0,
+        scaler=est.Scaler(mins=np.zeros(5), maxs=np.ones(5)),
+    )
+    model.feature_map()
+    X = gen.random((20_000, 5))
+    tracemalloc.start()
+    try:
+        model.predict(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(basis) == 352 and peak < 8 * 2 ** 20
 
 
 def test_model_json_round_trip_bitwise():

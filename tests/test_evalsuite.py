@@ -150,6 +150,28 @@ def test_run_replications_labels_each_fit_with_its_cell(monkeypatch):
     assert seen == [(0.5, -1, 32), (1.0, -1, 32), (0.5, 0, 112), (1.0, 0, 112)]
 
 
+def test_run_replications_builds_only_training_matrices(monkeypatch):
+    from sdrn.estimator import FeatureMap
+
+    seen = []
+    original = FeatureMap.__call__
+
+    def recording(self, X01):
+        seen.append(np.array(X01))
+        return original(self, X01)
+
+    monkeypatch.setattr(FeatureMap, "__call__", recording)
+    spec = ev.SimModelSpec(model_id=1, n=60, noise="normal", seed=3)
+    ev.run_replications(spec, FitConfig(loss=LossSpec("quadratic")), reps=2,
+                        kappas=(0.5, 1.0), cs=(-1, 0))
+    monkeypatch.undo()
+    # one matrix per (c, rep), of that replication's training draw; the
+    # evaluation design is scored without one
+    training = [ev.generate(spec, rep=rep).X for rep in range(2)]
+    assert len(seen) == 4
+    assert all(np.array_equal(X, training[i % 2]) for i, X in enumerate(seen))
+
+
 def test_run_replications_classification_columns():
     spec = ev.SimModelSpec(model_id=4, n=60, seed=4)
     cfg = FitConfig(loss=LossSpec("logistic"), epochs=40, tol=1e-6)

@@ -149,6 +149,38 @@ def test_approx_basis_eval():
         rp.approx_basis_eval(2, bid, np.zeros((5, 3)))
 
 
+def test_product_scores_match_features_times_coefficients():
+    gen = np.random.default_rng(13)
+    for d, m in ((1, 3), (2, 3), (3, 2), (5, 2), (8, 1)):
+        basis = enumerate_basis(d, m)
+        X = gen.random((300, d))
+        Phi = rp.product_features(5, basis.levels, basis.nodes, X)
+        for coef in (gen.standard_normal(len(basis)), gen.standard_normal((len(basis), 3))):
+            scores = rp.product_scores(5, basis.levels, basis.nodes, X, coef)
+            assert scores.shape == (300,) + coef.shape[1:]
+            tol = 1e-13 * np.sum(np.abs(coef), axis=0)
+            assert np.all(np.max(np.abs(scores - Phi @ coef), axis=0) <= tol)
+        with pytest.raises(ValueError):
+            rp.product_scores(5, basis.levels, basis.nodes, X, np.ones(len(basis) + 1))
+
+
+def test_product_scores_across_row_blocks(monkeypatch):
+    # at 1000 cells a level, the widest level (the root, one pair per id)
+    # takes 1000 // 50 = 20 rows a block: these counts start, fill and
+    # spill over blocks
+    gen = np.random.default_rng(14)
+    basis = enumerate_basis(3, 2)
+    coef = gen.standard_normal(len(basis))
+    X = gen.random((257, 3))
+    expected = rp.product_features(4, basis.levels, basis.nodes, X) @ coef
+    monkeypatch.setattr(rp, "_BLOCK_CELLS", 1000)
+    step = 1000 // len(basis)
+    for n in (0, 1, step - 1, step, step + 1, 3 * step, 257):
+        scores = rp.product_scores(4, basis.levels, basis.nodes, X[:n], coef)
+        assert scores.shape == (n,)
+        assert np.max(np.abs(scores - expected[:n]), initial=0.0) <= 1e-13 * np.sum(np.abs(coef))
+
+
 def test_square_network_complexity_formula():
     for R in range(1, 21):
         c = rp.build_square_network(R).complexity()
