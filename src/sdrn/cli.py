@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -39,6 +40,9 @@ from .relu_product import MAX_R, ComplexityReport, basis_network_complexity
 from .sparse_grid import BasisSizeError, basis_size, cardinality_bounds, cardinality_log_bounds
 
 DEFAULT_SEED = 0
+# basis_size counts in d*(m+1)**2 big-integer steps; at this cap it takes
+# well under a second (0.35 s for d=100000, m=0 on a 2-core machine)
+MAX_COUNT_TERMS = 100_000
 EPOCHS_HELP = (
     "iteration cap of the Newton (huber, logistic) and interior-point (quantile) fits; "
     "the quadratic loss is solved exactly"
@@ -59,20 +63,69 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def read_csv(path: str) -> tuple[list[str], list[list[float]]]:
-    """Read a numeric CSV with a header row; report bad cells by row/column."""
+def read_csv(path: str) -> tuple[list[str], np.ndarray, list[str]]:
+    """Read a numeric CSV with a header row; report bad cells by row/column.
+
+    Returns the header, the ``(rows, columns)`` float array and each data
+    row's cells as read, joined by ``,``: where the text has no quotes,
+    that is the data line itself.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            return _parse_csv(path, csv.reader(fh))
+            try:
+                text = fh.read()
+            except UnicodeDecodeError:
+                # parsed as a stream, a bad cell before the undecodable
+                # bytes is reported first
+                fh.seek(0)
+                return _parse_csv(path, csv.reader(fh))
+        return _parse_plain(text) or _parse_csv(path, csv.reader(io.StringIO(text, newline="")))
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: unreadable CSV: {exc}") from exc
 
 
-def _parse_csv(path: str, reader) -> tuple[list[str], list[list[float]]]:
+# Characters on which csv.reader or float() part from a split on "," and
+# numpy's parser: quotes, NUL (a csv error before Python 3.11) and
+# \x1c-\x1f, which numpy strips as whitespace and float() rejects.
+_CSV_READER_CHARS = '"\x00\x1c\x1d\x1e\x1f'
+
+
+def _parse_plain(text: str) -> tuple[list[str], np.ndarray, list[str]] | None:
+    """What :func:`_parse_csv` returns for ``text``, read by numpy's C
+    parser, or None for text it might read otherwise, including all bad
+    input; :func:`_parse_csv` then names the bad row and column."""
+    if any(c in text for c in _CSV_READER_CHARS):
+        return None
+    if "\r" in text:  # csv.reader's line ends: \n, \r\n and \r
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    # blank lines are skipped, as are "#" lines before the header
+    start = next((i for i, line in enumerate(lines) if line and line[0] != "#"), None)
+    if start is None:
+        return None
+    header = [name.strip() for name in lines[start].split(",")]
+    if any(name.startswith("#") for name in header):
+        return None
+    body = [line for line in lines[start + 1 :] if line]
+    if not body:  # loadtxt warns on empty input
+        return header, np.empty((0, len(header))), body
+    try:
+        data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if data.shape != (len(body), len(header)) or not np.isfinite(data).all():
+        return None
+    return header, data, body
+
+
+def _parse_csv(path: str, reader) -> tuple[list[str], np.ndarray, list[str]]:
     header: list[str] | None = None
     rows: list[list[float]] = []
+    lines: list[str] = []
     for lineno, row in enumerate(reader, start=1):
         if not row or (row[0].startswith("#") and header is None):
             continue
@@ -100,9 +153,10 @@ def _parse_csv(path: str, reader) -> tuple[list[str], list[list[float]]]:
                 )
             values.append(value)
         rows.append(values)
+        lines.append(",".join(row))
     if header is None:
         raise DataError(f"{path}: empty file, expected a header row")
-    return header, rows
+    return header, np.array(rows, dtype=float).reshape(len(rows), len(header)), lines
 
 
 def _write(path: str, text: str) -> None:
@@ -117,10 +171,15 @@ def _format(value: float) -> str:
     return repr(float(value))
 
 
+def _e_notation(mantissa: float, exponent: int) -> str:
+    """``mantissa * 10**exponent`` for ``1 <= mantissa < 10``, as repr writes a float."""
+    return f"{mantissa!r}".removesuffix(".0") + f"e+{exponent}"
+
+
 def _format_log(log_value: float) -> str:
     """The positive number ``exp(log_value)`` in e-notation, also beyond the float range."""
     exponent, fraction = divmod(log_value / math.log(10.0), 1.0)
-    return f"{10.0 ** fraction!r}e+{int(exponent)}"
+    return _e_notation(10.0 ** fraction, int(exponent))
 
 
 def _format_count(n: int) -> str:
@@ -129,7 +188,18 @@ def _format_count(n: int) -> str:
     try:
         return str(n)
     except ValueError:
-        return _format_log(math.log(n))
+        pass
+    # the exponent from the bit length, settled against exact powers of
+    # ten; int / int rounds the mantissa correctly
+    exponent = int((n.bit_length() - 1) * math.log10(2.0))
+    while 10 ** exponent > n:
+        exponent -= 1
+    while 10 ** (exponent + 1) <= n:
+        exponent += 1
+    mantissa = n / 10 ** exponent
+    if mantissa == 10.0:  # n just below the next power of ten
+        mantissa, exponent = 1.0, exponent + 1
+    return _e_notation(mantissa, exponent)
 
 
 def implied_network_complexity(d: int, p: int, R: int) -> ComplexityReport:
@@ -158,15 +228,14 @@ def cmd_fit(args) -> int:
         )
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    header, rows = read_csv(args.input)
+    header, data, _ = read_csv(args.input)
     if args.target not in header:
         raise DataError(f"target column {args.target!r} not found in {args.input}")
     if len(header) < 2:
         raise DataError(f"{args.input}: need at least one covariate column besides the target")
-    if len(rows) < 2:
+    if len(data) < 2:
         raise DataError(f"{args.input}: need at least two data rows to fit")
     t_idx = header.index(args.target)
-    data = np.array(rows, dtype=float)
     y = data[:, t_idx]
     X = np.delete(data, t_idx, axis=1)
     columns = [h for i, h in enumerate(header) if i != t_idx]
@@ -208,7 +277,7 @@ def cmd_predict(args) -> int:
         model = SdrnModel.load(args.model)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"cannot load model {args.model}: {exc}") from exc
-    header, rows = read_csv(args.input)
+    header, data, rows = read_csv(args.input)
     if model.column_names:
         missing = [c for c in model.column_names if c not in header]
         if missing:
@@ -227,11 +296,13 @@ def cmd_predict(args) -> int:
     lines = [f"# sdrn-predict model={args.model} schema_version=1"]
     lines.append(",".join(out_header))
     if rows:
-        data = np.array(rows, dtype=float)
         scores = model.predict(data[:, order])
-        table = [data, scores, sigmoid(scores)] if logistic else [data, scores]
-        # repr of each float, as _format writes it
-        lines.extend(",".join(map(repr, row)) for row in np.column_stack(table).tolist())
+        # each input row as read, then repr of each score, as _format writes it
+        if logistic:
+            probs = sigmoid(scores).tolist()
+            lines.extend(f"{row},{s!r},{q!r}" for row, s, q in zip(rows, scores.tolist(), probs))
+        else:
+            lines.extend(f"{row},{s!r}" for row, s in zip(rows, scores.tolist()))
     text = "\n".join(lines) + "\n"
     if args.output:
         _write(args.output, text)
@@ -282,6 +353,11 @@ def cmd_simulate(args) -> int:
 def cmd_basis_info(args) -> int:
     if args.d < 1 or args.m < 0 or args.r is not None and not 1 <= args.r <= MAX_R:
         raise DataError(f"need --d >= 1, --m >= 0 and 1 <= --r <= {MAX_R}")
+    if args.d * (args.m + 1) ** 2 > MAX_COUNT_TERMS:
+        raise DataError(
+            f"basis-info counts bases with d*(m+1)**2 <= {MAX_COUNT_TERMS}, "
+            f"got d={args.d}, m={args.m}"
+        )
     size = basis_size(args.d, args.m)
     print(f"d={args.d} m={args.m}")
     print(f"basis size={_format_count(size)}")

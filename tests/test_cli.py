@@ -1,7 +1,10 @@
+import decimal
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -249,8 +252,7 @@ def test_quadratic_fit_builds_one_feature_matrix(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
     # M is the largest training residual, as predicting on the training rows gives it
     lines = capsys.readouterr().out.splitlines()
-    header, rows = cli.read_csv(str(train))
-    data = np.array(rows)
+    header, data, _ = cli.read_csv(str(train))
     model = SdrnModel.load(model_path)
     m_bound = float(np.max(np.abs(model.predict(data[:, :-1]) - data[:, -1])))
     expected = f"lipschitz constant=2M={2.0 * m_bound!r} (M={m_bound!r})"
@@ -317,9 +319,13 @@ def test_predict_header_only_and_schema_errors(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("x1,x2,x3,x4,x5\n", encoding="utf-8")
     out = tmp_path / "pred.csv"
-    assert cli.main(["predict", "--model", str(model_path),
-                     "--input", str(empty), "--output", str(out)]) == 0
-    assert len(out.read_text().splitlines()) == 2  # comment + header only
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns when it parses no rows
+        assert cli.main(["predict", "--model", str(model_path),
+                         "--input", str(empty), "--output", str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == ["x1,x2,x3,x4,x5,prediction"]
+    assert capsys.readouterr().err == ""
 
     missing = tmp_path / "missing.csv"
     missing.write_text("x1,x2,x3\n0.1,0.2,0.3\n", encoding="utf-8")
@@ -355,7 +361,8 @@ def test_predict_logistic_adds_probability(tmp_path, monkeypatch):
     assert calls == [80]
     lines = out.read_text().splitlines()
     assert lines[1].endswith("prediction,probability")
-    for line in lines[2:]:
+    for line, row in zip(lines[2:], train.read_text().splitlines()[1:], strict=True):
+        assert line.startswith(row + ",")
         score, prob = (float(cell) for cell in line.split(",")[-2:])
         assert prob == float(sigmoid(np.array([score]))[0])
 
@@ -420,14 +427,42 @@ def test_basis_info_beyond_float_range(d, m, capsys):
     assert int(lower.split("e+")[1]) <= len(str(size)) - 1 <= int(upper.split("e+")[1])
 
 
+def _decimal_mantissa_exponent(n):
+    """The exact ``n`` as a decimal: its mantissa rounded once to a float, and its exponent."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        exact = decimal.Decimal(n)
+        return float(exact.scaleb(-exact.adjusted())), exact.adjusted()
+
+
 def test_basis_info_beyond_integer_text_limit(capsys):
     # 2**14300 has 4305 digits, past the 4300 that str() converts
     assert cli.main(["basis-info", "--d", "14300", "--m", "0"]) == 0
-    assert "basis size=5.357201662400581e+4304" in capsys.readouterr().out.splitlines()
+    assert "basis size=5.35720166241694e+4304" in capsys.readouterr().out.splitlines()
     # the --r units and weights lines print through the same helper
-    assert cli._format_count(2 ** 14300) == "5.357201662400581e+4304"
+    assert cli._format_count(2 ** 14300) == "5.35720166241694e+4304"
+    assert _decimal_mantissa_exponent(2 ** 14300) == (5.35720166241694, 4304)
+    for n in (3 ** 9100, 7 * 10 ** 4400 + 1, 2 ** 14300 + 1):
+        mantissa, exponent = cli._format_count(n).split("e+")
+        assert (float(mantissa), int(exponent)) == _decimal_mantissa_exponent(n)
+    # powers of ten print as repr prints 1e300, not from a rounded logarithm
+    assert cli._format_count(10 ** 4300) == "1e+4300"
+    assert cli._format_count(10 ** 4301 - 1) == "1e+4301"
     assert cli._format_count(17) == "17"
     assert cli._format_count(10 ** 4299) == str(10 ** 4299)
+    assert cli._format_log(4300 * math.log(10.0)) == "1e+4300"
+
+
+@pytest.mark.parametrize(
+    "d, m, code", [(1, 315, 0), (1, 316, 2), (3, 20000, 2), (3_000_000, 1, 2), (14300, 0, 0)]
+)
+def test_basis_info_bounds_its_counting_work(d, m, code, capsys):
+    # d*(m+1)**2 big-integer steps: refused past the cap before anything is counted
+    assert cli.main(["basis-info", "--d", str(d), "--m", str(m)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == (f"sdrn: data error: basis-info counts bases with d*(m+1)**2 <= "
+                       f"{cli.MAX_COUNT_TERMS}, got d={d}, m={m}\n")
 
 
 @pytest.mark.parametrize(
@@ -439,6 +474,34 @@ def test_basis_info_beyond_integer_text_limit(capsys):
 def test_basis_info_rejects_bad_values(flags, capsys):
     assert cli.main(["basis-info"] + flags) == 2
     assert capsys.readouterr().err.startswith("sdrn: data error: ")
+
+
+def test_predict_echo_of_repr_cells_is_repr_of_every_value(tmp_path):
+    # input written by repr: each output line is repr of every covariate and score
+    train, model_path = _fit_small(tmp_path)
+    out = tmp_path / "pred.csv"
+    assert cli.main(["predict", "--model", str(model_path),
+                     "--input", str(train), "--output", str(out)]) == 0
+    data = np.loadtxt(train, delimiter=",", skiprows=1)
+    scores = SdrnModel.load(model_path).predict(data[:, :-1])
+    rows = np.column_stack([data, scores]).tolist()
+    lines = [f"# sdrn-predict model={model_path} schema_version=1",
+             "x1,x2,x3,x4,x5,y,prediction"] + [",".join(map(repr, row)) for row in rows]
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_predict_echoes_cells_as_written(tmp_path):
+    _, model_path = _fit_small(tmp_path)
+    new = tmp_path / "new.csv"
+    new.write_text('x1,x2,x3,x4,x5\r\n1.50,1e-3, 2 ,0.5,0.25\r\n"0.5",0.1,0.2,"3e-1",0.4\r\n',
+                   encoding="utf-8")
+    out = tmp_path / "pred.csv"
+    assert cli.main(["predict", "--model", str(model_path),
+                     "--input", str(new), "--output", str(out)]) == 0
+    scores = SdrnModel.load(model_path).predict(
+        np.array([[1.5, 1e-3, 2.0, 0.5, 0.25], [0.5, 0.1, 0.2, 0.3, 0.4]])).tolist()
+    assert out.read_text().splitlines()[2:] == [
+        f"1.50,1e-3, 2 ,0.5,0.25,{scores[0]!r}", f"0.5,0.1,0.2,3e-1,0.4,{scores[1]!r}"]
 
 
 def test_predict_on_training_file_matches_diagnostics(tmp_path):

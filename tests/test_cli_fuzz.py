@@ -1,5 +1,6 @@
 """Property tests: every CSV and every numeric option ends in a documented
-exit code (0 ok, 1 usage, 2 data), never in an uncaught exception.
+exit code (0 ok, 1 usage, 2 data), never in an uncaught exception, and
+``read_csv`` reads every CSV as the per-cell ``csv.reader`` parser does.
 
 The fuzzed sizes stay small on purpose: the basis-id cap is the only
 memory guard today, so a level-sum budget just under the cap on a wide
@@ -8,10 +9,13 @@ Gram-matrix item).  Budgets far above the cap are fuzzed, because they
 are refused before anything is counted or allocated.
 """
 
+import csv
+import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+import numpy as np
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sdrn import cli
@@ -143,3 +147,116 @@ def test_simulate_options_end_in_an_exit_code(model, n, reps, kappas, cs, epochs
                 f"--kappas={kappas}", f"--cs={cs}", f"--epochs={epochs}", f"--tol={tol!r}",
                 "--loss", loss, "--noise", noise, "--out-csv", str(Path(tmp) / "sim.csv")]
         assert _exit_code(argv) in (0, 1, 2)
+
+
+def _reference_read_csv(path):
+    """The per-cell reader ``read_csv`` replaced: csv.reader over the file
+    stream and float() on every cell, with the same messages."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, rows, lines = None, [], []
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if not row or (row[0].startswith("#") and header is None):
+                    continue
+                if header is None:
+                    header = [c.strip() for c in row]
+                    if any(name.startswith("#") for name in header):
+                        raise cli.DataError(f"{path}: column names may not start with '#'")
+                    continue
+                if len(row) != len(header):
+                    raise cli.DataError(
+                        f"{path}: row {lineno} has {len(row)} fields, header has {len(header)}")
+                values = []
+                for j, cell in enumerate(row):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        value = None
+                    if value is None or not math.isfinite(value):
+                        kind = "non-numeric" if value is None else "non-finite"
+                        raise cli.DataError(f"{path}: {kind} value {cell!r} at row {lineno}, "
+                                            f"column {header[j]!r}")
+                    values.append(value)
+                rows.append(values)
+                lines.append(",".join(row))
+    except OSError as exc:
+        raise cli.DataError(f"cannot open {path}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise cli.DataError(f"{path}: unreadable CSV: {exc}") from exc
+    if header is None:
+        raise cli.DataError(f"{path}: empty file, expected a header row")
+    return header, np.array(rows, dtype=float).reshape(len(rows), len(header)), lines
+
+
+def _read_either(read, path):
+    try:
+        return read(path)
+    except cli.DataError as exc:
+        return str(exc)
+
+
+# whitespace float() strips and str.splitlines() breaks on, and \x1c,
+# which numpy's parser strips but float() rejects
+ODD_CELLS = st.sampled_from(
+    ["\x0c1", "1\x0c", "2\u2028", "\x853", "\x1c1", "1\x1d", " 2 ", "1.50", "1e-3", "\u20031"])
+ODD_LINES = st.sampled_from(["", " ", "\t", "#", "# note", "#1,2", ",", '"#q",1'])
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def csv_texts(draw):
+    width = draw(st.integers(1, 4))
+    # any cells, or valid ones mixed with the odd ones, so that whole files parse
+    cells = draw(st.sampled_from([st.one_of(CELLS, ODD_CELLS), st.one_of(SMALL_CELLS, ODD_CELLS)]))
+    names = st.lists(st.sampled_from(["a", " b ", "", "#h", "y", "c\x0c", '"d,e"', '"#f"']),
+                     min_size=width, max_size=width)
+    header = draw(st.one_of(st.just([f"x{j}" for j in range(width)]), names))
+    row = st.lists(cells, min_size=width, max_size=width)
+    # short, long and trailing-comma rows
+    ragged = st.lists(cells, min_size=1, max_size=width + 1).map(lambda r: r + [""] * (len(r) % 2))
+    body = draw(st.lists(st.one_of(row, row, ragged, ODD_LINES.map(lambda line: [line])),
+                         max_size=12))
+    lines = draw(st.lists(ODD_LINES, max_size=2)) + [",".join(header)]
+    lines += [",".join(r) for r in body]
+    ends = draw(st.lists(LINE_ENDS, min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text[: -len(ends[-1])]
+
+
+@settings(FUZZ, max_examples=300)
+@given(text=csv_texts())
+@example(text="x\n")  # header only
+@example(text="a,b\r\n1,2\r\n#3,4\r\n")
+@example(text='a,b\n"1",2\n')  # quoted cells reach float() without their quotes
+@example(text="a\n0." + "0" * csv.field_size_limit() + "1\n")  # past csv's field limit
+@example(text="a,b\n1,2\x0c3,4\n")  # one row with three fields, not two rows
+@example(text="a\n\x1c1\n")  # float() rejects \x1c
+def test_read_csv_matches_the_per_cell_reader(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        got, want = _read_either(cli.read_csv, path), _read_either(_reference_read_csv, path)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert got[0] == want[0] and got[2] == want[2]
+        assert got[1].dtype == want[1].dtype and got[1].shape == want[1].shape
+        assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_read_csv_names_the_first_fault_the_stream_reaches():
+    # undecodable bytes past the first 8 KiB: a bad cell before them is named
+    rows = ["0.5,0.25"] * 2000
+    for bad_row in (None, 3):
+        cells = list(rows)
+        if bad_row is not None:
+            cells[bad_row] = "0.5,x"
+        data = ("a,b\n" + "\n".join(cells) + "\n").encode() + b"1,\xff\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "in.csv"
+            path.write_bytes(data)
+            got, want = _read_either(cli.read_csv, path), _read_either(_reference_read_csv, path)
+        assert isinstance(want, str) and got == want
+        assert ("non-numeric value 'x'" in got) == (bad_row is not None)
