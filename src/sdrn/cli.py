@@ -40,8 +40,9 @@ from .relu_product import MAX_R, ComplexityReport, basis_network_complexity
 from .sparse_grid import BasisSizeError, basis_size, cardinality_bounds, cardinality_log_bounds
 
 DEFAULT_SEED = 0
-# basis_size counts in d*(m+1)**2 big-integer steps; at this cap it takes
-# well under a second (0.35 s for d=100000, m=0 on a 2-core machine)
+# a cap on the exact counting work of basis-info; at it, basis_size and
+# the network count take well under a second (basis-info --d 100000 --m 0
+# --r 511 prints in 0.42 s on a 2-core machine)
 MAX_COUNT_TERMS = 100_000
 EPOCHS_HELP = (
     "iteration cap of the Newton (huber, logistic) and interior-point (quantile) fits; "

@@ -190,26 +190,21 @@ def _ridge_solve(Phi: np.ndarray, y: np.ndarray, kappa: float) -> np.ndarray:
     """The minimiser of ``|y - Phi gamma|^2 + kappa/2 |gamma|^2``.
 
     For ``kappa > 0`` it solves ``(2 Phi'Phi + kappa I) gamma = 2 Phi'y``
-    by Cholesky on the smaller Gram matrix: the primal one when
-    ``p <= n``, else the dual ``(2 Phi Phi' + kappa I) alpha = 2 y`` with
+    by LU on the smaller Gram matrix: the primal one when ``p <= n``,
+    else the dual ``(2 Phi Phi' + kappa I) alpha = 2 y`` with
     ``gamma = Phi' alpha``.  For ``kappa = 0`` it returns the minimum-norm
     least-squares solution, the ``kappa -> 0`` limit.
     """
     if kappa == 0:
         return np.linalg.lstsq(Phi, y, rcond=None)[0]
-    from scipy.linalg import cho_factor, cho_solve
-
     n, p = Phi.shape
     dual = p > n
     gram = Phi @ Phi.T if dual else Phi.T @ Phi
     gram *= 2.0
     gram.flat[:: gram.shape[0] + 1] += kappa
-    # the transpose of the symmetric C-ordered Gram is Fortran-ordered, so
-    # LAPACK factors it in place
-    factor = cho_factor(gram.T, overwrite_a=True, check_finite=False)
     if dual:
-        return Phi.T @ cho_solve(factor, 2.0 * y, check_finite=False)
-    return cho_solve(factor, 2.0 * (Phi.T @ y), check_finite=False)
+        return Phi.T @ np.linalg.solve(gram, 2.0 * y)
+    return np.linalg.solve(gram, 2.0 * (Phi.T @ y))
 
 
 # Armijo sufficient-decrease fraction, and the step length below which
@@ -474,7 +469,7 @@ def adam_fit(Phi: np.ndarray, y: np.ndarray, config: FitConfig) -> tuple[np.ndar
         try:
             gamma = _ridge_solve(Phi, y, kappa)
         except np.linalg.LinAlgError as exc:
-            # for finite data the factorisation and the least-squares SVD succeed
+            # for finite data the LU solve and the least-squares SVD succeed
             raise NonFiniteObjectiveError(f"exact ridge solve failed: {exc}") from exc
     else:
         start = float(np.sum(loss_value(loss, np.zeros(len(y)), y)))

@@ -264,9 +264,12 @@ def classification_metrics(y_hat, y_true, scores) -> ClassificationMetrics:
     if n1 == 0 or n0 == 0:
         auc = float("nan")
     else:
-        from scipy.stats import rankdata
-
-        ranks = rankdata(scores)
+        # tie-averaged ranks: each run of equal scores in sorted order
+        # gets the mean of the 1-based positions it spans
+        order = np.argsort(scores, kind="stable")
+        _, first, counts = np.unique(scores[order], return_index=True, return_counts=True)
+        ranks = np.empty(len(scores))
+        ranks[order] = np.repeat(first + (counts + 1) / 2.0, counts)
         auc = (float(np.sum(ranks[y_true == 1])) - n1 * (n1 + 1) / 2.0) / (n1 * n0)
     return ClassificationMetrics(
         accuracy=accuracy,

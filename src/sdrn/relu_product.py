@@ -488,8 +488,34 @@ def build_basis_network(R: int, bid: BasisId) -> ReluGraph:
 def basis_network_complexity(d: int, R: int) -> ComplexityReport:
     """Depth/unit/weight counts of one basis-feature network.
 
-    The counts depend only on the dimension and the accuracy level, not
-    on which basis id is built, so a representative id is used.
+    Counts what :func:`build_basis_network` would build without building
+    it, walking the tree levels as ``_GraphBuilder.tree_exprs`` does (the
+    counts depend only on ``d`` and ``R``).  Every connection count
+    follows from the number of units a value references: 3 for a hat,
+    2 for a clamped product, ``|u| + |v| + 9R`` for the pair product of
+    ``u`` and ``v``.  A pair's first tooth layer reads ``u``, ``v`` and
+    their midpoint (3 pieces each), its later ``R - 1`` layers read 3
+    units per piece, and its clamp reads the product twice.
     """
-    bid = BasisId((0,) * d, (0,) * d)
-    return build_basis_network(R, bid).complexity()
+    if R < 1:
+        raise ValueError(f"accuracy level R must be >= 1, got {R}")
+    layers, units, connections = 1, 3 * d, 3 * d
+    refs = [3] * d
+    while len(refs) > 1:
+        pairs = list(zip(refs[0::2], refs[1::2]))
+        prods = [u + v + 9 * R for u, v in pairs]
+        layers += R
+        units += 9 * R * len(pairs)
+        connections += sum(6 * (u + v) + 27 * (R - 1) for u, v in pairs)
+        if len(refs) > 2:
+            layers += 1
+            units += 2 * len(prods)
+            connections += 2 * sum(prods)
+            prods = [2] * len(prods)
+        if len(refs) % 2 == 1:
+            prods.append(refs[-1])
+        refs = prods
+    # the output unit reads the root; depth counts it and the input layer
+    units += 1
+    connections += refs[0]
+    return ComplexityReport(depth=layers + 2, units=units, weights=connections + units)

@@ -141,16 +141,25 @@ def basis_size(d: int, m: int) -> int:
 
     A level carries 2 nodes at 0 and ``2**(l-1)`` above, so the number
     of ids per level sum is the ``d``-fold convolution of those counts;
-    the size is its sum up to ``m`` (exact integers, ``O(d m**2)``).
+    the size is its sum up to ``m``.  The power is taken by repeated
+    squaring, truncated at degree ``m`` (exact integers,
+    ``O(m**2 log d)`` products).
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if m < 0:
         raise ValueError(f"max level sum must be >= 0, got {m}")
-    per_level = [2] + [2 ** (l - 1) for l in range(1, m + 1)]
-    counts = [1] + [0] * m
-    for _ in range(d):
-        counts = [sum(counts[k - l] * per_level[l] for l in range(k + 1)) for k in range(m + 1)]
+
+    def convolve(a: list[int], b: list[int]) -> list[int]:
+        return [sum(a[k - l] * b[l] for l in range(k + 1)) for k in range(m + 1)]
+
+    counts, power = [1] + [0] * m, [2] + [2 ** (l - 1) for l in range(1, m + 1)]
+    while d:
+        if d & 1:
+            counts = convolve(counts, power)
+        d >>= 1
+        if d:
+            power = convolve(power, power)
     return sum(counts)
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from sdrn import cli
 from sdrn import evalsuite as ev
+from sdrn import relu_product as rp
 from sdrn.estimator import SdrnModel
 from sdrn.sparse_grid import basis_size
 
@@ -170,15 +171,54 @@ def test_predict_rejects_malformed_model_files(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # no scipy module at all: the solvers use numpy.linalg only, and the
-    # normal draws and the rank-based AUC import scipy when they run
-    code = "import sys, sdrn.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+def _scipy_modules_after(code):
+    # the scipy modules loaded once ``code`` has run in a fresh interpreter
+    code += "\nimport json\nprint(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))"
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
-    assert done.stdout.strip() == "[]"
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # no scipy module at all: only the normal draws import scipy, when they run
+    assert _scipy_modules_after("import sys, sdrn.cli") == set()
+
+
+def _write_binary_training_csv(path, n):
+    # a 0/1 target, so that every loss (logistic too) fits the same file
+    X = np.random.default_rng(n).random((n, 5))
+    y = (X[:, 0] + X[:, 1] > 1.0).astype(float)
+    lines = ["x1,x2,x3,x4,x5,y"] + [",".join(map(repr, row)) for row in np.column_stack([X, y]).tolist()]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("loss", ["quadratic", "huber:1.0", "quantile:0.5", "logistic"])
+@pytest.mark.parametrize("n, m", [(150, 1), (60, 2)], ids=["p<=n", "p>n"])
+def test_fit_loads_no_scipy(tmp_path, loss, n, m):
+    # p = 112 at m=1 and 352 at m=2, so both Gram sides of every solver run
+    train = tmp_path / "train.csv"
+    _write_binary_training_csv(train, n)
+    argv = ["fit", "--input", str(train), "--target", "y", "--loss", loss, "--m", str(m),
+            "--model-out", str(tmp_path / "model.json")]
+    code = f"import sys\nfrom sdrn import cli\nassert cli.main({argv!r}) == 0"
+    assert _scipy_modules_after(code) == set()
+
+
+@pytest.mark.parametrize("model", [4, 1])
+def test_simulate_loads_only_the_normal_draws(tmp_path, model):
+    # Model 4 draws uniforms only and ranks its AUC with numpy; the other
+    # models draw normals through scipy.special.ndtri and load nothing more
+    loss = ["--loss", "logistic"] if model == 4 else []
+    argv = ["simulate", "--model", str(model), *loss, "--n", "60", "--reps", "2",
+            "--kappas", "1.0", "--cs=-1,0", "--out-csv", str(tmp_path / "report.csv")]
+    modules = _scipy_modules_after(f"import sys\nfrom sdrn import cli\nassert cli.main({argv!r}) == 0")
+    if model == 4:
+        assert modules == set()
+    else:
+        assert "scipy.special" in modules
+        assert modules <= _scipy_modules_after("import sys, scipy.special")
 
 
 def test_fit_summary_reports_certified_iterations(tmp_path, capsys):
@@ -457,12 +497,19 @@ def test_basis_info_beyond_integer_text_limit(capsys):
     "d, m, code", [(1, 315, 0), (1, 316, 2), (3, 20000, 2), (3_000_000, 1, 2), (14300, 0, 0)]
 )
 def test_basis_info_bounds_its_counting_work(d, m, code, capsys):
-    # d*(m+1)**2 big-integer steps: refused past the cap before anything is counted
+    # refused past the d*(m+1)**2 cap before anything is counted
     assert cli.main(["basis-info", "--d", str(d), "--m", str(m)]) == code
     err = capsys.readouterr().err
     if code:
         assert err == (f"sdrn: data error: basis-info counts bases with d*(m+1)**2 <= "
                        f"{cli.MAX_COUNT_TERMS}, got d={d}, m={m}\n")
+
+
+def test_basis_info_counts_a_wide_network_without_building_it(monkeypatch, capsys):
+    monkeypatch.setattr(rp, "build_basis_network", None)
+    assert cli.main(["basis-info", "--d", "100000", "--m", "0", "--r", "511"]) == 0
+    out = capsys.readouterr().out
+    assert "per-feature network (R=511): depth=8706 units=460395398 weights=2761467795\n" in out
 
 
 @pytest.mark.parametrize(

@@ -119,6 +119,40 @@ def test_classification_metrics():
     assert one_class.sensitivity == 1.0
 
 
+def test_auc_of_all_equal_scores_is_one_half():
+    # every positive-negative pair ties, and a tie counts one half
+    metrics = ev.classification_metrics([1, 0, 1, 0, 1], [1, 0, 0, 1, 1], [0.3] * 5)
+    assert metrics.auc == 0.5
+
+
+def test_auc_with_one_tie_across_the_classes():
+    # pairs (positive, negative): (0.8, 0.5) 1, (0.8, 0.2) 1, (0.5, 0.5) 1/2,
+    # (0.5, 0.2) 1, so the AUC is 3.5 / 4
+    metrics = ev.classification_metrics([1, 0, 1, 0], [1, 0, 1, 0], [0.8, 0.5, 0.5, 0.2])
+    assert metrics.auc == 0.875
+
+
+def test_auc_ranks_ties_as_rankdata_does():
+    from scipy.stats import rankdata
+
+    gen = np.random.default_rng(11)
+    for _ in range(2000):
+        n = int(gen.integers(2, 60))
+        scores = gen.integers(0, int(gen.integers(1, 6)), size=n) / 4.0
+        y_true = gen.integers(0, 2, size=n)
+        y_true[:2] = (0, 1)  # both classes present
+        gen.shuffle(y_true)
+        n1, n0 = int(y_true.sum()), int(n - y_true.sum())
+        ranks = rankdata(scores)
+        expected = (float(np.sum(ranks[y_true == 1])) - n1 * (n1 + 1) / 2.0) / (n1 * n0)
+        auc = ev.classification_metrics(y_true, y_true, scores).auc
+        assert auc == expected
+        # the Mann-Whitney pair count, ties counting one half
+        pos, neg = scores[y_true == 1], scores[y_true == 0]
+        pairs = np.sum(pos[:, None] > neg[None, :]) + 0.5 * np.sum(pos[:, None] == neg[None, :])
+        assert auc == pytest.approx(pairs / (n1 * n0), rel=1e-12, abs=1e-15)
+
+
 def test_run_replications_smoke_and_determinism():
     spec = ev.SimModelSpec(model_id=1, n=80, noise="normal", seed=3)
     cfg = FitConfig(loss=LossSpec("quadratic"), epochs=60, tol=1e-6)

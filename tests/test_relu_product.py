@@ -250,6 +250,30 @@ def test_basis_network_complexity_goldens():
         assert (c.depth, c.units, c.weights) == expected
 
 
+def test_basis_network_complexity_counts_what_the_graph_builds():
+    # the counting walk against the built graph, odd and even tree levels alike
+    for d in range(1, 34):
+        bid = BasisId((0,) * d, (0,) * d)
+        for R in range(1, 7):
+            assert rp.basis_network_complexity(d, R) == rp.build_basis_network(R, bid).complexity()
+
+
+def test_basis_network_complexity_builds_no_graph(monkeypatch):
+    # d=100000 at R=511 would be a graph of about 4.6e8 units: 3d hat pieces,
+    # 9R per pair of the d-1 pairs, a clamp of 2 below the root, one output
+    def refuse(*args):
+        raise AssertionError("the count built a graph")
+
+    monkeypatch.setattr(rp, "build_basis_network", refuse)
+    monkeypatch.setattr(rp, "ReluGraph", refuse)
+    c = rp.basis_network_complexity(100_000, 511)
+    assert c.units == 3 * 100_000 + 9 * 511 * 99_999 + 2 * 99_998 + 1
+    assert c.depth == 511 * 17 + 17 + 2
+    assert c.weights == 2761467795
+    with pytest.raises(ValueError):
+        rp.basis_network_complexity(2, 0)
+
+
 def test_basis_network_complexity_is_id_independent():
     basis = enumerate_basis(3, 3)
     complexities = {
