@@ -308,26 +308,6 @@ class ReluGraph:
         out = values[-1][0]
         return out if np.ndim(x) == 2 else out[0]
 
-    def to_json(self) -> dict:
-        """JSON-ready description (layer list; see README for the layout)."""
-        return {
-            "input_arity": self.input_arity,
-            "depth": self.depth,
-            "units": self.unit_count,
-            "weights": self.weight_count,
-            "layers": [
-                [
-                    {
-                        "inputs": [[lyr, idx, w] for (lyr, idx, w) in n.inputs],
-                        "bias": n.bias,
-                        "relu": n.relu,
-                    }
-                    for n in layer
-                ]
-                for layer in self.layers
-            ],
-        }
-
 
 def _combine(terms: Sequence[tuple[float, Expr]], bias: float = 0.0) -> Expr:
     coeffs: dict[tuple[int, int], float] = {}

@@ -6,16 +6,21 @@ draw, noise draw, evaluation design, replication r of a simulation) can
 recreate its own stream independently of execution order.  Normal and
 Laplace variates use explicit inverse-CDF sampling on top of the raw
 uniforms, which keeps byte-identical output across platforms and numpy
-versions (the builtin ziggurat samplers make no such promise).
+versions (the builtin ziggurat samplers make no such promise).  The
+normal inverse is the standard library's ``NormalDist.inv_cdf``
+(Wichura's AS241), so the draws depend on Python's ``statistics``
+module and on no other numeric library.
 """
 
 from __future__ import annotations
 
 import hashlib
+from statistics import NormalDist
 
 import numpy as np
 
 _TINY = 2.0 ** -53
+_NORMAL_INV_CDF = NormalDist().inv_cdf
 
 
 def stream(seed: int, *path) -> np.random.Generator:
@@ -34,9 +39,8 @@ def _open_uniform(gen: np.random.Generator, size) -> np.ndarray:
 
 def standard_normal(gen: np.random.Generator, size) -> np.ndarray:
     """N(0, 1) variates by inversion of the normal CDF."""
-    from scipy.special import ndtri
-
-    return ndtri(_open_uniform(gen, size))
+    u = _open_uniform(gen, size)
+    return np.fromiter(map(_NORMAL_INV_CDF, u.ravel().tolist()), float, u.size).reshape(u.shape)
 
 
 def standard_laplace(gen: np.random.Generator, size) -> np.ndarray:

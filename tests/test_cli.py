@@ -1,3 +1,4 @@
+import ast
 import decimal
 import json
 import math
@@ -171,19 +172,18 @@ def test_predict_rejects_malformed_model_files(tmp_path, capsys):
         assert not out.exists()
 
 
-def _scipy_modules_after(code):
-    # the scipy modules loaded once ``code`` has run in a fresh interpreter
-    code += "\nimport json\nprint(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))"
+def _run_with_scipy_blocked(*argvs):
+    # runs the commands in order in one fresh interpreter in which every
+    # scipy import raises, and asserts that each of them exits 0
+    code = ("import sys\nsys.modules['scipy'] = None\nfrom sdrn import cli\n"
+            f"for argv in {list(argvs)!r}:\n"
+            "    rc = cli.main(argv)\n"
+            "    if rc:\n"
+            "        sys.exit(rc)\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    return set(json.loads(done.stdout.splitlines()[-1]))
-
-
-def test_import_leaves_scipy_stats_unloaded():
-    # no scipy module at all: only the normal draws import scipy, when they run
-    assert _scipy_modules_after("import sys, sdrn.cli") == set()
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
 
 
 def _write_binary_training_csv(path, n):
@@ -200,25 +200,45 @@ def test_fit_loads_no_scipy(tmp_path, loss, n, m):
     # p = 112 at m=1 and 352 at m=2, so both Gram sides of every solver run
     train = tmp_path / "train.csv"
     _write_binary_training_csv(train, n)
-    argv = ["fit", "--input", str(train), "--target", "y", "--loss", loss, "--m", str(m),
-            "--model-out", str(tmp_path / "model.json")]
-    code = f"import sys\nfrom sdrn import cli\nassert cli.main({argv!r}) == 0"
-    assert _scipy_modules_after(code) == set()
+    _run_with_scipy_blocked(["fit", "--input", str(train), "--target", "y", "--loss", loss,
+                             "--m", str(m), "--model-out", str(tmp_path / "model.json")])
 
 
-@pytest.mark.parametrize("model", [4, 1])
-def test_simulate_loads_only_the_normal_draws(tmp_path, model):
-    # Model 4 draws uniforms only and ranks its AUC with numpy; the other
-    # models draw normals through scipy.special.ndtri and load nothing more
-    loss = ["--loss", "logistic"] if model == 4 else []
-    argv = ["simulate", "--model", str(model), *loss, "--n", "60", "--reps", "2",
-            "--kappas", "1.0", "--cs=-1,0", "--out-csv", str(tmp_path / "report.csv")]
-    modules = _scipy_modules_after(f"import sys\nfrom sdrn import cli\nassert cli.main({argv!r}) == 0")
-    if model == 4:
-        assert modules == set()
-    else:
-        assert "scipy.special" in modules
-        assert modules <= _scipy_modules_after("import sys, scipy.special")
+def _commands(tmp_path, case):
+    train, model, out = tmp_path / "train.csv", str(tmp_path / "model.json"), str(tmp_path / "out.csv")
+    _write_binary_training_csv(train, 80)
+    simulate = ["simulate", "--n", "60", "--reps", "2", "--kappas", "1.0", "--cs=-1,0", "--out-csv", out]
+    return {
+        "predict": [["fit", "--input", str(train), "--target", "y", "--model-out", model],
+                    ["predict", "--model", model, "--input", str(train), "--output", out]],
+        "simulate-1-normal": [simulate + ["--model", "1"]],
+        "simulate-1-laplace": [simulate + ["--model", "1", "--noise", "laplace"]],
+        "simulate-4-logistic": [simulate + ["--model", "4", "--loss", "logistic"]],
+        "basis-info-r": [["basis-info", "--d", "5", "--m", "2", "--r", "6"]],
+        "verify-bounds": [["verify-bounds", "--out-csv", out]],
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["predict", "simulate-1-normal", "simulate-1-laplace",
+                                  "simulate-4-logistic", "basis-info-r", "verify-bounds"])
+def test_commands_run_with_scipy_blocked(tmp_path, case):
+    # numpy is the only runtime dependency: no command may import scipy
+    _run_with_scipy_blocked(*_commands(tmp_path, case))
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    package = Path(cli.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [] if node.level else [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top == "numpy" or top in sys.stdlib_module_names, f"{path.name} imports {name}"
 
 
 def test_fit_summary_reports_certified_iterations(tmp_path, capsys):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import expit, ndtri
 
 from sdrn import evalsuite as ev
 from sdrn import rng
@@ -28,6 +28,38 @@ def test_laplace_noise_moments():
     draws = rng.standard_laplace(gen, 10 ** 6)
     assert abs(draws.var() - 2.0) / 2.0 <= 0.02
     assert abs(draws.mean()) <= 0.01
+
+
+class _FixedUniforms:
+    # stands in for a Generator whose uniforms are given
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        return self.u.reshape(size)
+
+
+def _ulps(a, b):
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+@pytest.mark.parametrize("size", [200_000, (400, 500)], ids=["n", "reps-points"])
+def test_normal_draws_match_scipy_ndtri(size):
+    # the standard library's AS241 against scipy's independent ndtri, on the same uniforms
+    uniforms = rng._open_uniform(rng.stream(0, "normal-draws"), size)
+    draws = rng.standard_normal(rng.stream(0, "normal-draws"), size)
+    assert draws.shape == uniforms.shape
+    assert _ulps(draws, ndtri(uniforms)).max() <= 8
+
+
+def test_normal_draws_match_scipy_ndtri_at_region_boundaries():
+    # both ends, the tail/central switches 0.075 and 0.925, and exp(-25) where the tail changes form
+    u = np.array([2.0 ** -53, np.exp(-25.0), 0.075, 0.5, 0.925, 1.0 - 2.0 ** -53, 0.0])
+    draws = rng.standard_normal(_FixedUniforms(u), u.shape)
+    # an exact zero uniform is nudged to 2^-53
+    assert draws[-1] == draws[0]
+    assert _ulps(draws, ndtri(np.where(u == 0.0, 2.0 ** -53, u))).max() <= 8
 
 
 def test_model4_link_calibration():

@@ -283,12 +283,9 @@ def test_basis_network_complexity_is_id_independent():
     assert len(complexities) == 1
 
 
-def test_graph_json_layout():
+def test_square_network_layout():
     net = rp.build_square_network(2)
-    doc = net.to_json()
-    assert doc["input_arity"] == 1
-    assert doc["depth"] == 4 and doc["units"] == 7 and doc["weights"] == 26
-    assert len(doc["layers"]) == 3
-    first = doc["layers"][0][0]
-    assert set(first) == {"inputs", "bias", "relu"}
-    assert first["inputs"] == [[0, 0, 1.0]]
+    assert net.input_arity == 1
+    assert net.depth == 4 and net.unit_count == 7 and net.weight_count == 26
+    assert len(net.layers) == 3
+    assert net.layers[0][0].inputs == [(0, 0, 1.0)]
