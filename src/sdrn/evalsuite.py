@@ -27,16 +27,14 @@ import numpy as np
 from . import rng
 from .estimator import FeatureMap, FitConfig, adam_fit, hyperparams_from_n
 from .losses import sigmoid
-from .relu_product import pair_product, product_features, square_approx
+from .relu_product import pair_product, product_pairs, square_approx
 from .sparse_grid import (
     approximation_bound,
     basis_size,
     cardinality_bounds,
     enumerate_basis,
     hat_eval,
-    index_set,
     interpolate,
-    BasisId,
 )
 
 MODEL_DIMS = {1: 5, 2: 7, 3: 10, 4: 10}
@@ -462,22 +460,17 @@ class BoundReport:
         return "\n".join(lines) + "\n"
 
 
-def _random_basis_id(gen: np.random.Generator, d: int) -> BasisId:
-    budget = int(gen.integers(0, 5))  # level sums 0..4
-    levels = [0] * d
-    for _ in range(budget):
-        levels[int(gen.integers(0, d))] += 1
-    nodes = [index_set(l)[int(gen.integers(0, len(index_set(l))))] for l in levels]
-    return BasisId(tuple(levels), tuple(nodes))
-
-
 def _product_sweep_draws(gen: np.random.Generator, d: int, count: int):
-    """``count`` (basis id, point) pairs, id then point drawn per pair, as
-    the ``(count, d)`` level, node and point arrays."""
-    draws = [(_random_basis_id(gen, d), gen.random(d)) for _ in range(count)]
-    levels = np.array([bid.level for bid, _ in draws])
-    nodes = np.array([bid.node for bid, _ in draws])
-    return levels, nodes, np.array([x for _, x in draws])
+    """``count`` (basis id, point) pairs as the ``(count, d)`` level, node and
+    point arrays: a level sum uniform on 0..4 placed unit by unit on uniform
+    coordinates, a uniform node of each level's index set, a uniform point."""
+    budgets = gen.integers(0, 5, count)
+    levels = np.zeros((count, d), dtype=np.int64)
+    np.add.at(levels, (np.repeat(np.arange(count), budgets), gen.integers(0, d, budgets.sum())), 1)
+    # index_set(0) is [0, 1]; index_set(l) is the 2**(l-1) odd numbers 1, 3, ...
+    picks = gen.integers(0, np.where(levels == 0, 2, 2 ** np.maximum(levels - 1, 0)))
+    nodes = np.where(levels == 0, picks, 2 * picks + 1)
+    return levels, nodes, gen.random((count, d))
 
 
 def corner_bump(X: np.ndarray) -> np.ndarray:
@@ -492,15 +485,13 @@ def interpolation_decay_errors(
     ms: Sequence[int], mc_points: int = 20_000, seed: int = 0
 ) -> dict[int, float]:
     """Monte-Carlo L2 error of the sparse interpolant of the corner bump."""
-    gen = rng.stream(seed, "interp-decay")
-    pts = gen.random((mc_points, 2))
+    return _decay_errors({m: interpolate(corner_bump, 2, m) for m in ms}, mc_points, seed)
+
+
+def _decay_errors(interpolants: dict, mc_points: int = 20_000, seed: int = 0) -> dict[int, float]:
+    pts = rng.stream(seed, "interp-decay").random((mc_points, 2))
     truth = corner_bump(pts)
-    errors = {}
-    for m in ms:
-        fm = interpolate(corner_bump, 2, m)
-        err = fm(pts) - truth
-        errors[m] = float(np.sqrt(np.mean(err ** 2)))
-    return errors
+    return {m: float(np.sqrt(np.mean((fm(pts) - truth) ** 2))) for m, fm in interpolants.items()}
 
 
 def verify_bounds() -> BoundReport:
@@ -561,12 +552,7 @@ def verify_bounds() -> BoundReport:
     for d in (2, 3, 4, 5, 8):
         for R in (2, 4, 6):
             levels, nodes, X = _product_sweep_draws(gen, d, 1000)
-            # the diagonal of 100-pair chunks; no entry depends on the other
-            # pairs of its call, so this is the diagonal of the whole product
-            approx = np.concatenate([
-                np.diagonal(product_features(R, *(a[i : i + 100] for a in (levels, nodes, X))))
-                for i in range(0, len(X), 100)
-            ])
+            approx = product_pairs(R, levels, nodes, X)
             exact = np.prod(hat_eval(levels, nodes, X), axis=1)
             worst = float(np.max(np.abs(approx - exact)))
             bound = 3.0 * 2.0 ** (-2 * R - 2) * (d - 1)
@@ -576,7 +562,8 @@ def verify_bounds() -> BoundReport:
                 )
             )
 
-    errors = interpolation_decay_errors(range(1, 7))
+    interpolants = {m: interpolate(corner_bump, 2, m) for m in range(1, 7)}
+    errors = _decay_errors(interpolants)
     for m in errors:
         bound = approximation_bound(2, m, CORNER_BUMP_D2_NORM, c_mu=1.0)
         err = errors[m]
@@ -606,7 +593,7 @@ def verify_bounds() -> BoundReport:
     # bump's surpluses there are 16 * 4**-|l|, so the ratio to the
     # envelope is 1.5 * 2**(-|l|/2), largest at |l| = 2
     for m in range(2, 7):
-        fm = interpolate(corner_bump, 2, m)
+        fm = interpolants[m]
         interior = fm.basis.levels.min(axis=1) >= 1
         envelope = fm.coefficient_bounds(CORNER_BUMP_D2_NORM)[interior]
         worst = float(np.max(np.abs(fm.coefficients[interior]) / envelope))

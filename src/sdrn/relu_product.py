@@ -11,6 +11,8 @@ r"""ReLU approximation of products, from tooth functions to basis features.
   of many basis functions multiplied through binary trees of pair
   products, accurate to ``3 * 2**(-2R-2) * (d-1)``, with every distinct
   subtree evaluated once; ``approx_basis_eval`` applies it to one id;
+* ``product_pairs``, the same trees for k (id, point) pairs, id i at
+  point i only: the diagonal of ``product_features`` without the table;
 * ``product_scores``, the same trees contracted against coefficients
   (``product_features(...) @ coef``) per row block, without the feature
   matrix.
@@ -180,6 +182,25 @@ def product_features(R: int, levels, nodes, X) -> np.ndarray:
             vals = _polarise(R, vals[left], vals[right], squares[left], squares[right])
         out[rows] = vals[top].T
     return out
+
+
+def product_pairs(R: int, levels, nodes, X) -> np.ndarray:
+    """Id i's product-tree value at point i: the diagonal of ``product_features``, bitwise.
+
+    ``levels``, ``nodes`` and ``X`` are ``(k, d)``; the result is ``(k,)``.
+    The ``(d, k)`` leaf hats are reduced level by level with the pairing,
+    forwarding and below-root clamp of :func:`_product_trees`.
+    """
+    vals = hat_eval(np.asarray(levels).T, np.asarray(nodes).T, np.asarray(X, dtype=float).T)
+    while len(vals) > 1:
+        q = len(vals)
+        left, right = slice(0, q - 1, 2), slice(1, q, 2)
+        squares = square_approx(R, vals)
+        prods = _polarise(R, vals[left], vals[right], squares[left], squares[right])
+        if q > 2:
+            np.clip(prods, 0.0, 1.0, out=prods)
+        vals = np.concatenate([prods, vals[q - q % 2 :]])
+    return vals[0]
 
 
 def product_scores(R: int, levels, nodes, X, coef) -> np.ndarray:

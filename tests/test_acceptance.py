@@ -31,7 +31,7 @@ from sdrn.relu_product import (
     build_pair_network,
     build_square_network,
     pair_product,
-    product_features,
+    product_pairs,
     square_approx,
 )
 from sdrn.sparse_grid import (
@@ -117,9 +117,9 @@ def test_criterion_05_d_factor_basis():
     for d in (2, 3, 4, 5, 8):
         for R in (2, 4, 6):
             bound = 3.0 * 2.0 ** (-2 * R - 2) * (d - 1)
-            # 1000 (id, point) pairs; pair i is id i at point i, the diagonal
+            # 1000 (id, point) pairs; pair i is id i at point i
             levels, nodes, X = ev._product_sweep_draws(gen, d, 1000)
-            approx = np.diagonal(product_features(R, levels, nodes, X))
+            approx = product_pairs(R, levels, nodes, X)
             exact = np.array(
                 [tensor_hat_eval(BasisId(tuple(l), tuple(s)), x) for l, s, x in zip(levels, nodes, X)]
             )

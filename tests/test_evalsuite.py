@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 from scipy.special import expit, ndtri
+from scipy.stats import chisquare
 
 from sdrn import evalsuite as ev
 from sdrn import rng
 from sdrn.estimator import FitConfig
 from sdrn.losses import LossSpec
+from sdrn.sparse_grid import index_set
 
 
 def test_model_dimensions_and_values():
@@ -260,6 +262,32 @@ def test_cardinality_table_against_enumeration():
     for d, row in ev.CARDINALITY_TABLE.items():
         for m, expected in enumerate(row):
             assert basis_size(d, m) == expected
+
+
+def test_product_sweep_draws_are_valid_ids_and_reproducible():
+    for d in (1, 2, 5):
+        gen = rng.stream(0, "product-sweep")
+        levels, nodes, X = ev._product_sweep_draws(gen, d, 500)
+        assert levels.shape == nodes.shape == X.shape == (500, d)
+        assert np.all((levels.sum(axis=1) >= 0) & (levels.sum(axis=1) <= 4))
+        for l, s in zip(levels.ravel().tolist(), nodes.ravel().tolist()):
+            assert s in index_set(l)
+        assert np.all((X >= 0.0) & (X < 1.0))
+        again = ev._product_sweep_draws(rng.stream(0, "product-sweep"), d, 500)
+        assert all(np.array_equal(a, b) for a, b in zip((levels, nodes, X), again))
+
+
+def test_product_sweep_draws_are_uniform():
+    levels, nodes, _ = ev._product_sweep_draws(rng.stream(1, "uniformity"), 3, 20_000)
+    # the level sum is uniform on 0..4, and each unit lands on a uniform coordinate
+    assert chisquare(np.bincount(levels.sum(axis=1), minlength=5)).pvalue > 1e-3
+    assert chisquare(levels.sum(axis=0)).pvalue > 1e-3
+    # the node is uniform over its level's index set (level 1 has one node)
+    for level in (0, 2, 3, 4):
+        at = nodes[levels == level]
+        positions = [index_set(level).index(s) for s in at.tolist()]
+        counts = np.bincount(positions, minlength=len(index_set(level)))
+        assert len(at) > 100 and chisquare(counts).pvalue > 1e-3
 
 
 def test_verify_bounds_default_sweep():

@@ -149,6 +149,32 @@ def test_approx_basis_eval():
         rp.approx_basis_eval(2, bid, np.zeros((5, 3)))
 
 
+def _random_pairs(gen, d, m, count):
+    basis = enumerate_basis(d, m)
+    pick = gen.integers(0, len(basis), count)
+    return basis.levels[pick], basis.nodes[pick], gen.random((count, d))
+
+
+def test_product_pairs_is_the_feature_diagonal():
+    # d = 1 is leaf-only, d = 2 root-only, d = 3 and 5 forward a factor
+    gen = np.random.default_rng(15)
+    for d in (1, 2, 3, 5, 8):
+        levels, nodes, X = _random_pairs(gen, d, 3, 200)
+        for R in (1, 6, 12):
+            pairs = rp.product_pairs(R, levels, nodes, X)
+            diagonal = np.diagonal(rp.product_features(R, levels, nodes, X))
+            assert pairs.shape == (200,) and pairs.tobytes() == diagonal.tobytes()
+
+
+def test_product_pairs_matches_basis_network():
+    gen = np.random.default_rng(16)
+    for d, R in ((2, 3), (3, 4), (5, 2)):
+        levels, nodes, X = _random_pairs(gen, d, 3, 5)
+        pairs = rp.product_pairs(R, levels, nodes, X)
+        for l, s, x, value in zip(levels, nodes, X, pairs):
+            assert abs(rp.build_basis_network(R, BasisId(l, s)).eval(x) - value) <= 1e-12
+
+
 def test_product_scores_match_features_times_coefficients():
     gen = np.random.default_rng(13)
     for d, m in ((1, 3), (2, 3), (3, 2), (5, 2), (8, 1)):
