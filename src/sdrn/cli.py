@@ -14,12 +14,18 @@ import csv
 import io
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
+from contextlib import contextmanager
 from dataclasses import replace
+from itertools import chain
 
 import numpy as np
 
 from .estimator import (
+    MODEL_SCHEMA_VERSION,
     ConstantColumnError,
     FitConfig,
     FitDiagnostics,
@@ -64,27 +70,86 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# characters of text the block reader reads at a time
+_PIECE = 1 << 20
+# data rows per block on the per-cell path
+_CELL_ROWS = 1 << 14
+
+
 def read_csv(path: str) -> tuple[list[str], np.ndarray, list[str]]:
     """Read a numeric CSV with a header row; report bad cells by row/column.
 
     Returns the header, the ``(rows, columns)`` float array and each data
     row's cells as read, joined by ``,``: where the text has no quotes,
-    that is the data line itself.
+    that is the data line itself.  It concatenates the blocks of
+    :func:`read_blocks`.
+    """
+    parts, lines = [], []
+    for header, data, block_lines in read_blocks(path):
+        parts.append(data)
+        lines += block_lines
+    return header, np.concatenate(parts), lines
+
+
+def read_blocks(path: str):
+    """Read a numeric CSV as :func:`read_csv` does, one block at a time.
+
+    Yields ``(header, data, lines)`` per block of whole lines of about
+    ``_PIECE`` characters, at least one block once the header is read.
+    Each block goes through numpy's C parser where it can
+    (:func:`_parse_plain`); from the first block it cannot take, the rest
+    of the stream goes through the per-cell ``csv.reader`` path
+    (:func:`_parse_cells`), with row numbers counted from the file's
+    start.  A data error in a late block is raised after the earlier
+    blocks were yielded.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             try:
-                text = fh.read()
+                yield from _parse_blocks(path, _whole_lines(fh, _PIECE))
             except UnicodeDecodeError:
                 # parsed as a stream, a bad cell before the undecodable
-                # bytes is reported first
+                # bytes is reported first: this rescan raises one or the other
                 fh.seek(0)
-                return _parse_csv(path, csv.reader(fh))
-        return _parse_plain(text) or _parse_csv(path, csv.reader(io.StringIO(text, newline="")))
+                for _ in _parse_cells(path, csv.reader(fh)):
+                    pass
+                raise
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: unreadable CSV: {exc}") from exc
+
+
+def _whole_lines(fh, size: int):
+    """The text of ``fh`` in pieces of whole lines, read ``size`` characters
+    at a time: a partial last line waits for the rest of its text."""
+    pending: list[str] = []
+    while piece := fh.read(size):
+        # a final \r may be the first half of a \r\n
+        end = len(piece) - piece.endswith("\r")
+        cut = max(piece.rfind("\n", 0, end), piece.rfind("\r", 0, end)) + 1
+        if cut:
+            yield "".join(pending) + piece[:cut]
+            pending = []
+        pending.append(piece[cut:])
+    if rest := "".join(pending):
+        yield rest
+
+
+def _parse_blocks(path: str, texts):
+    header, lineno = None, 0
+    for text in texts:
+        block = _parse_plain(text, header)
+        if block is None:
+            lines = (line for t in chain([text], texts) for line in io.StringIO(t, newline=""))
+            yield from _parse_cells(path, csv.reader(lines), header, lineno)
+            return
+        header, data, body, records = block
+        lineno += records
+        if header is not None:
+            yield header, data, body
+    if header is None:
+        raise DataError(f"{path}: empty file, expected a header row")
 
 
 # Characters on which csv.reader or float() part from a split on "," and
@@ -93,41 +158,47 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray, list[str]]:
 _CSV_READER_CHARS = '"\x00\x1c\x1d\x1e\x1f'
 
 
-def _parse_plain(text: str) -> tuple[list[str], np.ndarray, list[str]] | None:
-    """What :func:`_parse_csv` returns for ``text``, read by numpy's C
-    parser, or None for text it might read otherwise, including all bad
-    input; :func:`_parse_csv` then names the bad row and column."""
+def _parse_plain(text: str, header: list[str] | None):
+    """What :func:`_parse_cells` yields for the whole lines ``text``,
+    read by numpy's C parser, as ``(header, data, lines, records)``; or
+    None for text it might read otherwise, including all bad input, and
+    :func:`_parse_cells` then names the bad row and column.  ``header``
+    is None until a block has read it; ``records`` counts the lines."""
     if any(c in text for c in _CSV_READER_CHARS):
         return None
     if "\r" in text:  # csv.reader's line ends: \n, \r\n and \r
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = text.split("\n")
+    records = len(lines) - (lines[-1] == "")
     if max(map(len, lines)) > csv.field_size_limit():
         return None
-    # blank lines are skipped, as are "#" lines before the header
-    start = next((i for i, line in enumerate(lines) if line and line[0] != "#"), None)
-    if start is None:
-        return None
-    header = [name.strip() for name in lines[start].split(",")]
-    if any(name.startswith("#") for name in header):
-        return None
-    body = [line for line in lines[start + 1 :] if line]
+    if header is None:
+        # blank lines are skipped, as are "#" lines before the header
+        start = next((i for i, line in enumerate(lines) if line and line[0] != "#"), None)
+        if start is None:
+            return None, None, None, records
+        header = [name.strip() for name in lines[start].split(",")]
+        if any(name.startswith("#") for name in header):
+            return None
+        lines = lines[start + 1 :]
+    body = [line for line in lines if line]
     if not body:  # loadtxt warns on empty input
-        return header, np.empty((0, len(header))), body
+        return header, np.empty((0, len(header))), body, records
     try:
         data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
     if data.shape != (len(body), len(header)) or not np.isfinite(data).all():
         return None
-    return header, data, body
+    return header, data, body, records
 
 
-def _parse_csv(path: str, reader) -> tuple[list[str], np.ndarray, list[str]]:
-    header: list[str] | None = None
+def _parse_cells(path: str, reader, header: list[str] | None = None, lineno: int = 0):
+    """Blocks of :func:`read_blocks` from a ``csv.reader`` whose first row
+    is row ``lineno + 1``, float() on every cell."""
     rows: list[list[float]] = []
     lines: list[str] = []
-    for lineno, row in enumerate(reader, start=1):
+    for lineno, row in enumerate(reader, start=lineno + 1):
         if not row or (row[0].startswith("#") and header is None):
             continue
         if header is None:
@@ -155,9 +226,12 @@ def _parse_csv(path: str, reader) -> tuple[list[str], np.ndarray, list[str]]:
             values.append(value)
         rows.append(values)
         lines.append(",".join(row))
+        if len(rows) == _CELL_ROWS:
+            yield header, np.array(rows, dtype=float), lines
+            rows, lines = [], []
     if header is None:
         raise DataError(f"{path}: empty file, expected a header row")
-    return header, np.array(rows, dtype=float).reshape(len(rows), len(header)), lines
+    yield header, np.array(rows, dtype=float).reshape(len(rows), len(header)), lines
 
 
 def _write(path: str, text: str) -> None:
@@ -273,12 +347,49 @@ def cmd_fit(args) -> int:
     return 0
 
 
+@contextmanager
+def _atomic_output(path: str | None):
+    """A text file for output that appears whole or not at all.
+
+    A regular file (or a new one) is written through a temporary file in
+    its directory and replaced on success; standard output is spooled to
+    a temporary file and copied at the end.  Anything else, such as
+    ``/dev/null`` or a FIFO, is written in place: replacing it would
+    turn it into a regular file.
+    """
+    if path is None:
+        with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
+            yield spool
+            spool.seek(0)
+            shutil.copyfileobj(spool, sys.stdout)
+        return
+    path = os.path.realpath(path)  # through a symlink, not over it
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        if os.path.exists(path):  # a replaced file keeps its permissions
+            shutil.copymode(path, tmp)
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def cmd_predict(args) -> int:
+    """Score the input one block at a time: read, score and write a block
+    of rows, so memory stays flat as the row count grows."""
     try:
         model = SdrnModel.load(args.model)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"cannot load model {args.model}: {exc}") from exc
-    header, data, rows = read_csv(args.input)
+    blocks = read_blocks(args.input)
+    header, data, lines = next(blocks)
     if model.column_names:
         missing = [c for c in model.column_names if c not in header]
         if missing:
@@ -294,22 +405,35 @@ def cmd_predict(args) -> int:
     logistic = model.loss.kind == "logistic"
     if logistic:
         out_header.append("probability")
-    lines = [f"# sdrn-predict model={args.model} schema_version=1"]
-    lines.append(",".join(out_header))
-    if rows:
-        scores = model.predict(data[:, order])
-        # each input row as read, then repr of each score, as _format writes it
-        if logistic:
-            probs = sigmoid(scores).tolist()
-            lines.extend(f"{row},{s!r},{q!r}" for row, s, q in zip(rows, scores.tolist(), probs))
-        else:
-            lines.extend(f"{row},{s!r}" for row, s in zip(rows, scores.tolist()))
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        _write(args.output, text)
-    else:
-        sys.stdout.write(text)
+    # each scored block starts on a product_scores row block, so every
+    # score is bitwise what one call on the whole file gives
+    step = model.feature_map().plan.rows
+    X, rows = np.empty((0, model.d)), []
+    try:
+        with _atomic_output(args.output) as out:
+            out.write(f"# sdrn-predict model={args.model} schema_version={MODEL_SCHEMA_VERSION}\n")
+            out.write(",".join(out_header) + "\n")
+            for _, data, lines in chain([(header, data, lines)], blocks):
+                X, rows = np.concatenate([X, data[:, order]]), rows + lines
+                n = len(rows) - len(rows) % step
+                _write_scores(out, model, X[:n], rows[:n], logistic)
+                X, rows = X[n:], rows[n:]
+            _write_scores(out, model, X, rows, logistic)
+    except OSError as exc:
+        raise DataError(f"cannot write {args.output or 'standard output'}: {exc}") from exc
     return 0
+
+
+def _write_scores(out, model: SdrnModel, X: np.ndarray, rows: list[str], logistic: bool) -> None:
+    """Each input row as read, then repr of its score (and probability), as _format writes it."""
+    if not rows:
+        return
+    scores = model.predict(X)
+    if logistic:
+        probs = sigmoid(scores).tolist()
+        out.write("".join(f"{row},{s!r},{q!r}\n" for row, s, q in zip(rows, scores.tolist(), probs)))
+    else:
+        out.write("".join(f"{row},{s!r}\n" for row, s in zip(rows, scores.tolist())))
 
 
 def _parse_grid(text: str, cast) -> tuple:

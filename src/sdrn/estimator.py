@@ -19,12 +19,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count
 
 import numpy as np
 
 from .losses import LossInputError, LossSpec, loss_curvature, loss_subgradient, loss_value, sigmoid
-from .relu_product import MAX_R, product_features, product_scores
+from .relu_product import MAX_R, ProductPlan, product_features, product_plan, product_scores
 from .sparse_grid import SparseGridBasis, basis_size, enumerate_basis
 
 MODEL_SCHEMA_VERSION = 1
@@ -90,18 +91,27 @@ class FeatureMap:
     :func:`~sdrn.relu_product.product_features`, which computes subtrees
     shared between ids once.  Calling the map builds the ``n x p``
     feature matrix, which only fits need; :meth:`scores` gives
-    ``features @ coef`` without it.
+    ``features @ coef`` without it.  Both use :attr:`plan`, the product
+    trees planned on first use, so a map evaluated many times plans once.
     """
 
     basis: SparseGridBasis
     R: int
 
+    @cached_property
+    def plan(self) -> ProductPlan:
+        return product_plan(self.basis.levels, self.basis.nodes)
+
     def __call__(self, X01: np.ndarray) -> np.ndarray:
-        return product_features(self.R, self.basis.levels, self.basis.nodes, self._points(X01))
+        return product_features(
+            self.R, self.basis.levels, self.basis.nodes, self._points(X01), self.plan
+        )
 
     def scores(self, X01: np.ndarray, coef: np.ndarray) -> np.ndarray:
         """``self(X01) @ coef``, evaluated per row block with no ``n x p`` array."""
-        return product_scores(self.R, self.basis.levels, self.basis.nodes, self._points(X01), coef)
+        return product_scores(
+            self.R, self.basis.levels, self.basis.nodes, self._points(X01), coef, self.plan
+        )
 
     def _points(self, X01: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X01, dtype=float))

@@ -10,7 +10,8 @@ r"""ReLU approximation of products, from tooth functions to basis features.
 * ``product_features``, the product-tree evaluator: the d hat factors
   of many basis functions multiplied through binary trees of pair
   products, accurate to ``3 * 2**(-2R-2) * (d-1)``, with every distinct
-  subtree evaluated once; ``approx_basis_eval`` applies it to one id;
+  subtree evaluated once; ``product_plan`` plans the trees once for any
+  number of points, and ``approx_basis_eval`` applies them to one id;
 * ``product_pairs``, the same trees for k (id, point) pairs, id i at
   point i only: the diagonal of ``product_features`` without the table;
 * ``product_scores``, the same trees contracted against coefficients
@@ -34,7 +35,7 @@ import numpy as np
 
 from .sparse_grid import BasisId, hat_eval
 
-# cells of one tree-level table in a row block of _product_trees
+# cells of one tree-level table in a row block of _tree_blocks
 _BLOCK_CELLS = 1 << 16
 
 
@@ -103,25 +104,36 @@ def _polarise(R: int, x, y, fx, fy):
     return out
 
 
-def _product_trees(R: int, levels, nodes, X):
-    """Plan the product trees of k basis ids and run them below the root, per row block.
+@dataclass(frozen=True, eq=False)
+class ProductPlan:
+    """The product trees of k basis ids, planned once for any number of points.
 
-    ``levels`` and ``nodes`` are ``(k, d)`` integer arrays, one id per
-    row.  Adjacent factors are paired left to right per level, an
-    unpaired trailing factor is forwarded, and every pair output below
-    the root is clamped to [0, 1].  Each level is one array operation
-    over its distinct subtrees, so a hat, a subtree value and its f_R
-    are computed once however many ids share them.
-
-    Returns ``(root, top, blocks)``.  For ``d >= 2``, ``root`` is
+    ``leaves`` holds the distinct ``(coordinate, level, node)`` hats.
+    ``pairs`` holds, per level below the root, the ``(left, right)``
+    child rows of its distinct pairs and its ``forwarded`` rows, as rows
+    of the table of the level below.  For ``d >= 2``, ``root`` is
     ``(left, right, width)``, the child rows of the distinct root pairs
     in the ``width``-row table below the root, and ``top[i]`` is the
     root pair of id i; for ``d == 1``, ``root`` is None and ``top[i]``
-    is the leaf of id i.  ``blocks`` yields ``(rows, table)`` per row
-    block of ``X``: the row slice and the table below the root (the leaf
-    hats for ``d == 1``), one row per subtree and one column per point.
-    A block holds ``_BLOCK_CELLS`` cells of the widest level, the root's
-    included.
+    is the leaf of id i.  ``rows`` is the row-block size: a block holds
+    ``_BLOCK_CELLS`` cells of the widest level, the root's included.
+    """
+
+    leaves: np.ndarray
+    pairs: list
+    root: tuple | None
+    top: np.ndarray
+    rows: int
+
+
+def product_plan(levels, nodes) -> ProductPlan:
+    """Plan the product trees of k basis ids; it does not depend on R or the points.
+
+    ``levels`` and ``nodes`` are ``(k, d)`` integer arrays, one id per
+    row.  Adjacent factors are paired left to right per level, and an
+    unpaired trailing factor is forwarded.  Each level is one array
+    operation over its distinct subtrees, so a hat, a subtree value and
+    its f_R are computed once however many ids share them.
     """
     levels = np.asarray(levels, dtype=np.int64)
     k, d = levels.shape
@@ -129,58 +141,66 @@ def _product_trees(R: int, levels, nodes, X):
     triples = np.stack([coords, levels, np.asarray(nodes, dtype=np.int64)], axis=-1)
     leaves, idx = np.unique(triples.reshape(-1, 3), axis=0, return_inverse=True)
     idx = idx.reshape(k, d)
-    # per level: the distinct (left, right) child pairs and the forwarded
-    # rows, as rows of the table below; ``below`` is that table's width
-    plan, width, widest = [], len(leaves), len(leaves)
+    # ``below`` is the width of the table a level reads
+    pairs, width, widest = [], len(leaves), len(leaves)
     while idx.shape[1] > 1:
         q, below = idx.shape[1], width
         forwarded, last = np.unique(idx[:, q - q % 2 :], return_inverse=True)
         keys = idx[:, 0 : q - 1 : 2] * width + idx[:, 1:q:2]
-        pairs, inverse = np.unique(keys, return_inverse=True)
+        distinct, inverse = np.unique(keys, return_inverse=True)
         # inverses come flat before numpy 2
-        idx = np.column_stack([inverse.reshape(keys.shape), len(pairs) + last.reshape(k, q % 2)])
-        plan.append((*np.divmod(pairs, width), forwarded))
-        width = len(pairs) + len(forwarded)
+        idx = np.column_stack([inverse.reshape(keys.shape), len(distinct) + last.reshape(k, q % 2)])
+        pairs.append((*np.divmod(distinct, width), forwarded))
+        width = len(distinct) + len(forwarded)
         widest = max(widest, width)
     # the root level pairs the two halves and forwards nothing
-    root = (*plan.pop()[:2], below) if plan else None
-    step = max(1, _BLOCK_CELLS // widest)
-
-    def blocks():
-        for lo in range(0, X.shape[0], step):
-            rows = slice(lo, lo + step)
-            vals = hat_eval(leaves[:, 1:2], leaves[:, 2:3], X[rows, leaves[:, 0]].T)
-            for left, right, forwarded in plan:
-                squares = square_approx(R, vals)
-                prods = _polarise(R, vals[left], vals[right], squares[left], squares[right])
-                np.clip(prods, 0.0, 1.0, out=prods)
-                vals = np.concatenate([prods, vals[forwarded]])
-            yield rows, vals
-
-    return root, idx[:, 0], blocks()
+    root = (*pairs.pop()[:2], below) if pairs else None
+    return ProductPlan(leaves, pairs, root, idx[:, 0], max(1, _BLOCK_CELLS // widest))
 
 
-def product_features(R: int, levels, nodes, X) -> np.ndarray:
+def _tree_blocks(R: int, plan: ProductPlan, X):
+    """Run the trees of ``plan`` below the root, per row block of ``X``.
+
+    Yields ``(rows, table)`` per block: the row slice and the table
+    below the root (the leaf hats for ``d == 1``), one row per subtree
+    and one column per point.  Every pair output below the root is
+    clamped to [0, 1].
+    """
+    leaves = plan.leaves
+    for lo in range(0, X.shape[0], plan.rows):
+        rows = slice(lo, lo + plan.rows)
+        vals = hat_eval(leaves[:, 1:2], leaves[:, 2:3], X[rows, leaves[:, 0]].T)
+        for left, right, forwarded in plan.pairs:
+            squares = square_approx(R, vals)
+            prods = _polarise(R, vals[left], vals[right], squares[left], squares[right])
+            np.clip(prods, 0.0, 1.0, out=prods)
+            vals = np.concatenate([prods, vals[forwarded]])
+        yield rows, vals
+
+
+def product_features(R: int, levels, nodes, X, plan: ProductPlan | None = None) -> np.ndarray:
     """ReLU-product approximations of k tensor hat functions at n points.
 
     ``levels`` and ``nodes`` are ``(k, d)`` integer arrays, one basis id
     per row, and ``X`` is ``(n, d)``; the result is ``(n, k)``.  Column i
     multiplies the d hat values of id i through the binary tree of
-    :func:`_product_trees`, whose pair outputs below the root are clamped
+    :func:`product_plan`, whose pair outputs below the root are clamped
     to [0, 1] (ReLU-expressible; it keeps each pair product on the
     domain of its bound).  The deviation from the exact product is at
     most ``3 * 2**(-2R-2) * (d - 1)``; for ``d == 1`` it is 0.  Rows go
-    in blocks, so the output is the only ``n x k`` array.
+    in blocks, so the output is the only ``n x k`` array.  ``plan``, if
+    given, is ``product_plan(levels, nodes)``, built once by the caller.
     """
     X = np.asarray(X, dtype=float)
-    root, top, blocks = _product_trees(R, levels, nodes, X)
-    out = np.empty((X.shape[0], len(top)))
-    for rows, vals in blocks:
-        if root is not None:
-            left, right, _ = root
+    if plan is None:
+        plan = product_plan(levels, nodes)
+    out = np.empty((X.shape[0], len(plan.top)))
+    for rows, vals in _tree_blocks(R, plan, X):
+        if plan.root is not None:
+            left, right, _ = plan.root
             squares = square_approx(R, vals)
             vals = _polarise(R, vals[left], vals[right], squares[left], squares[right])
-        out[rows] = vals[top].T
+        out[rows] = vals[plan.top].T
     return out
 
 
@@ -189,7 +209,7 @@ def product_pairs(R: int, levels, nodes, X) -> np.ndarray:
 
     ``levels``, ``nodes`` and ``X`` are ``(k, d)``; the result is ``(k,)``.
     The ``(d, k)`` leaf hats are reduced level by level with the pairing,
-    forwarding and below-root clamp of :func:`_product_trees`.
+    forwarding and below-root clamp of :func:`product_features`.
     """
     vals = hat_eval(np.asarray(levels).T, np.asarray(nodes).T, np.asarray(X, dtype=float).T)
     while len(vals) > 1:
@@ -203,7 +223,7 @@ def product_pairs(R: int, levels, nodes, X) -> np.ndarray:
     return vals[0]
 
 
-def product_scores(R: int, levels, nodes, X, coef) -> np.ndarray:
+def product_scores(R: int, levels, nodes, X, coef, plan: ProductPlan | None = None) -> np.ndarray:
     """``product_features(R, levels, nodes, X) @ coef`` without any ``n x k`` array.
 
     ``coef`` is ``(k,)`` or ``(k, q)``; the result is ``(n,)`` or
@@ -213,14 +233,21 @@ def product_scores(R: int, levels, nodes, X, coef) -> np.ndarray:
     and each row block forms only the k midpoint f_R values and that
     table.  The result agrees with the product to rounding, and for a
     one-hot ``coef`` it is the feature column bitwise: every scaling is a
-    power of two and every other term is an exact zero.
+    power of two and every other term is an exact zero.  A row's
+    rounding depends on its offset in its ``plan.rows``-row block, so
+    rows scored in consecutive calls match one call bitwise only when
+    every call but the last holds whole blocks.  ``plan`` is as in
+    :func:`product_features`.
     """
     X = np.asarray(X, dtype=float)
     coef = np.asarray(coef, dtype=float)
-    root, top, blocks = _product_trees(R, levels, nodes, X)
+    if plan is None:
+        plan = product_plan(levels, nodes)
+    root, top = plan.root, plan.top
     if coef.shape[:1] != top.shape:
         raise ValueError(f"coef has shape {coef.shape}, need {len(top)} rows")
     out = np.empty(X.shape[:1] + coef.shape[1:])
+    blocks = _tree_blocks(R, plan, X)
     if root is None:
         for rows, vals in blocks:
             out[rows] = vals[top].T @ coef

@@ -3,8 +3,10 @@ import decimal
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -692,3 +694,100 @@ def test_simulate_below_32_rows(tmp_path):
 def test_simulate_logistic_on_a_regression_model_is_data_error(tmp_path, capsys):
     rc = cli.main(_simulate_argv(tmp_path, "--loss", "logistic"))
     _assert_data_error(rc, capsys, "kappa=1.0, c=-2, rep=0", "{0, 1}")
+
+
+def _covariate_csv(path, n, seed=0):
+    X = np.random.default_rng(seed).random((n, 5))
+    path.write_text("x1,x2,x3,x4,x5\n" + "".join(",".join(map(repr, row)) + "\n"
+                                               for row in X.tolist()), encoding="utf-8")
+    return X
+
+
+def test_predict_failing_late_leaves_no_output(tmp_path, capsys, monkeypatch):
+    # 4 KiB pieces: earlier blocks are scored and written before the last
+    # block's non-finite cell is read
+    _, model_path = _fit_small(tmp_path)
+    bad = tmp_path / "bad.csv"
+    _covariate_csv(bad, 1000)
+    bad.write_text(bad.read_text() + "0.1,0.2,inf,0.4,0.5\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "_PIECE", 4096)
+    capsys.readouterr()
+    before = sorted(p.name for p in tmp_path.iterdir())
+    existing = tmp_path / "old.csv"
+    for output in (tmp_path / "new.csv", existing, None):
+        if output == existing:
+            existing.write_bytes(b"kept\n")
+            existing.chmod(0o600)
+            before.append(existing.name)
+        argv = ["predict", "--model", str(model_path), "--input", str(bad)]
+        rc = cli.main(argv + (["--output", str(output)] if output else []))
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "non-finite value 'inf' at row 1002, column 'x3'" in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
+    assert existing.read_bytes() == b"kept\n"
+    # a successful run replaces the file and keeps its permissions
+    assert cli.main(["predict", "--model", str(model_path), "--input", str(tmp_path / "train.csv"),
+                     "--output", str(existing)]) == 0
+    assert stat.S_IMODE(existing.stat().st_mode) == 0o600 and existing.read_bytes() != b"kept\n"
+
+
+def test_predict_to_stdout_equals_output_file(tmp_path, capsys):
+    _, model_path = _fit_small(tmp_path)
+    new = tmp_path / "new.csv"
+    _covariate_csv(new, 300)
+    out = tmp_path / "pred.csv"
+    capsys.readouterr()
+    argv = ["predict", "--model", str(model_path), "--input", str(new)]
+    assert cli.main(argv + ["--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+def test_predict_writes_a_device_in_place(tmp_path):
+    _, model_path = _fit_small(tmp_path)
+    assert cli.main(["predict", "--model", str(model_path), "--input", str(tmp_path / "train.csv"),
+                     "--output", os.devnull]) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_streamed_predict_is_one_whole_call_bitwise(tmp_path, monkeypatch):
+    # 4 KiB pieces end mid row block; each scored block still starts on a
+    # row block, so the scores are those of one call on the whole array.
+    # A row's score depends on its offset in its row block (BLAS kernels
+    # sum a block's tail rows in another order), so a subset of rows
+    # agrees only to rounding
+    _, model_path = _fit_small(tmp_path)
+    model = SdrnModel.load(model_path)
+    new = tmp_path / "new.csv"
+    X = _covariate_csv(new, 3000)
+    monkeypatch.setattr(cli, "_PIECE", 4096)
+    out = tmp_path / "pred.csv"
+    assert cli.main(["predict", "--model", str(model_path), "--input", str(new),
+                     "--output", str(out)]) == 0
+    streamed = np.loadtxt(out, delimiter=",", skiprows=2)[:, -1]
+    whole = model.predict(X)
+    assert streamed.tobytes() == whole.tobytes()
+    for lo, hi in ((1, 2999), (1234, 2345), (2998, 3000)):
+        subset = model.predict(X[lo:hi])
+        assert np.max(np.abs(subset - whole[lo:hi])) <= 1e-12 * np.max(np.abs(whole))
+
+
+def test_predict_memory_stays_flat_as_rows_grow(tmp_path, monkeypatch):
+    # with 64 KiB pieces both files span many blocks; numpy registers its
+    # buffers with tracemalloc, so the peak counts arrays and strings
+    _, model_path = _fit_small(tmp_path)
+    monkeypatch.setattr(cli, "_PIECE", 1 << 16)
+    peaks = []
+    for n in (4000, 40000):
+        new = tmp_path / f"new{n}.csv"
+        _covariate_csv(new, n)
+        tracemalloc.start()
+        try:
+            assert cli.main(["predict", "--model", str(model_path), "--input", str(new),
+                             "--output", str(tmp_path / "pred.csv")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks

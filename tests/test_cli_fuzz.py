@@ -1,6 +1,7 @@
 """Property tests: every CSV and every numeric option ends in a documented
 exit code (0 ok, 1 usage, 2 data), never in an uncaught exception, and
-``read_csv`` reads every CSV as the per-cell ``csv.reader`` parser does.
+``read_csv`` reads every CSV as the per-cell ``csv.reader`` parser does,
+also when its block reader splits the text into many small pieces.
 
 The fuzzed sizes stay small on purpose: the basis-id cap is the only
 memory guard today, so a level-sum budget just under the cap on a wide
@@ -13,6 +14,7 @@ import csv
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
@@ -223,11 +225,28 @@ def csv_texts(draw):
     return text if draw(st.booleans()) else text[: -len(ends[-1])]
 
 
+def _read_in_pieces(path, piece):
+    """``read_csv`` with the block reader reading ``piece`` characters at a
+    time, and the per-cell path yielding a block every two rows."""
+    with mock.patch.object(cli, "_PIECE", piece), mock.patch.object(cli, "_CELL_ROWS", 2):
+        return _read_either(cli.read_csv, path)
+
+
+PIECES = (1, 7, 64, cli._PIECE)
+
+
 @settings(FUZZ, max_examples=300)
 @given(text=csv_texts())
 @example(text="x\n")  # header only
+@example(text="a,b")  # header only, no line end
 @example(text="a,b\r\n1,2\r\n#3,4\r\n")
 @example(text='a,b\n"1",2\n')  # quoted cells reach float() without their quotes
+@example(text="a,b\n" + "1,2\n" * 30 + '"3",4\n5,6\n')  # the first quote in a late block
+@example(text='a,b\n' + "1,2\n" * 30 + '"3\n4",5\n')  # a quoted line end in a late block
+@example(text="abc,de\r\n" + "1.5,2\r\n" * 20)  # \r\n split across 7-character pieces
+@example(text="a,b\r1,2\r\r3,4\r")  # \r line ends only
+@example(text="#" + "c" * 100 + "\n\n# more\n\r\na,b\n1,2\n")  # comments across pieces
+@example(text="a,b\n" + "1,2\n" * 30 + "1,x\n")  # a bad cell in a late block
 @example(text="a\n0." + "0" * csv.field_size_limit() + "1\n")  # past csv's field limit
 @example(text="a,b\n1,2\x0c3,4\n")  # one row with three fields, not two rows
 @example(text="a\n\x1c1\n")  # float() rejects \x1c
@@ -236,27 +255,48 @@ def test_read_csv_matches_the_per_cell_reader(text):
         path = Path(tmp) / "in.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        got, want = _read_either(cli.read_csv, path), _read_either(_reference_read_csv, path)
-    if isinstance(want, str):
-        assert got == want
-    else:
-        assert not isinstance(got, str), got
-        assert got[0] == want[0] and got[2] == want[2]
-        assert got[1].dtype == want[1].dtype and got[1].shape == want[1].shape
-        assert got[1].tobytes() == want[1].tobytes()
+        want = _read_either(_reference_read_csv, path)
+        for piece in PIECES:
+            got = _read_in_pieces(path, piece)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert not isinstance(got, str), got
+                assert got[0] == want[0] and got[2] == want[2]
+                assert got[1].dtype == want[1].dtype and got[1].shape == want[1].shape
+                assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_read_blocks_streams_the_rows(tmp_path):
+    # 1 KiB pieces split 2000 rows into blocks: the numpy path's blocks,
+    # then, from the first quote, the per-cell path's
+    path = tmp_path / "in.csv"
+    lines = ["0.5,0.25"] * 2000
+    lines[1500] = '"0.5",0.25'
+    path.write_text("a,b\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    with mock.patch.object(cli, "_PIECE", 1024), mock.patch.object(cli, "_CELL_ROWS", 100):
+        sizes = [len(data) for _, data, _ in cli.read_blocks(str(path))]
+    # a 1024-character piece holds 113 or 114 lines of 9 characters
+    switch = sizes.index(100)
+    assert set(sizes[:switch]) <= {113, 114} and sum(sizes[:switch]) <= 1500
+    assert set(sizes[switch:-1]) == {100} and sum(sizes) == 2000
 
 
 def test_read_csv_names_the_first_fault_the_stream_reaches():
-    # undecodable bytes past the first 8 KiB: a bad cell before them is named
+    # undecodable bytes past the first 8 KiB, and past the first piece: a
+    # bad cell before them is named, one after them is not
     rows = ["0.5,0.25"] * 2000
-    for bad_row in (None, 3):
-        cells = list(rows)
+    for bad_row in (None, 3, 1500, 2000):
+        cells = list(rows) + ["0.5,0.25"]
         if bad_row is not None:
             cells[bad_row] = "0.5,x"
-        data = ("a,b\n" + "\n".join(cells) + "\n").encode() + b"1,\xff\n"
+        text = "a,b\n" + "\n".join(cells[:2000]) + "\n"
+        data = text.encode() + b"1,\xff\n" + (cells[2000] + "\n").encode()
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "in.csv"
             path.write_bytes(data)
-            got, want = _read_either(cli.read_csv, path), _read_either(_reference_read_csv, path)
-        assert isinstance(want, str) and got == want
-        assert ("non-numeric value 'x'" in got) == (bad_row is not None)
+            want = _read_either(_reference_read_csv, path)
+            for piece in (7, 1024, cli._PIECE):
+                got = _read_in_pieces(path, piece)
+                assert isinstance(want, str) and got == want
+        assert ("non-numeric value 'x'" in got) == (bad_row in (3, 1500))

@@ -78,6 +78,27 @@ def test_feature_matrix_high_r_approaches_exact_tensor():
     assert np.max(np.abs(Phi - exact)) <= 3.0 * 2.0 ** -26 * 3
 
 
+def test_feature_map_plans_its_trees_once(monkeypatch):
+    calls = []
+    original = est.product_plan
+
+    def counting(levels, nodes):
+        calls.append(len(levels))
+        return original(levels, nodes)
+
+    monkeypatch.setattr(est, "product_plan", counting)
+    gen = np.random.default_rng(10)
+    basis = enumerate_basis(3, 2)
+    fmap = est.FeatureMap(basis=basis, R=5)
+    X, coef = gen.random((50, 3)), gen.standard_normal(len(basis))
+    Phi, scores = fmap(X), fmap.scores(X, coef)
+    assert fmap(X[:7]).tobytes() == Phi[:7].tobytes()
+    assert calls == [len(basis)]
+    # the planned and the unplanned calls agree bitwise
+    assert Phi.tobytes() == rp.product_features(5, basis.levels, basis.nodes, X).tobytes()
+    assert scores.tobytes() == rp.product_scores(5, basis.levels, basis.nodes, X, coef).tobytes()
+
+
 def test_feature_map_matches_graph_twins_across_row_blocks(monkeypatch):
     # a small block budget splits 257 rows (a prime) into several blocks,
     # the last one partial
@@ -87,7 +108,8 @@ def test_feature_map_matches_graph_twins_across_row_blocks(monkeypatch):
         fmap = est.FeatureMap(basis=enumerate_basis(d, m), R=4)
         whole = fmap(X[:, :d])
         monkeypatch.setattr(rp, "_BLOCK_CELLS", 1000)
-        Phi = fmap(X[:, :d])
+        # a new map: the block size is planned with the trees
+        Phi = est.FeatureMap(basis=fmap.basis, R=4)(X[:, :d])
         monkeypatch.undo()
         assert np.array_equal(Phi, whole)
         for col, bid in enumerate(fmap.basis):
