@@ -29,6 +29,8 @@ from .relu_product import MAX_R, ProductPlan, product_features, product_plan, pr
 from .sparse_grid import SparseGridBasis, basis_size, enumerate_basis
 
 MODEL_SCHEMA_VERSION = 1
+# the FitDiagnostics fields a model file stores
+SAVED_DIAGNOSTICS = ("final_objective", "epochs_run", "converged", "sup_norm")
 
 
 class ConstantColumnError(ValueError):
@@ -268,8 +270,10 @@ def _newton(
                 step, dir_f = Phi.T @ v, K @ v
             else:
                 rows = root > 0
-                A = Phi[rows] * root[rows, None]
+                A = Phi[rows]
+                A *= root[rows, None]
                 H = A.T @ A
+                del A  # so the next step's A is the only n x p temporary
                 H.flat[:: p + 1] += kappa
                 step = np.linalg.solve(H, grad)
                 dir_f = Phi @ step
@@ -359,10 +363,13 @@ def _quantile_ipm(
         """Active-set steps from a partition of the rows into free ones and
         ones held at the upper or the lower bound: the free ``alpha`` zero
         their residuals, then free rows beyond a bound move to it and bound
-        rows whose residual has the wrong sign become free.  Returns the
-        smallest (gap, gamma) met."""
+        rows whose residual has the wrong sign become free.  Stops before a
+        step with more than p free rows, whose Gram ``rows rows'`` would be
+        singular.  Returns the smallest (gap, gamma) met."""
         found = (np.inf, None)
         for _ in range(FINISH_STEPS):
+            if free.sum() > p:
+                break
             a = np.where(free, 0.0, np.where(upper, hi, lo))
             rows = Phi[free]
             gram = rows @ rows.T
@@ -397,7 +404,7 @@ def _quantile_ipm(
         gamma, r, gap = certify(alpha)
         candidates = [(gap, gamma)]
         free = (s >= z) & (t >= w)
-        if gap <= POLISH_GAP and free.sum() <= p:
+        if gap <= POLISH_GAP:
             candidates.append(finish(free, t * z < s * w))
         for cand_gap, cand_gamma in candidates:
             if cand_gap < best_gap:
@@ -550,12 +557,7 @@ class SdrnModel:
             "scaler": {"min": self.scaler.mins.tolist(), "max": self.scaler.maxs.tolist()},
             "columns": list(self.column_names) if self.column_names else None,
             "gamma": self.gamma.tolist(),
-            "diagnostics": {
-                "final_objective": self.diagnostics.final_objective,
-                "epochs_run": self.diagnostics.epochs_run,
-                "converged": self.diagnostics.converged,
-                "sup_norm": self.diagnostics.sup_norm,
-            }
+            "diagnostics": {name: getattr(self.diagnostics, name) for name in SAVED_DIAGNOSTICS}
             if self.diagnostics
             else None,
         }
@@ -572,12 +574,7 @@ class SdrnModel:
         )
         diag = None
         if doc.get("diagnostics"):
-            diag = FitDiagnostics(
-                final_objective=doc["diagnostics"]["final_objective"],
-                epochs_run=doc["diagnostics"]["epochs_run"],
-                converged=doc["diagnostics"]["converged"],
-                sup_norm=doc["diagnostics"]["sup_norm"],
-            )
+            diag = FitDiagnostics(**{name: doc["diagnostics"][name] for name in SAVED_DIAGNOSTICS})
         d, m, R = doc["d"], doc["m"], doc["R"]
         if m < 0 or not 1 <= R <= MAX_R:
             raise ValueError(f"need m >= 0 and 1 <= R <= {MAX_R}, got m={m!r}, R={R!r}")

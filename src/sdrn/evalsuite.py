@@ -19,7 +19,7 @@ measured-vs-bound outcomes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -178,11 +178,7 @@ class RegressionMetrics:
     avg_mse: float
 
     def as_dict(self) -> dict:
-        return {
-            "avg_bias2": self.avg_bias2,
-            "avg_variance": self.avg_variance,
-            "avg_mse": self.avg_mse,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -196,15 +192,7 @@ class ClassificationMetrics:
     auc: float
 
     def as_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "sensitivity": self.sensitivity,
-            "specificity": self.specificity,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "auc": self.auc,
-        }
+        return asdict(self)
 
 
 def regression_metrics(predictions: np.ndarray, truth: np.ndarray) -> RegressionMetrics:
@@ -481,14 +469,8 @@ def corner_bump(X: np.ndarray) -> np.ndarray:
 CORNER_BUMP_D2_NORM = 64.0
 
 
-def interpolation_decay_errors(
-    ms: Sequence[int], mc_points: int = 20_000, seed: int = 0
-) -> dict[int, float]:
-    """Monte-Carlo L2 error of the sparse interpolant of the corner bump."""
-    return _decay_errors({m: interpolate(corner_bump, 2, m) for m in ms}, mc_points, seed)
-
-
-def _decay_errors(interpolants: dict, mc_points: int = 20_000, seed: int = 0) -> dict[int, float]:
+def decay_errors(interpolants: dict, mc_points: int = 20_000, seed: int = 0) -> dict[int, float]:
+    """Monte-Carlo L2 error of each sparse interpolant ``{m: f_m}`` of the corner bump."""
     pts = rng.stream(seed, "interp-decay").random((mc_points, 2))
     truth = corner_bump(pts)
     return {m: float(np.sqrt(np.mean((fm(pts) - truth) ** 2))) for m, fm in interpolants.items()}
@@ -563,7 +545,7 @@ def verify_bounds() -> BoundReport:
             )
 
     interpolants = {m: interpolate(corner_bump, 2, m) for m in range(1, 7)}
-    errors = _decay_errors(interpolants)
+    errors = decay_errors(interpolants)
     for m in errors:
         bound = approximation_bound(2, m, CORNER_BUMP_D2_NORM, c_mu=1.0)
         err = errors[m]

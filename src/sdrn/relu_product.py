@@ -109,19 +109,16 @@ class ProductPlan:
     """The product trees of k basis ids, planned once for any number of points.
 
     ``leaves`` holds the distinct ``(coordinate, level, node)`` hats.
-    ``pairs`` holds, per level below the root, the ``(left, right)``
-    child rows of its distinct pairs and its ``forwarded`` rows, as rows
-    of the table of the level below.  For ``d >= 2``, ``root`` is
-    ``(left, right, width)``, the child rows of the distinct root pairs
-    in the ``width``-row table below the root, and ``top[i]`` is the
-    root pair of id i; for ``d == 1``, ``root`` is None and ``top[i]``
-    is the leaf of id i.  ``rows`` is the row-block size: a block holds
+    ``pairs`` holds, per tree level, the ``(left, right)`` child rows of
+    its distinct pairs and its ``forwarded`` rows, as rows of the table
+    of the level below; its last entry, for ``d >= 2``, is the root,
+    which forwards nothing.  ``top[i]`` is the root pair of id i, or for
+    ``d == 1`` its leaf.  ``rows`` is the row-block size: a block holds
     ``_BLOCK_CELLS`` cells of the widest level, the root's included.
     """
 
     leaves: np.ndarray
     pairs: list
-    root: tuple | None
     top: np.ndarray
     rows: int
 
@@ -141,10 +138,9 @@ def product_plan(levels, nodes) -> ProductPlan:
     triples = np.stack([coords, levels, np.asarray(nodes, dtype=np.int64)], axis=-1)
     leaves, idx = np.unique(triples.reshape(-1, 3), axis=0, return_inverse=True)
     idx = idx.reshape(k, d)
-    # ``below`` is the width of the table a level reads
     pairs, width, widest = [], len(leaves), len(leaves)
     while idx.shape[1] > 1:
-        q, below = idx.shape[1], width
+        q = idx.shape[1]
         forwarded, last = np.unique(idx[:, q - q % 2 :], return_inverse=True)
         keys = idx[:, 0 : q - 1 : 2] * width + idx[:, 1:q:2]
         distinct, inverse = np.unique(keys, return_inverse=True)
@@ -153,28 +149,33 @@ def product_plan(levels, nodes) -> ProductPlan:
         pairs.append((*np.divmod(distinct, width), forwarded))
         width = len(distinct) + len(forwarded)
         widest = max(widest, width)
-    # the root level pairs the two halves and forwards nothing
-    root = (*pairs.pop()[:2], below) if pairs else None
-    return ProductPlan(leaves, pairs, root, idx[:, 0], max(1, _BLOCK_CELLS // widest))
+    return ProductPlan(leaves, pairs, idx[:, 0], max(1, _BLOCK_CELLS // widest))
 
 
-def _tree_blocks(R: int, plan: ProductPlan, X):
-    """Run the trees of ``plan`` below the root, per row block of ``X``.
+def _tree_level(R: int, vals, left, right, forwarded, clamp: bool):
+    """One tree level of the table ``vals``, one row per subtree: the pair
+    products of its ``left`` and ``right`` rows, clamped to [0, 1] when
+    ``clamp`` (below the root), then its ``forwarded`` rows."""
+    squares = square_approx(R, vals)
+    prods = _polarise(R, vals[left], vals[right], squares[left], squares[right])
+    if clamp:
+        np.clip(prods, 0.0, 1.0, out=prods)
+    return np.concatenate([prods, vals[forwarded]])
 
-    Yields ``(rows, table)`` per block: the row slice and the table
-    below the root (the leaf hats for ``d == 1``), one row per subtree
-    and one column per point.  Every pair output below the root is
-    clamped to [0, 1].
+
+def _tree_blocks(R: int, plan: ProductPlan, X, levels: int):
+    """Run the first ``levels`` levels of the trees of ``plan``, per row block of ``X``.
+
+    Yields ``(rows, table)`` per block: the row slice and the table the
+    last level run gives (the leaf hats for ``levels == 0``), one row
+    per subtree and one column per point.
     """
-    leaves = plan.leaves
+    leaves, last = plan.leaves, len(plan.pairs) - 1
     for lo in range(0, X.shape[0], plan.rows):
         rows = slice(lo, lo + plan.rows)
         vals = hat_eval(leaves[:, 1:2], leaves[:, 2:3], X[rows, leaves[:, 0]].T)
-        for left, right, forwarded in plan.pairs:
-            squares = square_approx(R, vals)
-            prods = _polarise(R, vals[left], vals[right], squares[left], squares[right])
-            np.clip(prods, 0.0, 1.0, out=prods)
-            vals = np.concatenate([prods, vals[forwarded]])
+        for i, level in enumerate(plan.pairs[:levels]):
+            vals = _tree_level(R, vals, *level, clamp=i < last)
         yield rows, vals
 
 
@@ -195,11 +196,7 @@ def product_features(R: int, levels, nodes, X, plan: ProductPlan | None = None) 
     if plan is None:
         plan = product_plan(levels, nodes)
     out = np.empty((X.shape[0], len(plan.top)))
-    for rows, vals in _tree_blocks(R, plan, X):
-        if plan.root is not None:
-            left, right, _ = plan.root
-            squares = square_approx(R, vals)
-            vals = _polarise(R, vals[left], vals[right], squares[left], squares[right])
+    for rows, vals in _tree_blocks(R, plan, X, len(plan.pairs)):
         out[rows] = vals[plan.top].T
     return out
 
@@ -208,18 +205,13 @@ def product_pairs(R: int, levels, nodes, X) -> np.ndarray:
     """Id i's product-tree value at point i: the diagonal of ``product_features``, bitwise.
 
     ``levels``, ``nodes`` and ``X`` are ``(k, d)``; the result is ``(k,)``.
-    The ``(d, k)`` leaf hats are reduced level by level with the pairing,
-    forwarding and below-root clamp of :func:`product_features`.
+    The ``(d, k)`` leaf hats are reduced with the tree levels of
+    :func:`product_features`, pairing adjacent rows left to right.
     """
     vals = hat_eval(np.asarray(levels).T, np.asarray(nodes).T, np.asarray(X, dtype=float).T)
     while len(vals) > 1:
         q = len(vals)
-        left, right = slice(0, q - 1, 2), slice(1, q, 2)
-        squares = square_approx(R, vals)
-        prods = _polarise(R, vals[left], vals[right], squares[left], squares[right])
-        if q > 2:
-            np.clip(prods, 0.0, 1.0, out=prods)
-        vals = np.concatenate([prods, vals[q - q % 2 :]])
+        vals = _tree_level(R, vals, slice(0, q - 1, 2), slice(1, q, 2), slice(q - q % 2, q), q > 2)
     return vals[0]
 
 
@@ -243,22 +235,23 @@ def product_scores(R: int, levels, nodes, X, coef, plan: ProductPlan | None = No
     coef = np.asarray(coef, dtype=float)
     if plan is None:
         plan = product_plan(levels, nodes)
-    root, top = plan.root, plan.top
+    top = plan.top
     if coef.shape[:1] != top.shape:
         raise ValueError(f"coef has shape {coef.shape}, need {len(top)} rows")
     out = np.empty(X.shape[:1] + coef.shape[1:])
-    blocks = _tree_blocks(R, plan, X)
-    if root is None:
-        for rows, vals in blocks:
+    if not plan.pairs:
+        for rows, vals in _tree_blocks(R, plan, X, 0):
             out[rows] = vals[top].T @ coef
         return out
-    left, right, width = root
+    *below, (left, right, _) = plan.pairs
+    # the table below the root holds its level's pairs and forwarded rows
+    width =len(below[-1][0]) + len(below[-1][2]) if below else len(plan.leaves)
     at_root = np.zeros((len(left),) + coef.shape[1:])
     np.add.at(at_root, top, 2.0 * coef)
     at_children = np.zeros((width,) + coef.shape[1:])
     np.add.at(at_children, left, 0.25 * at_root)
     np.add.at(at_children, right, 0.25 * at_root)
-    for rows, vals in blocks:
+    for rows, vals in _tree_blocks(R, plan, X, len(below)):
         mids = vals[left]
         mids += vals[right]
         mids *= 0.5

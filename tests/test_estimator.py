@@ -260,6 +260,39 @@ def test_one_iteration_cap_stops_unconverged(loss):
         assert diag.final_objective < est.objective(np.zeros(12), Phi, y, loss, 0.5)
 
 
+def test_quantile_finish_solves_at_most_p_rows(monkeypatch):
+    # n >> p: an active-set step can free hundreds of rows, and a Gram of
+    # more than p of them is singular
+    gen = np.random.default_rng(0)
+    X = gen.random((4000, 5))
+    y = np.sin(2 * np.pi * X[:, 0]) + X[:, 1] * X[:, 2] + gen.standard_normal(4000)
+    sizes, solve = [], np.linalg.solve
+
+    def recording(a, b):
+        sizes.append(len(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    model = est.fit_sdrn(X, y, est.FitConfig(loss=LossSpec("quantile", tau=0.5)), m=1)
+    assert len(model.gamma) == 112 and max(sizes) <= 112
+    assert model.diagnostics.converged
+
+
+def test_newton_holds_one_n_by_p_temporary():
+    # every logistic curvature is positive, so each primal step weights
+    # all rows of Phi
+    gen = np.random.default_rng(17)
+    Phi = gen.random((8000, 200))
+    y = (gen.random(8000) < 0.5).astype(float)
+    tracemalloc.start()
+    try:
+        _, steps = est._newton(Phi, y, LOGISTIC, 1.0, 100, 1e-12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert steps >= 2 and peak < 1.6 * Phi.nbytes
+
+
 def test_non_quadratic_losses_need_positive_kappa():
     for loss in (HUBER, LOGISTIC, QUANTILE):
         with pytest.raises(LossInputError):

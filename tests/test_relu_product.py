@@ -155,6 +155,18 @@ def _random_pairs(gen, d, m, count):
     return basis.levels[pick], basis.nodes[pick], gen.random((count, d))
 
 
+def test_product_plan_shape():
+    for d in range(1, 9):
+        basis = enumerate_basis(d, 2)
+        plan = rp.product_plan(basis.levels, basis.nodes)
+        # distinct ids have distinct trees: one last-level row per id
+        assert np.array_equal(np.sort(plan.top), np.arange(len(basis)))
+        assert len(plan.pairs) == math.ceil(math.log2(d))
+        if d > 1:
+            # the root is the last level, and it forwards nothing
+            assert len(plan.pairs[-1][2]) == 0
+
+
 def test_product_pairs_is_the_feature_diagonal():
     # d = 1 is leaf-only, d = 2 root-only, d = 3 and 5 forward a factor
     gen = np.random.default_rng(15)
