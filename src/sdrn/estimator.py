@@ -24,7 +24,7 @@ from itertools import count
 
 import numpy as np
 
-from .losses import LossInputError, LossSpec, loss_curvature, loss_subgradient, loss_value, sigmoid
+from .losses import LossInputError, LossSpec, loss_curvature, loss_subgradient, loss_value
 from .relu_product import MAX_R, ProductPlan, product_features, product_plan, product_scores
 from .sparse_grid import SparseGridBasis, basis_size, enumerate_basis
 
@@ -198,25 +198,56 @@ class FitDiagnostics:
     certificate: float = float("nan")
 
 
-def _ridge_solve(Phi: np.ndarray, y: np.ndarray, kappa: float) -> np.ndarray:
-    """The minimiser of ``|y - Phi gamma|^2 + kappa/2 |gamma|^2``.
-
-    For ``kappa > 0`` it solves ``(2 Phi'Phi + kappa I) gamma = 2 Phi'y``
-    by LU on the smaller Gram matrix: the primal one when ``p <= n``,
-    else the dual ``(2 Phi Phi' + kappa I) alpha = 2 y`` with
-    ``gamma = Phi' alpha``.  For ``kappa = 0`` it returns the minimum-norm
-    least-squares solution, the ``kappa -> 0`` limit.
-    """
-    if kappa == 0:
-        return np.linalg.lstsq(Phi, y, rcond=None)[0]
+def _gram(Phi: np.ndarray) -> np.ndarray | None:
+    """``K = Phi Phi'`` when ``p > n``, else None: the one place that
+    decides on which side :func:`_weighted_ridge` solves."""
     n, p = Phi.shape
-    dual = p > n
-    gram = Phi @ Phi.T if dual else Phi.T @ Phi
-    gram *= 2.0
-    gram.flat[:: gram.shape[0] + 1] += kappa
-    if dual:
-        return Phi.T @ np.linalg.solve(gram, 2.0 * y)
-    return np.linalg.solve(gram, 2.0 * (Phi.T @ y))
+    return Phi @ Phi.T if p > n else None
+
+
+def _weighted_ridge(Phi: np.ndarray, w: float | np.ndarray, kappa: float, K: np.ndarray | None = None):
+    """The solve ``u -> (x, s)`` of the weighted ridge system on ``Phi``,
+
+        x = (kappa I + Phi' W Phi)^-1 Phi' u,   s = kappa (kappa I + W K)^-1 u,
+
+    with ``W = diag(w) >= 0`` (a scalar ``w`` stands for ``w I``) and
+    ``K = Phi Phi'``; the push-through identity ties them by
+    ``s = u - W Phi x``.  When ``p <= n`` it solves the p x p system for
+    ``x`` over the rows with ``w > 0``; when ``p > n`` the n x n system
+    ``(kappa I + W K) v = u``, with ``x = Phi' v`` and ``s = kappa v``.
+    A caller that solves for many ``w`` passes ``K`` from :func:`_gram`;
+    otherwise it is formed here and weighted in place.
+    """
+    scale = w if np.ndim(w) == 0 else w[:, None]
+    if K is None:
+        M = _gram(Phi)
+        if M is not None:
+            M *= scale
+    else:
+        M = scale * K
+    if M is not None:
+        M.flat[:: M.shape[0] + 1] += kappa
+
+        def solve(u):
+            v = np.linalg.solve(M, u)
+            return Phi.T @ v, kappa * v
+
+        return solve
+    if np.ndim(w) == 0:
+        H = Phi.T @ Phi
+        H *= w
+    else:
+        rows = w > 0
+        A = Phi[rows]  # the one n x p temporary, freed on return
+        A *= np.sqrt(w[rows])[:, None]
+        H = A.T @ A
+    H.flat[:: H.shape[0] + 1] += kappa
+
+    def solve(u):
+        x = np.linalg.solve(H, Phi.T @ u)
+        return x, u - w * (Phi @ x)
+
+    return solve
 
 
 # Armijo sufficient-decrease fraction, and the step length below which
@@ -235,24 +266,19 @@ def _newton(
     the Huber and logistic risks.
 
     The Hessian is ``Phi' W Phi + kappa I``, with ``W`` the loss
-    curvature at the current scores.  When ``p <= n`` each step solves
-    that p x p system.  When ``p > n`` the iterate stays in the row
-    space, ``gamma = Phi' beta``, so the gradient is ``Phi' u`` with
-    ``u = loss' + kappa beta`` and the step is ``Phi' v`` with
-    ``(W K + kappa I) v = u``, solved through the symmetric
-    ``W^1/2 K W^1/2 + kappa I`` on ``K = Phi Phi'``, formed once.  It
+    curvature at the current scores ``f``, so the Newton point is the
+    weighted ridge fit of the working response: the ``x`` of
+    :func:`_weighted_ridge` at ``u = W f - loss'``, and the step is
+    ``gamma - x``.  When ``p > n`` the Gram ``K`` is formed once.  It
     stops when ``|gradient|^2 / (2 kappa)``, which bounds the distance to
     the minimum by kappa-strong convexity, is at most ``tol`` times the
     objective, after ``max_iter`` steps, after ``PATIENCE`` steps that do
     not lower the objective, or when the line search stalls.  Returns the
     iterate and the number of steps taken.
     """
-    n, p = Phi.shape
-    kernel = p > n
-    K = Phi @ Phi.T if kernel else None
-    beta = np.zeros(n)
-    gamma = np.zeros(p)
-    f = np.zeros(n)
+    K = _gram(Phi)
+    gamma = np.zeros(Phi.shape[1])
+    f = np.zeros(len(y))
     value = float(np.sum(loss_value(loss, f, y)))
     stale = 0
     for it in count():
@@ -260,25 +286,12 @@ def _newton(
         grad = Phi.T @ slope_f + kappa * gamma
         if float(grad @ grad) / (2.0 * kappa) <= tol * value or it == max_iter or stale > PATIENCE:
             return gamma, it
-        root = np.sqrt(loss_curvature(loss, f, y))
+        w = loss_curvature(loss, f, y)
         try:
-            if kernel:
-                u = slope_f + kappa * beta
-                M = root[:, None] * K * root
-                M.flat[:: n + 1] += kappa
-                v = (u - root * np.linalg.solve(M, root * (K @ u))) / kappa
-                step, dir_f = Phi.T @ v, K @ v
-            else:
-                rows = root > 0
-                A = Phi[rows]
-                A *= root[rows, None]
-                H = A.T @ A
-                del A  # so the next step's A is the only n x p temporary
-                H.flat[:: p + 1] += kappa
-                step = np.linalg.solve(H, grad)
-                dir_f = Phi @ step
+            x, _ = _weighted_ridge(Phi, w, kappa, K)(w * f - slope_f)
         except np.linalg.LinAlgError:  # kappa too small to keep the Hessian regular
             return gamma, it
+        step, dir_f = gamma - x, f - Phi @ x
         slope = float(grad @ step)
         t = 1.0
         while True:
@@ -291,8 +304,6 @@ def _newton(
                 return gamma, it
         stale = 0 if cand_value < value else stale + 1
         gamma, f, value = cand, cand_f, cand_value
-        if kernel:
-            beta = beta - t * v
 
 
 # fraction of the distance to the boundary of the positive orthant that
@@ -329,8 +340,8 @@ def _quantile_ipm(
     iterates of their own, because recomputing them from ``alpha``
     rounds to zero at the bounds; ``z`` and ``w`` are their multipliers.
     Each Newton system ``(Phi Phi' / kappa + D) dalpha = b``, ``D``
-    diagonal, is solved by Woodbury through the p x p
-    ``kappa I + Phi' D^-1 Phi`` when ``p < n``, else directly.  For a
+    diagonal, gives ``dalpha`` as the ``s`` of :func:`_weighted_ridge`
+    at ``w = 1/D`` and ``u = b / D``.  For a
     feasible ``alpha`` the duality gap ``P(gamma) - D(alpha)`` is
     ``sum_i rho(r_i) - alpha_i r_i`` over the residuals ``r``, a sum of
     nonnegative terms; it certifies ``gamma``.
@@ -390,12 +401,11 @@ def _quantile_ipm(
             free, upper = new_free, new_upper
         return found
 
-    kernel = p >= n
-    Q = Phi @ Phi.T / kappa if kernel else None
+    K = _gram(Phi)
     alpha = np.full(n, tau - 0.5)
     s = np.full(n, 0.5)
     t = np.full(n, 0.5)
-    # multipliers that zero the initial dual residual Q alpha - y - z + w
+    # multipliers that zero the initial dual residual K alpha / kappa - y - z + w
     excess = Phi @ (Phi.T @ alpha) / kappa - y
     z = np.maximum(excess, 0.0) + 1.0
     w = np.maximum(-excess, 0.0) + 1.0
@@ -413,26 +423,11 @@ def _quantile_ipm(
         if best_gap <= tol or it == max_iter or stale > PATIENCE:
             break
         residual = -r - z + w
-        D = z / s + w / t
-        if kernel:
-            M = Q.copy()
-            M.flat[:: n + 1] += D
-
-            def solve(b):
-                return np.linalg.solve(M, b)
-
-        else:
-            Dinv = 1.0 / D
-            A = Phi * np.sqrt(Dinv)[:, None]
-            M = A.T @ A
-            M.flat[:: p + 1] += kappa
-
-            def solve(b):
-                return Dinv * (b - Phi @ np.linalg.solve(M, Phi.T @ (Dinv * b)))
-
+        Dinv = 1.0 / (z / s + w / t)
         try:
+            solve = _weighted_ridge(Phi, Dinv, kappa, K)
             # predictor: the affine-scaling direction
-            da = solve(-residual - z + w)
+            da = solve(Dinv * (-residual - z + w))[1]
             dz = -z - z * da / s
             dw = -w + w * da / t
             xi = min(1.0, _max_step((s, da), (t, -da), (z, dz), (w, dw)))
@@ -442,7 +437,7 @@ def _quantile_ipm(
             # corrector: centred towards target, with the second-order term
             r_sz = s * z + da * dz - target
             r_tw = t * w - da * dw - target
-            da = solve(-residual - r_sz / s + r_tw / t)
+            da = solve(Dinv * (-residual - r_sz / s + r_tw / t))[1]
         except np.linalg.LinAlgError:
             break
         dz = (-r_sz - z * da) / s
@@ -463,7 +458,9 @@ def _quantile_ipm(
 def adam_fit(Phi: np.ndarray, y: np.ndarray, config: FitConfig) -> tuple[np.ndarray, FitDiagnostics]:
     """Minimise the penalised empirical risk to a certified optimum.
 
-    The quadratic loss is minimised exactly by :func:`_ridge_solve`
+    The quadratic loss is minimised exactly, as the weighted ridge
+    system of :func:`_weighted_ridge` at ``w = 2``, ``u = 2 y``, or by
+    the minimum-norm least-squares solution, its limit, at ``kappa = 0``
     (``epochs_run`` 0, ``converged`` True).  The Huber and logistic
     losses run :func:`_newton` and the quantile loss
     :func:`_quantile_ipm`, at most ``config.epochs`` iterations each.
@@ -484,7 +481,10 @@ def adam_fit(Phi: np.ndarray, y: np.ndarray, config: FitConfig) -> tuple[np.ndar
     iterations = 0
     if loss.kind == "quadratic":
         try:
-            gamma = _ridge_solve(Phi, y, kappa)
+            if kappa == 0:
+                gamma = np.linalg.lstsq(Phi, y, rcond=None)[0]
+            else:
+                gamma = _weighted_ridge(Phi, 2.0, kappa)(2.0 * y)[0]
         except np.linalg.LinAlgError as exc:
             # for finite data the LU solve and the least-squares SVD succeed
             raise NonFiniteObjectiveError(f"exact ridge solve failed: {exc}") from exc
@@ -540,11 +540,6 @@ class SdrnModel:
         if X.shape[1] != self.d:
             raise ValueError(f"expected {self.d} covariates, got {X.shape[1]}")
         return self.feature_map().scores(self.scaler.transform(X), self.gamma)
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        if self.loss.kind != "logistic":
-            raise ValueError("probabilities are only defined for the logistic loss")
-        return sigmoid(self.predict(X))
 
     def to_json(self) -> dict:
         return {

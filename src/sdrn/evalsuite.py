@@ -295,9 +295,6 @@ class SimulationReport:
                 return cell
         raise KeyError(f"no cell for kappa={kappa}, c={c}")
 
-    def best_cell(self, key: str = "avg_mse") -> GridCell:
-        return min(self.cells, key=lambda cell: cell.metrics.as_dict()[key])
-
     def config_line(self) -> str:
         return (
             f"model={self.spec.model_id} n={self.spec.n} noise={self.spec.noise} "

@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import minimize
 
 from sdrn import estimator as est
-from sdrn.losses import LossInputError, LossSpec, loss_value
+from sdrn.losses import LossInputError, LossSpec, loss_value, sigmoid
 from sdrn import relu_product as rp
 from sdrn.relu_product import approx_basis_eval
 from sdrn.sparse_grid import enumerate_basis, tensor_hat_eval
@@ -223,7 +223,8 @@ def _scipy_minimiser(Phi, y, loss, kappa):
 
 
 @pytest.mark.parametrize("loss", [HUBER, LOGISTIC, QUANTILE], ids=lambda loss: loss.kind)
-@pytest.mark.parametrize("n, p", [(40, 12), (25, 40)], ids=["p<n", "p>n"])
+# p = n is where the solves switch sides
+@pytest.mark.parametrize("n, p", [(40, 12), (30, 30), (25, 40)], ids=["p<n", "p=n", "p>n"])
 def test_exact_fits_match_scipy_optimize(loss, n, p):
     Phi, y = _problem(loss, n, p)
     kappa = 0.5
@@ -278,19 +279,32 @@ def test_quantile_finish_solves_at_most_p_rows(monkeypatch):
     assert model.diagnostics.converged
 
 
-def test_newton_holds_one_n_by_p_temporary():
-    # every logistic curvature is positive, so each primal step weights
-    # all rows of Phi
-    gen = np.random.default_rng(17)
-    Phi = gen.random((8000, 200))
-    y = (gen.random(8000) < 0.5).astype(float)
+@pytest.mark.parametrize(
+    "loss, n, p, limit",
+    [
+        # every logistic curvature is positive, so each primal step weights
+        # all rows of Phi: one copy, freed before the next step's
+        (LOGISTIC, 8000, 200, lambda Phi: 1.6 * Phi.nbytes),
+        # K and its weighted copy: no third n x n matrix
+        (LOGISTIC, 600, 2400, lambda Phi: 3 * 600 ** 2 * 8),
+        # one weighted copy of Phi, freed before the next iteration's
+        (QUANTILE, 4000, 300, lambda Phi: 1.6 * Phi.nbytes),
+        # the p x p Gram, no copy of Phi
+        (QUADRATIC, 4000, 300, lambda Phi: 0.25 * Phi.nbytes),
+    ],
+    ids=["tall-newton", "wide-newton", "tall-quantile", "tall-ridge"],
+)
+def test_fit_peak_memory(loss, n, p, limit):
+    Phi, y = _problem(loss, n, p)
     tracemalloc.start()
     try:
-        _, steps = est._newton(Phi, y, LOGISTIC, 1.0, 100, 1e-12)
+        _, diag = est.adam_fit(Phi, y, est.FitConfig(loss=loss, kappa=0.5))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert steps >= 2 and peak < 1.6 * Phi.nbytes
+    assert diag.converged and peak < limit(Phi)
+    # a second step or iteration must not hold the first one's temporaries
+    assert loss.kind == "quadratic" or diag.epochs_run >= 2
 
 
 def test_non_quadratic_losses_need_positive_kappa():
@@ -301,9 +315,9 @@ def test_non_quadratic_losses_need_positive_kappa():
 
 
 def test_adam_matches_ridge_closed_form():
-    # primal Gram for p < n, dual Gram for p > n
+    # primal Gram for p <= n, dual Gram for p > n
     gen = np.random.default_rng(7)
-    for n, p in ((50, 20), (20, 50)):
+    for n, p in ((50, 20), (30, 30), (20, 50)):
         Phi = gen.random((n, p))
         y = gen.standard_normal(n)
         for lam in (0.5, 2.0):
@@ -457,11 +471,7 @@ def test_model_from_json_rejects_inconsistent_files():
 def test_logistic_prediction_threshold():
     model, X = _small_model(loss=LossSpec("logistic"))
     model.gamma[:] = 0.0  # score 0 everywhere: sigmoid = 0.5
-    probs = model.predict_proba(X[:5])
-    assert np.all(probs == 0.5)
-    plain, _ = _small_model()
-    with pytest.raises(ValueError):
-        plain.predict_proba(X[:3])
+    assert np.all(sigmoid(model.predict(X[:5])) == 0.5)
 
 
 def test_fit_sup_norm_diagnostic():

@@ -198,9 +198,7 @@ def test_run_replications_smoke_and_determinism():
     again = ev.run_replications(spec, cfg, reps=1, kappas=(0.5, 1.0), cs=(-2, -1))
     assert report.to_csv() == again.to_csv()
     assert report.cell(0.5, -2).m == 0
-    assert report.best_cell().metrics.avg_mse == min(
-        c.metrics.avg_mse for c in report.cells
-    )
+    assert [(c.kappa, c.c) for c in report.cells] == [(0.5, -2), (1.0, -2), (0.5, -1), (1.0, -1)]
 
 
 def test_run_replications_labels_each_fit_with_its_cell(monkeypatch):
