@@ -76,37 +76,37 @@ _PIECE = 1 << 20
 _CELL_ROWS = 1 << 14
 
 
-def read_csv(path: str) -> tuple[list[str], np.ndarray, list[str]]:
+def read_csv(path: str) -> tuple[list[str], np.ndarray]:
     """Read a numeric CSV with a header row; report bad cells by row/column.
 
-    Returns the header, the ``(rows, columns)`` float array and each data
-    row's cells as read, joined by ``,``: where the text has no quotes,
-    that is the data line itself.  It concatenates the blocks of
-    :func:`read_blocks`.
+    Returns the header and the ``(rows, columns)`` float array, the
+    blocks of :func:`read_blocks` concatenated; their row texts are
+    dropped block by block, so only the array is held.
     """
-    parts, lines = [], []
-    for header, data, block_lines in read_blocks(path):
+    parts = []
+    for header, data, _ in read_blocks(path):
         parts.append(data)
-        lines += block_lines
-    return header, np.concatenate(parts), lines
+    return header, np.concatenate(parts)
 
 
 def read_blocks(path: str):
     """Read a numeric CSV as :func:`read_csv` does, one block at a time.
 
-    Yields ``(header, data, lines)`` per block of whole lines of about
-    ``_PIECE`` characters, at least one block once the header is read.
-    Each block goes through numpy's C parser where it can
-    (:func:`_parse_plain`); from the first block it cannot take, the rest
-    of the stream goes through the per-cell ``csv.reader`` path
-    (:func:`_parse_cells`), with row numbers counted from the file's
-    start.  A data error in a late block is raised after the earlier
-    blocks were yielded.
+    Yields ``(header, data, lines)`` per block, at least one block once
+    the header is read; ``lines`` holds each data row's cells as read,
+    joined by ``,``: where the text has no quotes, that is the data line
+    itself.  A block is the text of ``fh.read(_PIECE)`` plus the rest of
+    its last line from ``fh.readline()``, so it ends on a line end, and
+    goes through numpy's C parser where it can (:func:`_parse_plain`);
+    from the first block it cannot take, the rest of the stream goes
+    through the per-cell ``csv.reader`` path (:func:`_parse_cells`),
+    with row numbers counted from the file's start.  A data error in a
+    late block is raised after the earlier blocks were yielded.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             try:
-                yield from _parse_blocks(path, _whole_lines(fh, _PIECE))
+                yield from _parse_blocks(path, iter(lambda: fh.read(_PIECE) + fh.readline(), ""))
             except UnicodeDecodeError:
                 # parsed as a stream, a bad cell before the undecodable
                 # bytes is reported first: this rescan raises one or the other
@@ -118,22 +118,6 @@ def read_blocks(path: str):
         raise DataError(f"cannot open {path}: {exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: unreadable CSV: {exc}") from exc
-
-
-def _whole_lines(fh, size: int):
-    """The text of ``fh`` in pieces of whole lines, read ``size`` characters
-    at a time: a partial last line waits for the rest of its text."""
-    pending: list[str] = []
-    while piece := fh.read(size):
-        # a final \r may be the first half of a \r\n
-        end = len(piece) - piece.endswith("\r")
-        cut = max(piece.rfind("\n", 0, end), piece.rfind("\r", 0, end)) + 1
-        if cut:
-            yield "".join(pending) + piece[:cut]
-            pending = []
-        pending.append(piece[cut:])
-    if rest := "".join(pending):
-        yield rest
 
 
 def _parse_blocks(path: str, texts):
@@ -234,14 +218,6 @@ def _parse_cells(path: str, reader, header: list[str] | None = None, lineno: int
     yield header, np.array(rows, dtype=float).reshape(len(rows), len(header)), lines
 
 
-def _write(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from exc
-
-
 def _format(value: float) -> str:
     return repr(float(value))
 
@@ -303,7 +279,7 @@ def cmd_fit(args) -> int:
         )
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    header, data, _ = read_csv(args.input)
+    header, data = read_csv(args.input)
     if args.target not in header:
         raise DataError(f"target column {args.target!r} not found in {args.input}")
     if len(header) < 2:
@@ -318,10 +294,7 @@ def cmd_fit(args) -> int:
         model = fit_sdrn(X, y, config, m=args.m, R=args.r, column_names=columns)
     except ConstantColumnError as exc:
         raise DataError(str(exc)) from exc
-    try:
-        model.save(args.model_out)
-    except OSError as exc:
-        raise DataError(f"cannot write {args.model_out}: {exc}") from exc
+    _write(args.model_out, json.dumps(model.to_json(), indent=2, sort_keys=True) + "\n")
     diag: FitDiagnostics = model.diagnostics
     net = implied_network_complexity(model.d, len(model.gamma), model.R)
     sched_m, sched_R = hyperparams_from_n(len(y), c_offset)
@@ -352,33 +325,45 @@ def _atomic_output(path: str | None):
     """A text file for output that appears whole or not at all.
 
     A regular file (or a new one) is written through a temporary file in
-    its directory and replaced on success; standard output is spooled to
-    a temporary file and copied at the end.  Anything else, such as
-    ``/dev/null`` or a FIFO, is written in place: replacing it would
-    turn it into a regular file.
+    its directory and replaced on success; standard output (``None``) is
+    spooled to a temporary file and copied at the end.  Anything else,
+    such as ``/dev/null`` or a FIFO, is written in place: replacing it
+    would turn it into a regular file.  An ``OSError`` on the way, the
+    writes of the ``with`` body included, is raised as a
+    :class:`DataError` naming the output.
     """
-    if path is None:
-        with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
-            yield spool
-            spool.seek(0)
-            shutil.copyfileobj(spool, sys.stdout)
-        return
-    path = os.path.realpath(path)  # through a symlink, not over it
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
-        return
-    tmp = f"{path}.{os.getpid()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8")
     try:
-        if os.path.exists(path):  # a replaced file keeps its permissions
-            shutil.copymode(path, tmp)
-        with fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        if path is None:
+            with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
+                yield spool
+                spool.seek(0)
+                shutil.copyfileobj(spool, sys.stdout)
+            return
+        target = os.path.realpath(path)  # through a symlink, not over it
+        if os.path.exists(target) and not os.path.isfile(target):
+            with open(target, "w", encoding="utf-8") as fh:
+                yield fh
+            return
+        tmp = f"{target}.{os.getpid()}.tmp"
+        fh = open(tmp, "x", encoding="utf-8")
+        try:
+            if os.path.exists(target):  # a replaced file keeps its permissions
+                shutil.copymode(target, tmp)
+            with fh:
+                yield fh
+            os.replace(tmp, target)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise DataError(f"cannot write {'standard output' if path is None else path}: {exc}") from exc
+
+
+def _write(path: str | None, text: str) -> None:
+    """Write the finished ``text`` to ``path`` (standard output for None)
+    through :func:`_atomic_output`."""
+    with _atomic_output(path) as out:
+        out.write(text)
 
 
 def cmd_predict(args) -> int:
@@ -409,18 +394,15 @@ def cmd_predict(args) -> int:
     # score is bitwise what one call on the whole file gives
     step = model.feature_map().plan.rows
     X, rows = np.empty((0, model.d)), []
-    try:
-        with _atomic_output(args.output) as out:
-            out.write(f"# sdrn-predict model={args.model} schema_version={MODEL_SCHEMA_VERSION}\n")
-            out.write(",".join(out_header) + "\n")
-            for _, data, lines in chain([(header, data, lines)], blocks):
-                X, rows = np.concatenate([X, data[:, order]]), rows + lines
-                n = len(rows) - len(rows) % step
-                _write_scores(out, model, X[:n], rows[:n], logistic)
-                X, rows = X[n:], rows[n:]
-            _write_scores(out, model, X, rows, logistic)
-    except OSError as exc:
-        raise DataError(f"cannot write {args.output or 'standard output'}: {exc}") from exc
+    with _atomic_output(args.output) as out:
+        out.write(f"# sdrn-predict model={args.model} schema_version={MODEL_SCHEMA_VERSION}\n")
+        out.write(",".join(out_header) + "\n")
+        for _, data, lines in chain([(header, data, lines)], blocks):
+            X, rows = np.concatenate([X, data[:, order]]), rows + lines
+            n = len(rows) - len(rows) % step
+            _write_scores(out, model, X[:n], rows[:n], logistic)
+            X, rows = X[n:], rows[n:]
+        _write_scores(out, model, X, rows, logistic)
     return 0
 
 
@@ -465,11 +447,7 @@ def cmd_simulate(args) -> int:
         if isinstance(exc.__cause__, (LossInputError, NonFiniteObjectiveError)):
             raise DataError(str(exc)) from exc
         raise
-    csv_text = report.to_csv()
-    if args.out_csv:
-        _write(args.out_csv, csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _write(args.out_csv or None, report.to_csv())
     if args.out_json:
         _write(args.out_json, json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
     return 0

@@ -375,20 +375,27 @@ def _quantile_ipm(
         ones held at the upper or the lower bound: the free ``alpha`` zero
         their residuals, then free rows beyond a bound move to it and bound
         rows whose residual has the wrong sign become free.  Stops before a
-        step with more than p free rows, whose Gram ``rows rows'`` would be
-        singular.  Returns the smallest (gap, gamma) met."""
+        step with more than p free rows, whose Gram would be singular.
+        Returns the smallest (gap, gamma) met."""
         found = (np.inf, None)
         for _ in range(FINISH_STEPS):
             if free.sum() > p:
                 break
             a = np.where(free, 0.0, np.where(upper, hi, lo))
-            rows = Phi[free]
-            gram = rows @ rows.T
+            # the free rows' Gram from K when it is formed (p > n), so that no
+            # copy of their rows of Phi is made; (K a)[free] still goes
+            # through Phi, as certify's scores do: from K it rounds otherwise
+            # and leaves larger gaps
+            if K is None:
+                rows = Phi[free]
+                gram, Ka = rows @ rows.T, lambda a: rows @ (Phi.T @ a)
+            else:
+                gram, Ka = K[np.ix_(free, free)], lambda a: (Phi @ (Phi.T @ a))[free]
             try:
                 # the second pass solves for the residuals the first one
                 # leaves (one step of iterative refinement)
                 for _ in range(2):
-                    a[free] += np.linalg.solve(gram, kappa * y[free] - rows @ (Phi.T @ a))
+                    a[free] += np.linalg.solve(gram, kappa * y[free] - Ka(a))
             except np.linalg.LinAlgError:
                 break
             gamma, r, gap = certify(a)
@@ -595,11 +602,6 @@ class SdrnModel:
             column_names=columns,
             diagnostics=diag,
         )
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
     @classmethod
     def load(cls, path) -> "SdrnModel":

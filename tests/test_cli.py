@@ -182,10 +182,15 @@ def _run_with_scipy_blocked(*argvs):
             "    rc = cli.main(argv)\n"
             "    if rc:\n"
             "        sys.exit(rc)\n")
+    done = _run_python(code)
+    assert done.returncode == 0, done.stderr
+
+
+def _run_python(code, *args):
+    # a fresh interpreter that imports this checkout's sdrn
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert done.returncode == 0, done.stderr
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env)
 
 
 def _write_binary_training_csv(path, n):
@@ -314,7 +319,7 @@ def test_quadratic_fit_builds_one_feature_matrix(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
     # M is the largest training residual, as predicting on the training rows gives it
     lines = capsys.readouterr().out.splitlines()
-    header, data, _ = cli.read_csv(str(train))
+    header, data = cli.read_csv(str(train))
     model = SdrnModel.load(model_path)
     m_bound = float(np.max(np.abs(model.predict(data[:, :-1]) - data[:, -1])))
     expected = f"lipschitz constant=2M={2.0 * m_bound!r} (M={m_bound!r})"
@@ -730,6 +735,58 @@ def test_predict_failing_late_leaves_no_output(tmp_path, capsys, monkeypatch):
     assert cli.main(["predict", "--model", str(model_path), "--input", str(tmp_path / "train.csv"),
                      "--output", str(existing)]) == 0
     assert stat.S_IMODE(existing.stat().st_mode) == 0o600 and existing.read_bytes() != b"kept\n"
+
+
+SIMULATE_SMALL = ["simulate", "--model", "1", "--n", "60", "--reps", "1", "--kappas", "1.0", "--cs=-2"]
+# the command run for each output, and whether that output exists before
+WHOLE_OR_ABSENT = {
+    "fit-model-out": (lambda tmp, out: _fit_argv(tmp, "--m", "0", model_out=out), True),
+    "simulate-out-csv": (lambda tmp, out: SIMULATE_SMALL + ["--out-csv", str(out)], True),
+    "simulate-out-json": (
+        lambda tmp, out: SIMULATE_SMALL + ["--out-csv", os.devnull, "--out-json", str(out)], False),
+    "simulate-stdout": (lambda tmp, out: SIMULATE_SMALL, False),
+    "verify-bounds-out-csv": (lambda tmp, out: ["verify-bounds", "--out-csv", str(out)], True),
+}
+
+
+@pytest.mark.parametrize("case", list(WHOLE_OR_ABSENT))
+def test_every_output_is_whole_or_absent(case, tmp_path):
+    # a 16-byte file size limit, below every output's size, fails the
+    # writes as a full disk would (SIGXFSZ ignored, so a write past it
+    # raises EFBIG): the command exits 2, an existing output keeps its
+    # bytes, a new one does not appear, no temporary file is left and
+    # nothing reaches standard output
+    argv, existing = WHOLE_OR_ABSENT[case]
+    out = tmp_path / "out"
+    argv = argv(tmp_path, out)
+    if existing:
+        out.write_bytes(b"old\n")
+    before = sorted(tmp_path.iterdir())
+    code = ("import resource, signal, sys\nfrom sdrn import cli\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (16, 16))\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    done = _run_python(code, *argv)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("sdrn: data error: cannot write") and done.stdout == ""
+    assert sorted(tmp_path.iterdir()) == before
+    assert not existing or out.read_bytes() == b"old\n"
+
+
+def test_read_csv_holds_only_its_array(tmp_path):
+    # each block's row texts are dropped as it is read, so what read_csv
+    # leaves allocated is its array; two pieces give two blocks
+    path = tmp_path / "in.csv"
+    _covariate_csv(path, 20000)
+    cli.read_csv(str(path))  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        header, data = cli.read_csv(str(path))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert data.shape == (20000, 5) and os.path.getsize(path) > cli._PIECE
+    assert held <= 1.1 * data.nbytes, held / data.nbytes
 
 
 def test_predict_to_stdout_equals_output_file(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Property tests: every CSV and every numeric option ends in a documented
 exit code (0 ok, 1 usage, 2 data), never in an uncaught exception, and
-``read_csv`` reads every CSV as the per-cell ``csv.reader`` parser does,
-also when its block reader splits the text into many small pieces.
+``read_csv`` and ``read_blocks`` read every CSV as the per-cell
+``csv.reader`` parser does, also when the block reader splits the text
+into many small pieces.
 
 The fuzzed sizes stay small on purpose: the basis-id cap is the only
 memory guard today, so a level-sum budget just under the cap on a wide
@@ -225,11 +226,21 @@ def csv_texts(draw):
     return text if draw(st.booleans()) else text[: -len(ends[-1])]
 
 
+def _read_blocks_joined(path):
+    """The header, the data and the row lines of ``read_blocks``,
+    concatenated over its blocks."""
+    parts, lines = [], []
+    for header, data, block_lines in cli.read_blocks(path):
+        parts.append(data)
+        lines += block_lines
+    return header, np.concatenate(parts), lines
+
+
 def _read_in_pieces(path, piece):
-    """``read_csv`` with the block reader reading ``piece`` characters at a
-    time, and the per-cell path yielding a block every two rows."""
+    """``read_blocks`` reading ``piece`` characters (and the rest of the
+    last line) at a time, the per-cell path yielding a block every two rows."""
     with mock.patch.object(cli, "_PIECE", piece), mock.patch.object(cli, "_CELL_ROWS", 2):
-        return _read_either(cli.read_csv, path)
+        return _read_either(_read_blocks_joined, path)
 
 
 PIECES = (1, 7, 64, cli._PIECE)
@@ -265,6 +276,12 @@ def test_read_csv_matches_the_per_cell_reader(text):
                 assert got[0] == want[0] and got[2] == want[2]
                 assert got[1].dtype == want[1].dtype and got[1].shape == want[1].shape
                 assert got[1].tobytes() == want[1].tobytes()
+        # read_csv is those blocks' header and data
+        got = _read_either(cli.read_csv, path)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
 
 
 def test_read_blocks_streams_the_rows(tmp_path):

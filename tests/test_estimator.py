@@ -289,10 +289,12 @@ def test_quantile_finish_solves_at_most_p_rows(monkeypatch):
         (LOGISTIC, 600, 2400, lambda Phi: 3 * 600 ** 2 * 8),
         # one weighted copy of Phi, freed before the next iteration's
         (QUANTILE, 4000, 300, lambda Phi: 1.6 * Phi.nbytes),
+        # K and the free rows' Gram from it, no copy of Phi's rows
+        (QUANTILE, 300, 1200, lambda Phi: 1.6 * Phi.nbytes),
         # the p x p Gram, no copy of Phi
         (QUADRATIC, 4000, 300, lambda Phi: 0.25 * Phi.nbytes),
     ],
-    ids=["tall-newton", "wide-newton", "tall-quantile", "tall-ridge"],
+    ids=["tall-newton", "wide-newton", "tall-quantile", "wide-quantile", "tall-ridge"],
 )
 def test_fit_peak_memory(loss, n, p, limit):
     Phi, y = _problem(loss, n, p)
