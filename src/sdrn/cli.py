@@ -280,6 +280,8 @@ def cmd_fit(args) -> int:
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     header, data = read_csv(args.input)
+    if repeated := sorted({h for h in header if header.count(h) > 1}):
+        raise DataError(f"{args.input}: column names {repeated} appear more than once")
     if args.target not in header:
         raise DataError(f"target column {args.target!r} not found in {args.input}")
     if len(header) < 2:
@@ -379,6 +381,8 @@ def cmd_predict(args) -> int:
         missing = [c for c in model.column_names if c not in header]
         if missing:
             raise DataError(f"{args.input}: missing model columns {missing}")
+        if repeated := [c for c in model.column_names if header.count(c) > 1]:
+            raise DataError(f"{args.input}: model columns {repeated} appear more than once")
         order = [header.index(c) for c in model.column_names]
     else:
         if len(header) != model.d:

@@ -173,8 +173,9 @@ class FitConfig:
     tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.kappa) and self.kappa >= 0):
-            raise ValueError(f"kappa must be finite and nonnegative, got {self.kappa!r}")
+        for name, value in (("kappa", self.kappa), ("tol", self.tol)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.kappa == 0 and self.loss.kind != "quadratic":
@@ -586,6 +587,8 @@ class SdrnModel:
         columns = tuple(doc["columns"]) if doc.get("columns") else None
         if mins.shape != (d,) or maxs.shape != (d,) or (columns and len(columns) != d):
             raise ValueError(f"scaler and columns must have d={d} entries")
+        if columns and len(set(columns)) != len(columns):
+            raise ValueError(f"columns must be distinct, got {list(columns)}")
         # the basis has over 2**m ids, so a large m is refused without counting
         if m >= gamma.size.bit_length() or gamma.shape != (basis_size(d, m),):
             raise ValueError(f"gamma has {gamma.size} entries, not the size of the d={d}, m={m} basis")

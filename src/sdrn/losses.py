@@ -10,6 +10,7 @@ arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ class LossInputError(ValueError):
 
 @dataclass(frozen=True)
 class LossSpec:
-    """Selects a loss: ``huber`` needs ``delta > 0``, ``quantile`` needs ``tau`` in (0, 1)."""
+    """Selects a loss: ``huber`` needs a finite ``delta > 0``, ``quantile`` needs ``tau`` in (0, 1)."""
 
     kind: str
     delta: float | None = None
@@ -33,8 +34,8 @@ class LossSpec:
         if self.kind not in KINDS:
             raise LossInputError(f"unknown loss kind {self.kind!r}; expected one of {KINDS}")
         if self.kind == "huber":
-            if self.delta is None or self.delta <= 0:
-                raise LossInputError("huber loss needs delta > 0")
+            if self.delta is None or not 0.0 < self.delta < math.inf:
+                raise LossInputError(f"huber loss needs a finite delta > 0, got {self.delta!r}")
         elif self.delta is not None:
             raise LossInputError(f"delta is only valid for huber, not {self.kind}")
         if self.kind == "quantile":

@@ -20,15 +20,15 @@ unique expansion in this basis.  Its coefficients (hierarchical
 surpluses) equal a weighted integral of the mixed second derivative,
 which bounds them (:meth:`SurplusSet.coefficient_bounds`); they are
 computed here from the cheap nodal difference stencil
-(:func:`surplus_oracle`), and the tests check that stencil against a
-Gauss quadrature of the integral.
+(:func:`surpluses`), and the tests check that stencil against a Gauss
+quadrature of the integral.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -36,20 +36,7 @@ DEFAULT_ID_CAP = 10_000_000
 
 
 class BasisSizeError(ValueError):
-    """Requested enumeration would exceed the configured id cap."""
-
-
-def index_set(level: int) -> list[int]:
-    """Admissible node numbers at one refinement level, ascending.
-
-    Level 0 carries the endpoint nodes ``[0, 1]``; level ``l >= 1``
-    carries the odd integers in ``[1, 2**l - 1]``.
-    """
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
-    if level == 0:
-        return [0, 1]
-    return list(range(1, 2 ** level, 2))
+    """Requested enumeration would exceed the id cap, ``DEFAULT_ID_CAP``."""
 
 
 @dataclass(frozen=True)
@@ -104,14 +91,11 @@ def tensor_hat_eval(bid: BasisId, x) -> np.ndarray:
     return out if np.ndim(x) == 2 else out[0]
 
 
-def _level_vectors(d: int, total: int) -> Iterator[tuple[int, ...]]:
+def _level_vectors(d: int, total: int) -> list[tuple[int, ...]]:
     """Level vectors of length ``d`` summing to ``total``, lexicographic."""
     if d == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _level_vectors(d - 1, total - first):
-            yield (first,) + rest
+        return [(total,)]
+    return [(first, *rest) for first in range(total + 1) for rest in _level_vectors(d - 1, total - first)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,24 +147,26 @@ def basis_size(d: int, m: int) -> int:
     return sum(counts)
 
 
-def enumerate_basis(d: int, m: int, id_cap: int = DEFAULT_ID_CAP) -> SparseGridBasis:
+def enumerate_basis(d: int, m: int) -> SparseGridBasis:
     """Enumerate all ids with ``sum(level) <= m`` in dimension ``d``.
 
     Raises ``BasisSizeError`` before allocating anything if the count
-    would exceed ``id_cap`` (default 10**7).  Each level vector fills one
-    block of rows with the tensor grid of its index sets.
+    would exceed ``DEFAULT_ID_CAP`` (10**7).  Each level vector fills one
+    block of rows with the tensor grid of its node sets: ``[0, 1]`` at
+    level 0 and the odd numbers below ``2**l`` at level ``l >= 1``.
     """
-    if m >= id_cap.bit_length():  # more than 2**m ids, so no exact count is needed
-        raise BasisSizeError(f"basis for d={d}, m={m} has over 2**{m} ids, exceeding cap {id_cap}")
+    cap = DEFAULT_ID_CAP
+    if m >= cap.bit_length():  # more than 2**m ids, so no exact count is needed
+        raise BasisSizeError(f"basis for d={d}, m={m} has over 2**{m} ids, exceeding cap {cap}")
     size = basis_size(d, m)
-    if size > id_cap:
-        raise BasisSizeError(f"basis for d={d}, m={m} has {size} ids, exceeding cap {id_cap}")
+    if size > cap:
+        raise BasisSizeError(f"basis for d={d}, m={m} has {size} ids, exceeding cap {cap}")
     levels = np.empty((size, d), dtype=np.int64)
     nodes = np.empty((size, d), dtype=np.int64)
     start = 0
     for k in range(m + 1):
         for lv in _level_vectors(d, k):
-            sets = [index_set(l) for l in lv]
+            sets = [np.arange(2) if l == 0 else np.arange(1, 2 ** l, 2) for l in lv]
             shape = [len(s) for s in sets]
             stop = start + math.prod(shape)
             levels[start:stop] = lv
@@ -233,32 +219,25 @@ def cardinality_bounds(d: int, m: int) -> tuple[float, float]:
     return lower, upper
 
 
-def surplus_oracle(f: Callable[[np.ndarray], np.ndarray], bid: BasisId) -> float:
-    """Surplus of ``f`` at ``bid`` from the nodal difference stencil.
-
-    Per coordinate the stencil is ``[-1/2, 1, -1/2]`` at
+def surpluses(f: Callable[[np.ndarray], np.ndarray], levels: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Surplus of ``f`` at every id ``(levels[i], nodes[i])`` from the
+    nodal difference stencil: per coordinate ``[-1/2, 1, -1/2]`` at
     ``(x - h, x, x + h)`` for levels >= 1 and plain evaluation at the
-    endpoint node for level 0; coordinates combine as a tensor product.
-    Needs only point evaluations of ``f`` (batched ``(n, d) -> (n,)``).
+    endpoint node for level 0, combined as a tensor product (first
+    coordinate slowest).  ``f`` (batched ``(n, d) -> (n,)``) is called
+    once on the stencils of all ids, and each id sums in stencil order.
     """
-    offsets: list[np.ndarray] = []
-    weights: list[np.ndarray] = []
-    for l, s in zip(bid.level, bid.node):
-        h = 2.0 ** -l
-        c = s * h
-        if l == 0:
-            offsets.append(np.array([c]))
-            weights.append(np.array([1.0]))
-        else:
-            offsets.append(np.array([c - h, c, c + h]))
-            weights.append(np.array([-0.5, 1.0, -0.5]))
-    grids = np.meshgrid(*offsets, indexing="ij")
-    wgrids = np.meshgrid(*weights, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    wtotal = np.ones(pts.shape[0])
-    for w in wgrids:
-        wtotal *= w.ravel()
-    return float(np.dot(wtotal, np.asarray(f(pts), dtype=float)))
+    ids = np.arange(len(levels))
+    steps = np.zeros((len(levels), 0), dtype=np.int64)
+    for j in range(levels.shape[1]):
+        # each stencil point splits into steps -1, 0, 1 (x - h, x, x + h) at a level >= 1
+        count = np.where(levels[ids, j] == 0, 1, 3)
+        ids, steps = np.repeat(ids, count), np.repeat(steps, count, axis=0)
+        step = np.arange(len(ids)) - np.repeat(np.cumsum(count) - count + (count == 3), count)
+        steps = np.column_stack([steps, step])
+    weights = np.prod(np.where(steps == 0, 1.0, -0.5), axis=1)
+    values = np.asarray(f((nodes[ids] + steps) * 2.0 ** -levels[ids]), dtype=float)
+    return np.bincount(ids, weights=weights * values, minlength=len(levels))
 
 
 @dataclass(frozen=True)
@@ -298,46 +277,25 @@ def interpolate(f: Callable[[np.ndarray], np.ndarray], d: int, m: int) -> Surplu
     ``f`` exactly at every grid point of the basis.
     """
     basis = enumerate_basis(d, m)
-    coeffs = np.array([surplus_oracle(f, bid) for bid in basis])
-    return SurplusSet(basis=basis, coefficients=coeffs)
+    return SurplusSet(basis=basis, coefficients=surpluses(f, basis.levels, basis.nodes))
 
 
-def approximation_bound(
-    d: int,
-    m: int,
-    norm_d2f: float,
-    c_mu: float = 1.0,
-    R: int | None = None,
-) -> float:
+def approximation_bound(d: int, m: int, norm_d2f: float) -> float:
     """Closed-form L2 error bound for the truncated expansion f_m.
 
-    For ``d == 2`` the bound is ``c_mu/18 * 2**(-2m) * (m+3) * norm_d2f``;
+    For ``d == 2`` the bound is ``1/18 * 2**(-2m) * (m+3) * norm_d2f``;
     for ``d >= 3`` it is
     ``c_tilde * 2**(-2m) * sqrt(d-2) * ((e/3)*(m+d)/(d-2))**(d-1) * norm_d2f``
-    with ``c_tilde = c_mu / (6 * e * sqrt(2*pi))``.
-
-    When ``R`` is given, the additional ReLU product-approximation term
-    ``sqrt(3/8) * 2**(-2R) * (d-1) * sqrt(2/3)**(d-1) * norm_d2f`` is
-    added, bounding the full network approximator instead of f_m.
+    with ``c_tilde = 1 / (6 * e * sqrt(2*pi))``.
     """
     if d < 2:
         raise ValueError(f"approximation bound requires d >= 2, got {d}")
     if norm_d2f < 0:
         raise ValueError("norm_d2f must be nonnegative")
-    if c_mu <= 0:
-        raise ValueError("c_mu must be positive")
     if d == 2:
-        grid_term = c_mu / 18.0 * 2.0 ** (-2 * m) * (m + 3)
+        grid_term = 1.0 / 18.0 * 2.0 ** (-2 * m) * (m + 3)
     else:
-        c_tilde = 0.5 * c_mu / (3.0 * math.sqrt(2.0 * math.pi) * math.e)
-        grid_term = (
-            c_tilde
-            * 2.0 ** (-2 * m)
-            * math.sqrt(d - 2.0)
-            * (math.e / 3.0 * (m + d) / (d - 2.0)) ** (d - 1)
-        )
-    bound = grid_term * norm_d2f
-    if R is not None:
-        relu_term = math.sqrt(3.0 / 8.0) * 2.0 ** (-2 * R) * (d - 1) * math.sqrt(2.0 / 3.0) ** (d - 1)
-        bound += relu_term * norm_d2f
-    return bound
+        c_tilde = 0.5 / (3.0 * math.sqrt(2.0 * math.pi) * math.e)
+        growth = (math.e / 3.0 * (m + d) / (d - 2.0)) ** (d - 1)
+        grid_term = c_tilde * 2.0 ** (-2 * m) * math.sqrt(d - 2.0) * growth
+    return grid_term * norm_d2f

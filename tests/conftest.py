@@ -1,6 +1,8 @@
 """Shared test fixtures: random smooth functions with known derivatives,
-and the derivative-integral route to hierarchical surpluses, the
-independent oracle for :func:`sdrn.sparse_grid.surplus_oracle`."""
+the derivative-integral route to hierarchical surpluses, the independent
+oracle for :func:`sdrn.sparse_grid.surpluses`, and the one-id-at-a-time
+references (``index_set``, ``surplus_oracle``) for the array code in
+``sdrn.sparse_grid``."""
 
 from __future__ import annotations
 
@@ -11,6 +13,47 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from sdrn.sparse_grid import BasisId, hat_eval
+
+
+def index_set(level: int) -> list[int]:
+    """Admissible node numbers at one refinement level, ascending.
+
+    Level 0 carries the endpoint nodes ``[0, 1]``; level ``l >= 1``
+    carries the odd integers in ``[1, 2**l - 1]``.
+    """
+    if level < 0:
+        raise ValueError(f"level must be >= 0, got {level}")
+    if level == 0:
+        return [0, 1]
+    return list(range(1, 2 ** level, 2))
+
+
+def surplus_oracle(f: Callable[[np.ndarray], np.ndarray], bid: BasisId) -> float:
+    """Surplus of ``f`` at ``bid`` from the nodal difference stencil, one
+    id at a time: the reference for :func:`sdrn.sparse_grid.surpluses`.
+
+    Per coordinate the stencil is ``[-1/2, 1, -1/2]`` at
+    ``(x - h, x, x + h)`` for levels >= 1 and plain evaluation at the
+    endpoint node for level 0; coordinates combine as a tensor product.
+    """
+    offsets: list[np.ndarray] = []
+    weights: list[np.ndarray] = []
+    for l, s in zip(bid.level, bid.node):
+        h = 2.0 ** -l
+        c = s * h
+        if l == 0:
+            offsets.append(np.array([c]))
+            weights.append(np.array([1.0]))
+        else:
+            offsets.append(np.array([c - h, c, c + h]))
+            weights.append(np.array([-0.5, 1.0, -0.5]))
+    grids = np.meshgrid(*offsets, indexing="ij")
+    wgrids = np.meshgrid(*weights, indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    wtotal = np.ones(pts.shape[0])
+    for w in wgrids:
+        wtotal *= w.ravel()
+    return float(np.dot(wtotal, np.asarray(f(pts), dtype=float)))
 
 
 class QuadratureError(RuntimeError):

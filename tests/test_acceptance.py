@@ -190,7 +190,7 @@ def _simpson_sawtooth_gram(levels: int) -> np.ndarray:
 
 
 def _interp_squared_errors(fm, mc_points: int, seed: int) -> np.ndarray:
-    # the same sample that ev.decay_errors draws
+    # the sample that ev.decay_errors draws, at mc_points = 20_000 and seed = 0
     pts = rng.stream(seed, "interp-decay").random((mc_points, 2))
     return (fm(pts) - ev.corner_bump(pts)) ** 2
 
@@ -205,9 +205,9 @@ def test_criterion_07_interpolation_decay():
     start = time.monotonic()
     mc_points = 20_000
     interpolants = {m: interpolate(ev.corner_bump, 2, m) for m in range(1, 8)}
-    errors = ev.decay_errors(interpolants, mc_points=mc_points, seed=SEED)
+    errors = ev.decay_errors(interpolants)
     below = all(
-        errors[m] <= approximation_bound(2, m, ev.CORNER_BUMP_D2_NORM, c_mu=1.0)
+        errors[m] <= approximation_bound(2, m, ev.CORNER_BUMP_D2_NORM)
         for m in range(1, 7)
     )
     exact = {m: corner_bump_exact_error(m) for m in range(1, 8)}

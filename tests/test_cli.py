@@ -158,6 +158,7 @@ def test_predict_rejects_malformed_model_files(tmp_path, capsys):
         "list-scaler": lambda doc: doc.update(scaler=[0.0, 1.0]),
         # refused without the O(d m**2) exact basis count
         "huge-m": lambda doc: doc.update(m=10 ** 6),
+        "repeated-columns": lambda doc: doc["columns"].__setitem__(1, doc["columns"][0]),
     }
     docs = {}
     for name, edit in edits.items():
@@ -407,6 +408,19 @@ def test_predict_header_only_and_schema_errors(tmp_path, capsys):
                      "--input", str(train), "--output", str(out)]) == 2
 
 
+def test_predict_rejects_a_model_column_named_twice(tmp_path, capsys):
+    train, model_path = _fit_small(tmp_path)
+    header, *rows = train.read_text().splitlines()
+    twice = tmp_path / "twice.csv"
+    # a second x2 column, here a copy of x1: the model would read only the first
+    twice.write_text("\n".join([header + ",x2"] + [f"{row},{row.split(',')[0]}" for row in rows]) + "\n")
+    capsys.readouterr()
+    rc = cli.main(["predict", "--model", str(model_path), "--input", str(twice),
+                   "--output", str(tmp_path / "pred.csv")])
+    _assert_data_error(rc, capsys, "model columns ['x2'] appear more than once")
+    assert not (tmp_path / "pred.csv").exists()
+
+
 def test_predict_logistic_adds_probability(tmp_path, monkeypatch):
     from sdrn import estimator
     from sdrn.losses import sigmoid
@@ -651,18 +665,38 @@ BAD_INPUTS = {
     "fit-hash-column-name": lambda tmp: _fit_argv(
         tmp, train=_csv_bytes(tmp, b"a,#b,y\n1.0,2.0,0.5\n2.0,1.0,1.5\n3.0,0.0,1.0\n")),
     "fit-unwritable-model-out": lambda tmp: _fit_argv(tmp, model_out=tmp / "no-dir" / "m.json"),
+    # a model would map both covariates to the first "a"
+    "fit-repeated-column-name": lambda tmp: _fit_argv(
+        tmp, train=_csv_bytes(tmp, b"a,a,y\n1.0,2.0,0.5\n2.0,1.0,1.5\n3.0,0.0,1.0\n")),
+    "fit-tol=nan": lambda tmp: _fit_argv(tmp, "--loss", "quantile:0.5", "--tol", "nan"),
+    "fit-tol=-1": lambda tmp: _fit_argv(tmp, "--loss", "huber:1", "--tol=-1"),
+    "fit-tol=inf": lambda tmp: _fit_argv(tmp, "--tol", "inf"),
+    "fit-huber:nan": lambda tmp: _fit_argv(tmp, "--loss", "huber:nan"),
+    "fit-huber:inf": lambda tmp: _fit_argv(tmp, "--loss", "huber:inf"),
     "simulate-reps=0": lambda tmp: _simulate_argv(tmp, "--reps", "0"),
     "simulate-kappas=-1": lambda tmp: _simulate_argv(tmp, "--kappas=-1"),
     "simulate-kappas=nan": lambda tmp: _simulate_argv(tmp, "--kappas", "nan"),
     "simulate-epochs=0-huber": lambda tmp: _simulate_argv(tmp, "--epochs", "0", "--loss", "huber:1"),
     "simulate-unwritable-out-csv": lambda tmp: _simulate_argv(
         tmp, "--out-csv", str(tmp / "no-dir" / "sim.csv")),
+    "simulate-tol=nan": lambda tmp: _simulate_argv(tmp, "--tol", "nan"),
+    "simulate-tol=-1": lambda tmp: _simulate_argv(tmp, "--loss", "quantile:0.5", "--tol=-1"),
+    "simulate-tol=inf": lambda tmp: _simulate_argv(tmp, "--loss", "huber:1", "--tol", "inf"),
+    "simulate-huber:nan": lambda tmp: _simulate_argv(tmp, "--loss", "huber:nan"),
+}
+# the field that a case's message names
+BAD_FIELDS = {
+    "fit-repeated-column-name": "column names ['a']",
+    "fit-huber:nan": "delta",
+    "fit-huber:inf": "delta",
+    "simulate-huber:nan": "delta",
+    **{f"{cmd}-tol={v}": "tol" for cmd in ("fit", "simulate") for v in ("nan", "-1", "inf")},
 }
 
 
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
 def test_bad_options_and_inputs_are_data_errors(case, tmp_path, capsys):
-    _assert_data_error(cli.main(BAD_INPUTS[case](tmp_path)), capsys)
+    _assert_data_error(cli.main(BAD_INPUTS[case](tmp_path)), capsys, BAD_FIELDS.get(case, ""))
     assert not (tmp_path / "m.json").exists() and not (tmp_path / "sim.csv").exists()
 
 

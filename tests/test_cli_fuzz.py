@@ -29,7 +29,13 @@ FUZZ = settings(
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
-LOSSES = st.sampled_from(["quadratic", "huber:1.0", "quantile:0.5", "logistic"])
+# mostly in-range values, so that most draws reach the fit, and any float
+FLOATS = st.one_of(st.floats(1e-3, 1e3), st.floats(width=64))
+LOSSES = st.one_of(
+    st.sampled_from(["quadratic", "huber:1.0", "quantile:0.5", "logistic"]),
+    FLOATS.map(lambda delta: f"huber:{delta!r}"),
+    FLOATS.map(lambda tau: f"quantile:{tau!r}"),
+)
 
 # numeric cells, with the odd spellings float() accepts, and arbitrary text
 CELLS = st.one_of(
@@ -102,8 +108,6 @@ def test_fit_predict_round_trip_on_fuzzed_csv(table, loss, shuffle):
 
 
 BIG_BUDGET = st.integers(24, 10 ** 12)  # refused by the id cap from 2**m alone
-# mostly in-range values, so that most draws reach the fit, and any float
-FLOATS = st.one_of(st.floats(1e-3, 1e3), st.floats(width=64))
 
 
 @FUZZ

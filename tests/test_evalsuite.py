@@ -3,11 +3,11 @@ import pytest
 from scipy.special import expit, ndtri
 from scipy.stats import chisquare
 
+from conftest import index_set
 from sdrn import evalsuite as ev
 from sdrn import rng
 from sdrn.estimator import FitConfig
 from sdrn.losses import LossSpec
-from sdrn.sparse_grid import index_set
 
 
 def test_model_dimensions_and_values():

@@ -26,8 +26,9 @@ def test_spec_validation():
         LossSpec("unknown")
     with pytest.raises(LossInputError):
         LossSpec("huber")
-    with pytest.raises(LossInputError):
-        LossSpec("huber", delta=-1.0)
+    for delta in (-1.0, math.nan, math.inf):
+        with pytest.raises(LossInputError, match="delta"):
+            LossSpec("huber", delta=delta)
     with pytest.raises(LossInputError):
         LossSpec("quantile", tau=1.0)
     with pytest.raises(LossInputError):

@@ -10,18 +10,20 @@ from conftest import (
     QuadratureError,
     SmoothFunction,
     hierarchical_coefficient,
+    index_set,
     random_product_function,
+    surplus_oracle,
 )
 from sdrn import sparse_grid as sg
 
 
 def test_index_set_levels():
-    assert sg.index_set(0) == [0, 1]
-    assert sg.index_set(1) == [1]
-    assert sg.index_set(2) == [1, 3]
-    assert sg.index_set(3) == [1, 3, 5, 7]
+    assert index_set(0) == [0, 1]
+    assert index_set(1) == [1]
+    assert index_set(2) == [1, 3]
+    assert index_set(3) == [1, 3, 5, 7]
     with pytest.raises(ValueError):
-        sg.index_set(-1)
+        index_set(-1)
 
 
 def test_basis_id_validation():
@@ -63,23 +65,24 @@ def _brute_force_basis(d, m):
     for k in range(m + 1):
         for lv in itertools.product(range(k + 1), repeat=d):
             if sum(lv) == k:
-                for node in itertools.product(*(sg.index_set(l) for l in lv)):
+                for node in itertools.product(*(index_set(l) for l in lv)):
                     levels.append(lv)
                     nodes.append(node)
     return levels, nodes
 
 
 def test_enumerate_basis_arrays_match_brute_force(monkeypatch):
-    for d in range(1, 6):
-        for m in range(5):
-            basis = sg.enumerate_basis(d, m)
-            levels, nodes = _brute_force_basis(d, m)
-            for array, expected in ((basis.levels, levels), (basis.nodes, nodes)):
-                assert array.dtype == np.int64
-                assert array.shape == (sg.basis_size(d, m), d)
-                assert array.tolist() == [list(row) for row in expected]
-            for i in range(len(basis)):
-                assert basis[i] == sg.BasisId(levels[i], nodes[i])
+    # every (d, m) with d <= 5 and m <= 4, and the (d, m) of Models 2-4
+    cases = list(itertools.product(range(1, 6), range(5))) + [(7, 3), (10, 2)]
+    for d, m in cases:
+        basis = sg.enumerate_basis(d, m)
+        levels, nodes = _brute_force_basis(d, m)
+        for array, expected in ((basis.levels, levels), (basis.nodes, nodes)):
+            assert array.dtype == np.int64
+            assert array.shape == (sg.basis_size(d, m), d)
+            assert array.tolist() == [list(row) for row in expected]
+        for i in range(len(basis)):
+            assert basis[i] == sg.BasisId(levels[i], nodes[i])
     # enumerating builds no BasisId; indexing builds one
     made = []
     post_init = sg.BasisId.__post_init__
@@ -95,20 +98,25 @@ def test_enumerate_basis_arrays_match_brute_force(monkeypatch):
 
 
 def test_enumerate_basis_order_is_lexicographic():
-    basis = sg.enumerate_basis(2, 2)
-    keys = [(sum(bid.level), bid.level, bid.node) for bid in basis]
-    assert keys == sorted(keys)
-    assert len(set(basis)) == len(basis)
+    for d, m in ((2, 2), (7, 3), (10, 2)):
+        basis = sg.enumerate_basis(d, m)
+        ids = zip(map(tuple, basis.levels.tolist()), map(tuple, basis.nodes.tolist()))
+        keys = [(sum(level), level, node) for level, node in ids]
+        assert keys == sorted(keys)
+        assert len(set(keys)) == len(basis)
 
 
-def test_enumerate_basis_rejections():
+def test_enumerate_basis_rejections(monkeypatch):
     with pytest.raises(ValueError):
         sg.enumerate_basis(0, 1)
+    monkeypatch.setattr(sg, "DEFAULT_ID_CAP", 100)
     with pytest.raises(sg.BasisSizeError):
-        sg.enumerate_basis(4, 3, id_cap=100)
+        sg.enumerate_basis(4, 3)
     # refused from the lower bound 2**m, without the O(d m**2) exact count
+    monkeypatch.setattr(sg, "DEFAULT_ID_CAP", 1000)
     with pytest.raises(sg.BasisSizeError, match="over 2\\*\\*10"):
-        sg.enumerate_basis(2, 10, id_cap=1000)
+        sg.enumerate_basis(2, 10)
+    monkeypatch.undo()
     with pytest.raises(sg.BasisSizeError):
         sg.enumerate_basis(5, 10 ** 6)
 
@@ -167,7 +175,7 @@ def test_hat_eval_examples():
     x=st.floats(min_value=0.0, max_value=1.0),
 )
 def test_hat_eval_range_property(level, pick, x):
-    nodes = sg.index_set(level)
+    nodes = index_set(level)
     node = nodes[pick % len(nodes)]
     value = sg.hat_eval(level, node, x)
     assert 0.0 <= value <= 1.0
@@ -187,7 +195,7 @@ def test_same_level_supports_are_disjoint():
     # within one level >= 1 the hats never overlap: products vanish on a grid
     xs = np.linspace(0.0, 1.0, 513)
     for level in (1, 2, 3, 4):
-        nodes = sg.index_set(level)
+        nodes = index_set(level)
         for a, b in itertools.combinations(nodes, 2):
             prod = sg.hat_eval(level, a, xs) * sg.hat_eval(level, b, xs)
             assert np.all(prod == 0.0)
@@ -248,20 +256,40 @@ def test_hierarchical_coefficient_convergence_check():
 
 
 def test_surplus_oracle_examples():
-    assert sg.surplus_oracle(lambda X: X[:, 0] * (1 - X[:, 0]), sg.BasisId((1,), (1,))) == 0.25
-    assert sg.surplus_oracle(lambda X: X[:, 0], sg.BasisId((0,), (1,))) == 1.0
-    got = sg.surplus_oracle(
-        lambda X: X[:, 0] * (1 - X[:, 0]) * X[:, 1] * (1 - X[:, 1]),
-        sg.BasisId((1, 1), (1, 1)),
+    examples = (
+        (lambda X: X[:, 0] * (1 - X[:, 0]), sg.BasisId((1,), (1,)), 0.25),
+        (lambda X: X[:, 0], sg.BasisId((0,), (1,)), 1.0),
+        (
+            lambda X: X[:, 0] * (1 - X[:, 0]) * X[:, 1] * (1 - X[:, 1]),
+            sg.BasisId((1, 1), (1, 1)),
+            0.0625,
+        ),
     )
-    assert got == 0.0625
+    for f, bid, expected in examples:
+        assert surplus_oracle(f, bid) == expected
+        assert sg.surpluses(f, np.array([bid.level]), np.array([bid.node])).tolist() == [expected]
+
+
+def test_surpluses_match_per_id_stencil():
+    # the array stencil against the per-id loop: the same exact terms, which
+    # the loop's BLAS dot product sums in another order from 27 terms
+    # (d = 3) on, so only d <= 2 is bitwise
+    gen = np.random.default_rng(11)
+    for d, m in ((1, 6), (2, 6), (3, 4), (5, 3), (7, 2)):
+        basis = sg.enumerate_basis(d, m)
+        func = random_product_function(gen, d)
+        got = sg.surpluses(func.value, basis.levels, basis.nodes)
+        want = np.array([surplus_oracle(func.value, bid) for bid in basis])
+        if d <= 2:
+            assert got.tolist() == want.tolist()
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def _random_id(gen, d, max_sum=5):
     levels = [0] * d
     for _ in range(int(gen.integers(0, max_sum + 1))):
         levels[int(gen.integers(0, d))] += 1
-    nodes = [sg.index_set(l)[int(gen.integers(0, len(sg.index_set(l))))] for l in levels]
+    nodes = [index_set(l)[int(gen.integers(0, len(index_set(l))))] for l in levels]
     return sg.BasisId(tuple(levels), tuple(nodes))
 
 
@@ -273,10 +301,12 @@ def test_coefficient_matches_oracle_on_random_ids():
         d = int(gen.integers(1, 4))
         func = random_product_function(gen, d)
         smooth = func.smooth()
-        for _ in range(25):
-            bid = _random_id(gen, d)
+        bids = [_random_id(gen, d) for _ in range(25)]
+        stencil = sg.surpluses(
+            func.value, np.array([b.level for b in bids]), np.array([b.node for b in bids])
+        )
+        for bid, b in zip(bids, stencil):
             a = hierarchical_coefficient(smooth, bid, order=8)
-            b = sg.surplus_oracle(func.value, bid)
             assert abs(a - b) <= 1e-8, (bid, a, b)
             checked += 1
 
@@ -289,7 +319,7 @@ def test_coefficient_envelope_on_boundary_vanishing_family():
         for _ in range(3):
             func = random_product_function(gen, d, boundary_vanishing=True)
             norm = func.l2_norm_d2f()
-            coeffs = np.array([sg.surplus_oracle(func.value, bid) for bid in basis])
+            coeffs = sg.surpluses(func.value, basis.levels, basis.nodes)
             surplus = sg.SurplusSet(basis=basis, coefficients=coeffs)
             bounds = surplus.coefficient_bounds(norm)
             assert np.all(np.abs(coeffs) <= bounds + 1e-12)
@@ -317,19 +347,14 @@ def test_interpolation_error_below_closed_form_bound():
     truth = bump(pts)
     fm = sg.interpolate(bump, 2, 3)
     err = float(np.sqrt(np.mean((fm(pts) - truth) ** 2)))
-    assert err <= sg.approximation_bound(2, 3, 64.0, c_mu=1.0)
+    assert err <= sg.approximation_bound(2, 3, 64.0)
 
 
 def test_approximation_bound_values():
-    assert sg.approximation_bound(2, 0, 1.0, c_mu=1.0) == pytest.approx(1.0 / 6.0, rel=1e-12)
-    assert sg.approximation_bound(3, 2, 0.0, c_mu=1.0) == 0.0
+    assert sg.approximation_bound(2, 0, 1.0) == pytest.approx(1.0 / 6.0, rel=1e-12)
+    assert sg.approximation_bound(3, 2, 0.0) == 0.0
     # frozen from an independent high-precision evaluation of the closed form
-    assert sg.approximation_bound(3, 2, 1.0, c_mu=1.0) == pytest.approx(
-        0.031378401372084136, rel=1e-12
-    )
-    with_relu = sg.approximation_bound(3, 2, 1.0, c_mu=1.0, R=6)
-    extra = np.sqrt(3.0 / 8.0) * 2.0 ** -12 * 2.0 * np.sqrt(2.0 / 3.0) ** 2
-    assert with_relu == pytest.approx(0.031378401372084136 + extra, rel=1e-12)
+    assert sg.approximation_bound(3, 2, 1.0) == pytest.approx(0.031378401372084136, rel=1e-12)
     with pytest.raises(ValueError):
         sg.approximation_bound(1, 2, 1.0)
     with pytest.raises(ValueError):
