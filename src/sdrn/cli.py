@@ -394,32 +394,18 @@ def cmd_predict(args) -> int:
     logistic = model.loss.kind == "logistic"
     if logistic:
         out_header.append("probability")
-    # each scored block starts on a product_scores row block, so every
-    # score is bitwise what one call on the whole file gives
-    step = model.feature_map().plan.rows
-    X, rows = np.empty((0, model.d)), []
     with _atomic_output(args.output) as out:
         out.write(f"# sdrn-predict model={args.model} schema_version={MODEL_SCHEMA_VERSION}\n")
         out.write(",".join(out_header) + "\n")
         for _, data, lines in chain([(header, data, lines)], blocks):
-            X, rows = np.concatenate([X, data[:, order]]), rows + lines
-            n = len(rows) - len(rows) % step
-            _write_scores(out, model, X[:n], rows[:n], logistic)
-            X, rows = X[n:], rows[n:]
-        _write_scores(out, model, X, rows, logistic)
+            scores = model.predict(data[:, order])
+            # each input row as read, then repr of its score (and probability)
+            if logistic:
+                rows = zip(lines, scores.tolist(), sigmoid(scores).tolist())
+                out.write("".join(f"{row},{s!r},{q!r}\n" for row, s, q in rows))
+            else:
+                out.write("".join(f"{row},{s!r}\n" for row, s in zip(lines, scores.tolist())))
     return 0
-
-
-def _write_scores(out, model: SdrnModel, X: np.ndarray, rows: list[str], logistic: bool) -> None:
-    """Each input row as read, then repr of its score (and probability), as _format writes it."""
-    if not rows:
-        return
-    scores = model.predict(X)
-    if logistic:
-        probs = sigmoid(scores).tolist()
-        out.write("".join(f"{row},{s!r},{q!r}\n" for row, s, q in zip(rows, scores.tolist(), probs)))
-    else:
-        out.write("".join(f"{row},{s!r}\n" for row, s in zip(rows, scores.tolist())))
 
 
 def _parse_grid(text: str, cast) -> tuple:

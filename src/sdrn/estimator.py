@@ -535,19 +535,17 @@ class SdrnModel:
     scaler: Scaler
     column_names: tuple[str, ...] | None = None
     diagnostics: FitDiagnostics | None = None
-    _fmap: FeatureMap | None = None
 
+    @cached_property
     def feature_map(self) -> FeatureMap:
-        if self._fmap is None:
-            self._fmap = FeatureMap(basis=enumerate_basis(self.d, self.m), R=self.R)
-        return self._fmap
+        return FeatureMap(basis=enumerate_basis(self.d, self.m), R=self.R)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Scores ``features(x) . gamma`` for raw (unscaled) points, per row block."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.d:
             raise ValueError(f"expected {self.d} covariates, got {X.shape[1]}")
-        return self.feature_map().scores(self.scaler.transform(X), self.gamma)
+        return self.feature_map.scores(self.scaler.transform(X), self.gamma)
 
     def to_json(self) -> dict:
         return {
@@ -635,7 +633,7 @@ def fit_sdrn(
     train_scores = fmap.scores(X01, gamma)
     diag.sup_norm = float(np.max(np.abs(train_scores))) if n else float("nan")
     diag.max_residual = float(np.max(np.abs(train_scores - y))) if n else float("nan")
-    model = SdrnModel(
+    return SdrnModel(
         gamma=gamma,
         d=X.shape[1],
         m=m,
@@ -646,5 +644,3 @@ def fit_sdrn(
         column_names=tuple(column_names) if column_names else None,
         diagnostics=diag,
     )
-    model._fmap = fmap
-    return model

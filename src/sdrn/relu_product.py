@@ -225,11 +225,10 @@ def product_scores(R: int, levels, nodes, X, coef, plan: ProductPlan | None = No
     and each row block forms only the k midpoint f_R values and that
     table.  The result agrees with the product to rounding, and for a
     one-hot ``coef`` it is the feature column bitwise: every scaling is a
-    power of two and every other term is an exact zero.  A row's
-    rounding depends on its offset in its ``plan.rows``-row block, so
-    rows scored in consecutive calls match one call bitwise only when
-    every call but the last holds whole blocks.  ``plan`` is as in
-    :func:`product_features`.
+    power of two and every other term is an exact zero.  For a vector
+    ``coef`` a row's score depends only on that row: any split, subset or
+    order of the rows gives the same bits (:func:`_contract`).  ``plan``
+    is as in :func:`product_features`.
     """
     X = np.asarray(X, dtype=float)
     coef = np.asarray(coef, dtype=float)
@@ -241,11 +240,11 @@ def product_scores(R: int, levels, nodes, X, coef, plan: ProductPlan | None = No
     out = np.empty(X.shape[:1] + coef.shape[1:])
     if not plan.pairs:
         for rows, vals in _tree_blocks(R, plan, X, 0):
-            out[rows] = vals[top].T @ coef
+            out[rows] = _contract(vals[top], coef)
         return out
     *below, (left, right, _) = plan.pairs
     # the table below the root holds its level's pairs and forwarded rows
-    width =len(below[-1][0]) + len(below[-1][2]) if below else len(plan.leaves)
+    width = len(below[-1][0]) + len(below[-1][2]) if below else len(plan.leaves)
     at_root = np.zeros((len(left),) + coef.shape[1:])
     np.add.at(at_root, top, 2.0 * coef)
     at_children = np.zeros((width,) + coef.shape[1:])
@@ -255,8 +254,20 @@ def product_scores(R: int, levels, nodes, X, coef, plan: ProductPlan | None = No
         mids = vals[left]
         mids += vals[right]
         mids *= 0.5
-        out[rows] = square_approx(R, mids).T @ at_root - square_approx(R, vals).T @ at_children
+        out[rows] = _contract(square_approx(R, mids), at_root)
+        out[rows] -= _contract(square_approx(R, vals), at_children)
     return out
+
+
+def _contract(table, coef):
+    """``table.T @ coef``.  For a vector ``coef`` einsum sums each column in row order, so
+    a column's sum depends on it alone; a lone column goes in twice, as einsum would
+    sum it in another order.  A matrix ``coef`` keeps the faster BLAS product."""
+    if coef.ndim > 1:
+        return table.T @ coef
+    if table.shape[1] == 1:
+        return np.einsum("kr,k->r", np.repeat(table, 2, axis=1), coef)[:1]
+    return np.einsum("kr,k->r", table, coef)
 
 
 def approx_basis_eval(R: int, bid: BasisId, x):

@@ -252,11 +252,17 @@ class SurplusSet:
             raise ValueError("coefficient count does not match basis size")
 
     def __call__(self, x) -> np.ndarray:
+        """The sum over ids with ``gamma != 0``, in id order, of ``gamma * tensor_hat_eval(id, x)``."""
         pts = np.atleast_2d(np.asarray(x, dtype=float))
+        levels, nodes = self.basis.levels, self.basis.nodes
+        if pts.shape[1] != levels.shape[1]:
+            raise ValueError(f"point dimension {pts.shape[1]} != basis dimension {levels.shape[1]}")
         out = np.zeros(pts.shape[0])
-        for gamma, bid in zip(self.coefficients, self.basis):
-            if gamma != 0.0:
-                out += gamma * tensor_hat_eval(bid, pts)
+        for i in np.flatnonzero(self.coefficients):
+            hats = hat_eval(levels[i, 0], nodes[i, 0], pts[:, 0])
+            for j in range(1, levels.shape[1]):
+                hats *= hat_eval(levels[i, j], nodes[i, j], pts[:, j])
+            out += self.coefficients[i] * hats
         return out if np.ndim(x) == 2 else out[0]
 
     def coefficient_bounds(self, norm_d2f: float) -> np.ndarray:

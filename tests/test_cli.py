@@ -844,11 +844,9 @@ def test_predict_writes_a_device_in_place(tmp_path):
 
 
 def test_streamed_predict_is_one_whole_call_bitwise(tmp_path, monkeypatch):
-    # 4 KiB pieces end mid row block; each scored block still starts on a
-    # row block, so the scores are those of one call on the whole array.
-    # A row's score depends on its offset in its row block (BLAS kernels
-    # sum a block's tail rows in another order), so a subset of rows
-    # agrees only to rounding
+    # 4 KiB pieces end mid row block; a row's score depends only on that
+    # row, so the scores are those of one call on the whole array, and
+    # any slice of the rows scores as in the whole
     _, model_path = _fit_small(tmp_path)
     model = SdrnModel.load(model_path)
     new = tmp_path / "new.csv"
@@ -861,8 +859,7 @@ def test_streamed_predict_is_one_whole_call_bitwise(tmp_path, monkeypatch):
     whole = model.predict(X)
     assert streamed.tobytes() == whole.tobytes()
     for lo, hi in ((1, 2999), (1234, 2345), (2998, 3000)):
-        subset = model.predict(X[lo:hi])
-        assert np.max(np.abs(subset - whole[lo:hi])) <= 1e-12 * np.max(np.abs(whole))
+        assert model.predict(X[lo:hi]).tobytes() == whole[lo:hi].tobytes()
 
 
 def test_predict_memory_stays_flat_as_rows_grow(tmp_path, monkeypatch):

@@ -1,8 +1,13 @@
+import dataclasses
+import functools
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from sdrn import estimator as est
@@ -393,7 +398,7 @@ def test_fit_predict_and_one_hot():
         scaler=model.scaler,
     )
     pts = X[:7]
-    fmap = probe.feature_map()
+    fmap = probe.feature_map
     expected = fmap(model.scaler.transform(pts))[:, k]
     assert np.all(probe.predict(pts) == expected)
     # the same bitwise in other dimensions, where the scores contract the
@@ -420,7 +425,7 @@ def test_predict_holds_no_feature_matrix():
         gamma=gen.standard_normal(len(basis)), d=5, m=2, R=6, loss=QUADRATIC, kappa=1.0,
         scaler=est.Scaler(mins=np.zeros(5), maxs=np.ones(5)),
     )
-    model.feature_map()
+    model.feature_map  # the basis, enumerated before tracing starts
     X = gen.random((20_000, 5))
     tracemalloc.start()
     try:
@@ -429,6 +434,45 @@ def test_predict_holds_no_feature_matrix():
     finally:
         tracemalloc.stop()
     assert len(basis) == 352 and peak < 8 * 2 ** 20
+
+
+@functools.cache
+def _fitted_shape_model(d):
+    # the (m, R) = (2, 6) that fit chooses at n = 2000, fitted on fewer rows
+    gen = np.random.default_rng(d)
+    X = gen.random((200, d))
+    y = np.sin(3.0 * X.sum(axis=1)) + 0.1 * gen.standard_normal(200)
+    model = est.fit_sdrn(X, y, est.FitConfig(loss=QUADRATIC), m=2, R=6)
+    model.feature_map.plan  # planned at the default block size
+    return model
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.sampled_from([1, 2, 5, 7]),
+    cells=st.sampled_from([rp._BLOCK_CELLS, 1000, 64]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_a_rows_score_depends_only_on_that_row(d, cells, seed, data):
+    # whatever rows share a call, and however the product tree splits
+    # them into row blocks, each row scores as in one call on all rows
+    model = _fitted_shape_model(d)
+    gen = np.random.default_rng(seed)
+    with mock.patch.object(rp, "_BLOCK_CELLS", cells):
+        fresh = dataclasses.replace(model)  # plans its trees at these cells
+        step = fresh.feature_map.plan.rows
+        n = data.draw(st.sampled_from([1, step + 1, 2 * step + 1]) | st.integers(1, 2 * step + 2))
+        X = gen.uniform(-0.1, 1.1, (n, d))
+        whole = model.predict(X)
+        # a subset in any order, or with rows repeated (a concatenation)
+        size = data.draw(st.sampled_from([1, step + 1]) | st.integers(1, 2 * n))
+        idx = gen.integers(0, n, size) if data.draw(st.booleans()) else gen.permutation(n)[:size]
+        assert fresh.predict(X[idx]).tobytes() == whole[idx].tobytes()
+        # consecutive pieces, one call each
+        cuts = np.sort(gen.integers(0, n + 1, data.draw(st.integers(0, 4))))
+        pieces = [fresh.predict(X[lo:hi]) for lo, hi in zip([0, *cuts], [*cuts, n])]
+        assert np.concatenate(pieces).tobytes() == whole.tobytes()
 
 
 def test_model_json_round_trip_bitwise():

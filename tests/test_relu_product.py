@@ -205,18 +205,20 @@ def test_product_scores_match_features_times_coefficients():
 def test_product_scores_across_row_blocks(monkeypatch):
     # at 1000 cells a level, the widest level (the root, one pair per id)
     # takes 1000 // 50 = 20 rows a block: these counts start, fill and
-    # spill over blocks
+    # spill over blocks; a row's score does not depend on the block size
     gen = np.random.default_rng(14)
     basis = enumerate_basis(3, 2)
     coef = gen.standard_normal(len(basis))
     X = gen.random((257, 3))
     expected = rp.product_features(4, basis.levels, basis.nodes, X) @ coef
+    whole = rp.product_scores(4, basis.levels, basis.nodes, X, coef)
     monkeypatch.setattr(rp, "_BLOCK_CELLS", 1000)
     step = 1000 // len(basis)
     for n in (0, 1, step - 1, step, step + 1, 3 * step, 257):
         scores = rp.product_scores(4, basis.levels, basis.nodes, X[:n], coef)
         assert scores.shape == (n,)
         assert np.max(np.abs(scores - expected[:n]), initial=0.0) <= 1e-13 * np.sum(np.abs(coef))
+        assert scores.tobytes() == whole[:n].tobytes()
 
 
 def test_square_network_complexity_formula():

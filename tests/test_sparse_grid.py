@@ -325,6 +325,25 @@ def test_coefficient_envelope_on_boundary_vanishing_family():
             assert np.all(np.abs(coeffs) <= bounds + 1e-12)
 
 
+def test_surplus_set_sums_ids_in_order():
+    # the per-id sum of tensor_hat_eval terms, in id order, is the
+    # reference: bounds.csv keeps its bytes only while they agree bitwise
+    gen = np.random.default_rng(17)
+    for d, m in ((1, 4), (2, 4), (3, 3)):
+        basis = sg.enumerate_basis(d, m)
+        coeffs = gen.standard_normal(len(basis)) * (gen.random(len(basis)) < 0.7)
+        pts = gen.uniform(-0.1, 1.1, (500, d))
+        expected = np.zeros(len(pts))
+        for gamma, bid in zip(coeffs, basis):
+            if gamma != 0.0:
+                expected += gamma * sg.tensor_hat_eval(bid, pts)
+        surplus = sg.SurplusSet(basis=basis, coefficients=coeffs)
+        assert surplus(pts).tobytes() == expected.tobytes()
+        assert surplus(pts[0]) == expected[0]
+        with pytest.raises(ValueError):
+            surplus(np.zeros((2, d + 1)))
+
+
 def test_interpolation_reproduces_grid_values():
     fm = sg.interpolate(lambda X: X[:, 0] * X[:, 1], 2, 2)
     assert fm(np.array([0.5, 0.5])) == pytest.approx(0.25, abs=1e-15)
