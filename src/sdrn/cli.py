@@ -408,21 +408,24 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _parse_grid(text: str, cast) -> tuple:
+def _parse_grid(flag: str, text: str, cast) -> tuple:
     try:
         values = tuple(cast(part) for part in text.split(",") if part.strip() != "")
     except ValueError as exc:
-        raise DataError(f"bad grid value in {text!r}: {exc}") from exc
+        raise DataError(f"bad {flag} value in {text!r}: {exc}") from exc
     if not values:
-        raise DataError(f"empty grid {text!r}")
+        raise DataError(f"empty {flag} grid {text!r}")
+    for i, value in enumerate(values):  # a repeat would fit and report its cells twice
+        if value in values[:i]:
+            raise DataError(f"{flag} {text!r} repeats the value {value!r}")
     return values
 
 
 def cmd_simulate(args) -> int:
     if args.reps < 1:
         raise DataError(f"need --reps >= 1, got {args.reps}")
-    kappas = _parse_grid(args.kappas, float)
-    cs = _parse_grid(args.cs, int)
+    kappas = _parse_grid("--kappas", args.kappas, float)
+    cs = _parse_grid("--cs", args.cs, int)
     try:
         loss = LossSpec.parse(args.loss)
         spec = SimModelSpec(model_id=args.model, n=args.n, noise=args.noise, seed=args.seed)

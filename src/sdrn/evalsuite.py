@@ -19,7 +19,7 @@ measured-vs-bound outcomes.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -124,46 +124,32 @@ class SimModelSpec:
         return MODEL_DIMS[self.model_id]
 
 
-@dataclass
-class SimulatedData:
-    X: np.ndarray
-    y: np.ndarray
-    eval_points: np.ndarray
-    eval_truth: np.ndarray
-
-
 def bernoulli_responses(probs: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     u = gen.random(len(probs))
     return (u < probs).astype(float)
 
 
-def generate(spec: SimModelSpec, rep: int = 0, role: str = "train") -> SimulatedData:
-    """Draw one replication of the model plus the shared evaluation design.
+def design(spec: SimModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The evaluation points and their true values, shared by every replication."""
+    points = rng.stream(spec.seed, "design", spec.model_id).random((spec.n, spec.dimension))
+    return points, true_regression(spec.model_id, points)
 
-    The evaluation design (and its true values) depends only on the
-    master seed and model, never on ``rep`` or ``role``, so every
-    replication is scored on the same points.  Covariates and noise use
-    their own streams keyed by ``(seed, stream, model, role, rep)``.
-    """
-    d = spec.dimension
-    cov_gen = rng.stream(spec.seed, "covariates", spec.model_id, role, rep)
-    X = cov_gen.random((spec.n, d))
-    design_gen = rng.stream(spec.seed, "design", spec.model_id)
-    eval_points = design_gen.random((spec.n, d))
-    eval_truth = true_regression(spec.model_id, eval_points)
-    noise_gen = rng.stream(spec.seed, "noise", spec.model_id, role, rep)
+
+def generate(spec: SimModelSpec, rep: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The training ``(X, y)`` of replication ``rep``, from the covariate and
+    noise streams keyed by ``(seed, stream, model, "train", rep)``."""
+    cov_gen = rng.stream(spec.seed, "covariates", spec.model_id, "train", rep)
+    X = cov_gen.random((spec.n, spec.dimension))
+    noise_gen = rng.stream(spec.seed, "noise", spec.model_id, "train", rep)
     if spec.model_id == 4:
-        y = bernoulli_responses(true_regression(4, X), noise_gen)
+        return X, bernoulli_responses(true_regression(4, X), noise_gen)
+    if spec.noise == "normal":
+        eps = rng.standard_normal(noise_gen, spec.n)
+    elif spec.noise == "laplace":
+        eps = rng.standard_laplace(noise_gen, spec.n)
     else:
-        mu = true_regression(spec.model_id, X)
-        if spec.noise == "normal":
-            eps = rng.standard_normal(noise_gen, spec.n)
-        elif spec.noise == "laplace":
-            eps = rng.standard_laplace(noise_gen, spec.n)
-        else:
-            eps = np.zeros(spec.n)
-        y = mu + eps
-    return SimulatedData(X=X, y=y, eval_points=eval_points, eval_truth=eval_truth)
+        eps = np.zeros(spec.n)
+    return X, true_regression(spec.model_id, X) + eps
 
 
 # --------------------------------------------------------------------------
@@ -177,9 +163,6 @@ class RegressionMetrics:
     avg_variance: float
     avg_mse: float
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class ClassificationMetrics:
@@ -190,9 +173,6 @@ class ClassificationMetrics:
     recall: float
     f1: float
     auc: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def regression_metrics(predictions: np.ndarray, truth: np.ndarray) -> RegressionMetrics:
@@ -281,6 +261,10 @@ class GridCell:
     R: int
     metrics: RegressionMetrics | ClassificationMetrics
 
+    def row(self) -> dict:
+        """The cell's report row: grid point, schedule, then its metrics."""
+        return {"kappa": self.kappa, "c": self.c, "m": self.m, "R": self.R, **asdict(self.metrics)}
+
 
 @dataclass
 class SimulationReport:
@@ -295,45 +279,36 @@ class SimulationReport:
                 return cell
         raise KeyError(f"no cell for kappa={kappa}, c={c}")
 
-    def config_line(self) -> str:
-        return (
-            f"model={self.spec.model_id} n={self.spec.n} noise={self.spec.noise} "
-            f"seed={self.spec.seed} loss={self.loss_selector} reps={self.reps}"
-        )
-
-    def metric_names(self) -> list[str]:
-        return list(self.cells[0].metrics.as_dict().keys())
-
     def to_csv(self) -> str:
-        names = self.metric_names()
-        lines = [f"# {self.config_line()}"]
-        lines.append(",".join(["kappa", "c", "m", "R"] + names))
-        for cell in self.cells:
-            values = cell.metrics.as_dict()
-            row = [repr(cell.kappa), str(cell.c), str(cell.m), str(cell.R)]
-            row += [repr(values[name]) for name in names]
-            lines.append(",".join(row))
+        spec = self.spec
+        lines = [
+            f"# model={spec.model_id} n={spec.n} noise={spec.noise} seed={spec.seed} "
+            f"loss={self.loss_selector} reps={self.reps}",
+            ",".join(self.cells[0].row()),
+        ]
+        lines += [",".join(map(repr, cell.row().values())) for cell in self.cells]
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:
         return {
-            "model_id": self.spec.model_id,
-            "n": self.spec.n,
-            "noise": self.spec.noise,
-            "seed": self.spec.seed,
+            **asdict(self.spec),
             "loss": self.loss_selector,
             "reps": self.reps,
-            "cells": [
-                {
-                    "kappa": cell.kappa,
-                    "c": cell.c,
-                    "m": cell.m,
-                    "R": cell.R,
-                    **cell.metrics.as_dict(),
-                }
-                for cell in self.cells
-            ],
+            "cells": [cell.row() for cell in self.cells],
         }
+
+
+def _fit_replication(
+    phi: np.ndarray, y: np.ndarray, configs: list[FitConfig], rep: int, out: np.ndarray
+) -> None:
+    """Fit each ``configs[k]`` into ``out[:, k]``; ``phi`` is freed on return."""
+    for k, config in enumerate(configs):
+        try:
+            out[:, k] = adam_fit(phi, y, config)[0]
+        except Exception as exc:
+            raise RuntimeError(
+                f"fit failed at kappa={config.kappa}, c={config.c_offset}, rep={rep}: {exc}"
+            ) from exc
 
 
 def run_replications(
@@ -351,64 +326,42 @@ def run_replications(
     conditional probability puts more mass on).  Scoring model 4
     against freshly drawn labels instead would cap every method at the
     Bayes accuracy of the link, about 0.67, and could not discriminate
-    between fits.  Each replication's training features are reused
-    across the ``kappa`` grid.  The evaluation design is scored once per
-    schedule cell ``c``, after all its replications are fitted: one
-    ``(p, reps * len(kappas))`` coefficient matrix goes through
-    :meth:`FeatureMap.scores`, so no evaluation feature matrix exists.
+    between fits.  A model 4 point is called 1 when its score, on the
+    label's 0-1 scale, is at least 1/2: the sigmoid of the logistic
+    loss's score (a log-odds), and the score itself for the other
+    losses, which fit the 0/1 labels directly.
+
+    Each replication's training features are reused across the
+    ``kappa`` grid.  The fits of a schedule cell ``c`` fill one
+    ``(p, len(kappas) * reps)`` coefficient array in (kappa, rep) column
+    order, which goes through :meth:`FeatureMap.scores` once, so no
+    evaluation feature matrix exists.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    report = SimulationReport(
-        spec=spec, loss_selector=fit_config.loss.selector(), reps=reps
-    )
-    d = spec.dimension
-    classification = spec.model_id == 4
-    # built before the first fit, so a bad kappa fails fast
-    configs = {kappa: replace(fit_config, kappa=kappa) for kappa in kappas}
+    report = SimulationReport(spec=spec, loss_selector=fit_config.loss.selector(), reps=reps)
+    points, truth = design(spec)
+    truth_class = (truth >= 0.5).astype(int)
     for c in cs:
         m, R = hyperparams_from_n(spec.n, c)
-        fmap = FeatureMap(basis=enumerate_basis(d, m), R=R)
-
-        def run_one(rep: int) -> dict:
-            data = generate(spec, rep=rep)
-            phi_train = fmap(data.X)
-            out = {}
-            for kappa in kappas:
-                # c_offset does not change the fit; it labels the config for
-                # wrappers of adam_fit that record fits per schedule cell
-                cfg = replace(configs[kappa], c_offset=c)
-                try:
-                    out[kappa], _ = adam_fit(phi_train, data.y, cfg)
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"fit failed at kappa={kappa}, c={c}, rep={rep}: {exc}"
-                    ) from exc
-            return out
-
-        per_rep = [run_one(rep) for rep in range(reps)]
-        base = generate(spec, rep=0)
-        coefs = np.column_stack([fit[kappa] for kappa in kappas for fit in per_rep])
-        # row (kappa, rep) of the cube holds that fit's evaluation scores
-        cube = fmap.scores(base.eval_points, coefs).T.reshape(len(kappas), reps, -1)
-        eval_truth = base.eval_truth
-        eval_class = (eval_truth >= 0.5).astype(int)
+        fmap = FeatureMap(basis=enumerate_basis(spec.dimension, m), R=R)
+        # c_offset does not change the fit; it labels the config for
+        # wrappers of adam_fit that record fits per schedule cell
+        configs = [replace(fit_config, kappa=kappa, c_offset=c) for kappa in kappas]
+        coefs = np.empty((len(fmap.basis), len(kappas) * reps))
+        for rep in range(reps):
+            X, y = generate(spec, rep)
+            _fit_replication(fmap(X), y, configs, rep, coefs[:, rep::reps])
+        # block k of the cube holds the evaluation scores of kappas[k], one row per rep
+        cube = fmap.scores(points, coefs).T.reshape(len(kappas), reps, -1)
         for kappa, scores in zip(kappas, cube):
-            if classification:
-                probs = [sigmoid(score) for score in scores]
-                per_metric = [
-                    classification_metrics((prob >= 0.5).astype(int), eval_class, prob).as_dict()
-                    for prob in probs
-                ]
-                averaged = ClassificationMetrics(
-                    **{
-                        name: float(np.mean([pm[name] for pm in per_metric]))
-                        for name in per_metric[0]
-                    }
-                )
-                metrics: RegressionMetrics | ClassificationMetrics = averaged
+            if spec.model_id != 4:
+                metrics = regression_metrics(scores, truth)
             else:
-                metrics = regression_metrics(scores, eval_truth)
+                probs = sigmoid(scores) if fit_config.loss.kind == "logistic" else scores
+                per_rep = [astuple(classification_metrics(prob >= 0.5, truth_class, prob))
+                           for prob in probs]
+                metrics = ClassificationMetrics(*(float(np.mean(v)) for v in zip(*per_rep)))
             report.cells.append(GridCell(kappa=kappa, c=c, m=m, R=R, metrics=metrics))
     return report
 

@@ -395,10 +395,10 @@ def test_criterion_12_classification_accuracy():
 def test_criterion_13_byte_determinism(tmp_path):
     train = tmp_path / "train.csv"
     spec = ev.SimModelSpec(model_id=1, n=120, noise="normal", seed=3)
-    data = ev.generate(spec)
+    X, y = ev.generate(spec)
     header = ["x1", "x2", "x3", "x4", "x5", "y"]
     lines = [",".join(header)]
-    for row, target in zip(data.X, data.y):
+    for row, target in zip(X, y):
         lines.append(",".join([repr(float(v)) for v in row] + [repr(float(target))]))
     train.write_text("\n".join(lines) + "\n", encoding="utf-8")
 

@@ -22,10 +22,10 @@ from sdrn.sparse_grid import basis_size
 
 def _write_training_csv(path, n=200, seed=0):
     spec = ev.SimModelSpec(model_id=1, n=n, noise="normal", seed=seed)
-    data = ev.generate(spec)
+    X, y = ev.generate(spec)
     header = ["x1", "x2", "x3", "x4", "x5", "y"]
     lines = [",".join(header)]
-    for row, target in zip(data.X, data.y):
+    for row, target in zip(X, y):
         lines.append(",".join([repr(float(v)) for v in row] + [repr(float(target))]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -683,6 +683,10 @@ BAD_INPUTS = {
     "simulate-tol=-1": lambda tmp: _simulate_argv(tmp, "--loss", "quantile:0.5", "--tol=-1"),
     "simulate-tol=inf": lambda tmp: _simulate_argv(tmp, "--loss", "huber:1", "--tol", "inf"),
     "simulate-huber:nan": lambda tmp: _simulate_argv(tmp, "--loss", "huber:nan"),
+    # a repeated grid value would fit every cell of it twice
+    "simulate-kappas=1,1": lambda tmp: _simulate_argv(tmp, "--kappas", "1,1"),
+    "simulate-kappas=1,1.0": lambda tmp: _simulate_argv(tmp, "--kappas", "0.5,1,1.0"),
+    "simulate-cs=0,0": lambda tmp: _simulate_argv(tmp, "--cs=0,-1,0"),
 }
 # the field that a case's message names
 BAD_FIELDS = {
@@ -690,6 +694,9 @@ BAD_FIELDS = {
     "fit-huber:nan": "delta",
     "fit-huber:inf": "delta",
     "simulate-huber:nan": "delta",
+    "simulate-kappas=1,1": "--kappas '1,1' repeats the value 1.0",
+    "simulate-kappas=1,1.0": "--kappas '0.5,1,1.0' repeats the value 1.0",
+    "simulate-cs=0,0": "--cs '0,-1,0' repeats the value 0",
     **{f"{cmd}-tol={v}": "tol" for cmd in ("fit", "simulate") for v in ("nan", "-1", "inf")},
 }
 

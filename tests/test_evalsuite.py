@@ -77,18 +77,18 @@ def test_model4_link_calibration():
 
 def test_generate_streams():
     spec = ev.SimModelSpec(model_id=1, n=64, noise="normal", seed=5)
-    a = ev.generate(spec, rep=0)
-    b = ev.generate(spec, rep=0)
-    assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
-    c = ev.generate(spec, rep=1)
-    assert not np.array_equal(a.y, c.y)
-    assert np.array_equal(a.eval_points, c.eval_points)  # design shared across reps
-    test_role = ev.generate(spec, rep=0, role="test")
-    assert not np.array_equal(a.X, test_role.X)
-    clean = ev.generate(ev.SimModelSpec(model_id=1, n=64, noise="none", seed=5))
-    assert np.array_equal(clean.y, ev.true_regression(1, clean.X))
-    labels = ev.generate(ev.SimModelSpec(model_id=4, n=64, seed=5))
-    assert set(np.unique(labels.y)) <= {0.0, 1.0}
+    Xa, ya = ev.generate(spec, rep=0)
+    Xb, yb = ev.generate(spec, rep=0)
+    assert np.array_equal(Xa, Xb) and np.array_equal(ya, yb)
+    Xc, yc = ev.generate(spec, rep=1)
+    assert not np.array_equal(Xa, Xc) and not np.array_equal(ya, yc)
+    points, truth = ev.design(spec)
+    assert points.shape == (64, 5) and np.array_equal(truth, ev.true_regression(1, points))
+    assert not np.array_equal(points, Xa) and not np.array_equal(points, Xc)
+    X, y = ev.generate(ev.SimModelSpec(model_id=1, n=64, noise="none", seed=5))
+    assert np.array_equal(y, ev.true_regression(1, X))
+    _, labels = ev.generate(ev.SimModelSpec(model_id=4, n=64, seed=5))
+    assert set(np.unique(labels)) <= {0.0, 1.0}
 
 
 def test_regression_metrics():
@@ -193,8 +193,7 @@ def test_run_replications_smoke_and_determinism():
     report = ev.run_replications(spec, cfg, reps=1, kappas=(0.5, 1.0), cs=(-2, -1))
     assert len(report.cells) == 4
     for cell in report.cells:
-        values = cell.metrics.as_dict()
-        assert all(np.isfinite(v) for v in values.values())
+        assert all(np.isfinite(v) for v in cell.row().values())
     again = ev.run_replications(spec, cfg, reps=1, kappas=(0.5, 1.0), cs=(-2, -1))
     assert report.to_csv() == again.to_csv()
     assert report.cell(0.5, -2).m == 0
@@ -233,7 +232,7 @@ def test_run_replications_builds_only_training_matrices(monkeypatch):
     monkeypatch.undo()
     # one matrix per (c, rep), of that replication's training draw; the
     # evaluation design is scored without one
-    training = [ev.generate(spec, rep=rep).X for rep in range(2)]
+    training = [ev.generate(spec, rep)[0] for rep in range(2)]
     assert len(seen) == 4
     assert all(np.array_equal(X, training[i % 2]) for i, X in enumerate(seen))
 
@@ -242,9 +241,9 @@ def test_run_replications_classification_columns():
     spec = ev.SimModelSpec(model_id=4, n=60, seed=4)
     cfg = FitConfig(loss=LossSpec("logistic"), epochs=40, tol=1e-6)
     report = ev.run_replications(spec, cfg, reps=1, kappas=(1.0,), cs=(-2,))
-    names = report.metric_names()
-    assert "accuracy" in names and "auc" in names
-    assert "avg_mse" not in names
+    names = list(report.cells[0].row())
+    assert names == ["kappa", "c", "m", "R", "accuracy", "sensitivity", "specificity",
+                     "precision", "recall", "f1", "auc"]
 
 
 def test_run_replications_error_identifies_cell():
@@ -252,6 +251,74 @@ def test_run_replications_error_identifies_cell():
     cfg = FitConfig(loss=LossSpec("logistic"), epochs=10)  # continuous y: invalid
     with pytest.raises(RuntimeError, match=r"kappa=1.0, c=-2, rep=0"):
         ev.run_replications(spec, cfg, reps=1, kappas=(1.0,), cs=(-2,))
+
+
+def _class_rates(calls, truth_class, scores):
+    """(accuracy, sensitivity, specificity, precision, recall, f1, AUC) of one
+    replication, counted from the confusion matrix and the Mann-Whitney pairs."""
+    tp = np.sum(calls & truth_class)
+    tn = np.sum(~calls & ~truth_class)
+    fp = np.sum(calls & ~truth_class)
+    fn = np.sum(~calls & truth_class)
+    precision, recall = tp / (tp + fp), tp / (tp + fn)
+    pos, neg = scores[truth_class], scores[~truth_class]
+    pairs = np.sum(pos[:, None] > neg[None, :]) + 0.5 * np.sum(pos[:, None] == neg[None, :])
+    return ((tp + tn) / len(calls), recall, tn / (tn + fp), precision, recall,
+            2.0 * precision * recall / (precision + recall), pairs / (len(pos) * len(neg)))
+
+
+@pytest.mark.parametrize(
+    "model_id, loss, c", [(1, "huber:1.0", 0), (4, "logistic", -1), (4, "quadratic", -1)]
+)
+def test_run_replications_matches_an_independent_recomputation(model_id, loss, c):
+    from dataclasses import astuple, replace
+
+    from sdrn.estimator import hyperparams_from_n
+    from sdrn.losses import sigmoid
+    from sdrn.relu_product import product_features
+    from sdrn.sparse_grid import enumerate_basis
+
+    spec = ev.SimModelSpec(model_id=model_id, n=150, seed=6)
+    config = FitConfig(loss=LossSpec.parse(loss))
+    kappas, reps = (0.5, 2.0), 3
+    report = ev.run_replications(spec, config, reps=reps, kappas=kappas, cs=(c,))
+    m, R = hyperparams_from_n(spec.n, c)
+    basis = enumerate_basis(spec.dimension, m)
+    points, truth = ev.design(spec)
+    samples = [ev.generate(spec, rep) for rep in range(reps)]
+    for kappa in kappas:
+        scores = []
+        for X, y in samples:
+            Phi = product_features(R, basis.levels, basis.nodes, X)
+            gamma, _ = ev.adam_fit(Phi, y, replace(config, kappa=kappa))
+            scores.append(product_features(R, basis.levels, basis.nodes, points) @ gamma)
+        P = np.array(scores)
+        metrics = astuple(report.cell(kappa, c).metrics)
+        if model_id != 4:
+            mean = P.mean(axis=0)
+            expected = (np.mean((mean - truth) ** 2), np.mean((P - mean) ** 2),
+                        np.mean((P - truth) ** 2))
+            assert metrics == pytest.approx(expected, rel=1e-12, abs=0.0)
+            continue
+        # the logistic score is log-odds; the other losses estimate P(Y = 1 | x)
+        probs = sigmoid(P) if loss == "logistic" else P
+        assert np.min(np.abs(probs - 0.5)) > 1e-9
+        truth_class = truth >= 0.5
+        per_rep = np.array([_class_rates(prob >= 0.5, truth_class, prob) for prob in probs])
+        assert metrics[:6] == tuple(float(np.mean(column)) for column in per_rep[:, :6].T)
+        n1 = int(truth_class.sum())
+        assert metrics[6] == pytest.approx(per_rep[:, 6].mean(), rel=0.0,
+                                           abs=1.0 / (n1 * (len(truth) - n1)))
+
+
+def test_model4_non_logistic_fits_call_both_classes():
+    # a quadratic score estimates P(Y = 1 | x); its sigmoid is above 1/2
+    # wherever that estimate is positive, which called almost every point 1
+    spec = ev.SimModelSpec(model_id=4, n=400, seed=0)
+    report = ev.run_replications(spec, FitConfig(loss=LossSpec("quadratic")), reps=2,
+                                 kappas=(1.0,), cs=(0,))
+    metrics = report.cell(1.0, 0).metrics
+    assert metrics.accuracy > 0.7 and metrics.specificity > 0.8 and metrics.sensitivity > 0.5
 
 
 def test_cardinality_table_against_enumeration():
