@@ -311,6 +311,13 @@ def _fit_replication(
             ) from exc
 
 
+def _defined_mean(values) -> float:
+    """The mean over the replications that define a rate; ``nan`` when none does."""
+    values = np.asarray(values)
+    defined = values[~np.isnan(values)]
+    return float(np.mean(defined)) if defined.size else math.nan
+
+
 def run_replications(
     spec: SimModelSpec,
     fit_config: FitConfig,
@@ -329,7 +336,9 @@ def run_replications(
     between fits.  A model 4 point is called 1 when its score, on the
     label's 0-1 scale, is at least 1/2: the sigmoid of the logistic
     loss's score (a log-odds), and the score itself for the other
-    losses, which fit the 0/1 labels directly.
+    losses, which fit the 0/1 labels directly.  Each rate is averaged
+    over the replications that define it (a replication that calls no
+    point 1 has no precision), and is ``nan`` only when none does.
 
     Each replication's training features are reused across the
     ``kappa`` grid.  The fits of a schedule cell ``c`` fill one
@@ -361,7 +370,7 @@ def run_replications(
                 probs = sigmoid(scores) if fit_config.loss.kind == "logistic" else scores
                 per_rep = [astuple(classification_metrics(prob >= 0.5, truth_class, prob))
                            for prob in probs]
-                metrics = ClassificationMetrics(*(float(np.mean(v)) for v in zip(*per_rep)))
+                metrics = ClassificationMetrics(*map(_defined_mean, zip(*per_rep)))
             report.cells.append(GridCell(kappa=kappa, c=c, m=m, R=R, metrics=metrics))
     return report
 

@@ -133,10 +133,13 @@ def product_plan(levels, nodes) -> ProductPlan:
     its f_R are computed once however many ids share them.
     """
     levels = np.asarray(levels, dtype=np.int64)
+    nodes = np.asarray(nodes, dtype=np.int64)
     k, d = levels.shape
-    coords = np.broadcast_to(np.arange(d), (k, d))
-    triples = np.stack([coords, levels, np.asarray(nodes, dtype=np.int64)], axis=-1)
-    leaves, idx = np.unique(triples.reshape(-1, 3), axis=0, return_inverse=True)
+    # one int64 key per (coordinate, level, node) hat, sorting as the triples do
+    L, N = int(levels.max(initial=0)) + 1, int(nodes.max(initial=0)) + 1
+    keys, idx = np.unique((np.arange(d) * L + levels) * N + nodes, return_inverse=True)
+    coord_level, node = np.divmod(keys, N)
+    leaves = np.column_stack([*np.divmod(coord_level, L), node])
     idx = idx.reshape(k, d)
     pairs, width, widest = [], len(leaves), len(leaves)
     while idx.shape[1] > 1:

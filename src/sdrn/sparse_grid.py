@@ -102,7 +102,7 @@ def _level_vectors(d: int, total: int) -> list[tuple[int, ...]]:
 class SparseGridBasis:
     """Enumerated basis ``{(level, node) : sum(level) <= m}``.
 
-    ``levels`` and ``nodes`` are ``(k, d)`` int64 arrays, one row per
+    ``levels`` and ``nodes`` are ``(k, d)`` int32 arrays, one row per
     id, ordered lexicographically in ``(sum(level), level, node)``, which
     fixes the coefficient indexing across runs and serialisation.
     ``basis[i]`` is the ``i``-th id as a :class:`BasisId`, so iterating
@@ -117,7 +117,7 @@ class SparseGridBasis:
         return len(self.levels)
 
     def __getitem__(self, i: int) -> BasisId:
-        return BasisId(tuple(self.levels[i]), tuple(self.nodes[i]))
+        return BasisId(tuple(self.levels[i].tolist()), tuple(self.nodes[i].tolist()))
 
 
 def basis_size(d: int, m: int) -> int:
@@ -161,18 +161,20 @@ def enumerate_basis(d: int, m: int) -> SparseGridBasis:
     size = basis_size(d, m)
     if size > cap:
         raise BasisSizeError(f"basis for d={d}, m={m} has {size} ids, exceeding cap {cap}")
-    levels = np.empty((size, d), dtype=np.int64)
-    nodes = np.empty((size, d), dtype=np.int64)
+    # m <= 23 under the cap, so every level and node fits in int32
+    levels = np.empty((size, d), dtype=np.int32)
+    nodes = np.empty((size, d), dtype=np.int32)
+    sets = [np.arange(2, dtype=np.int32)]
+    sets += [np.arange(1, 2 ** l, 2, dtype=np.int32) for l in range(1, m + 1)]
     start = 0
     for k in range(m + 1):
         for lv in _level_vectors(d, k):
-            sets = [np.arange(2) if l == 0 else np.arange(1, 2 ** l, 2) for l in lv]
-            shape = [len(s) for s in sets]
+            shape = [len(sets[l]) for l in lv]
             stop = start + math.prod(shape)
             levels[start:stop] = lv
             block = nodes[start:stop].reshape(shape + [d])
-            for j, grid in enumerate(np.ix_(*sets)):
-                block[..., j] = grid
+            for j, l in enumerate(lv):  # coordinate j's nodes along axis j
+                block[..., j] = sets[l].reshape([-1 if i == j else 1 for i in range(d)])
             start = stop
     return SparseGridBasis(dimension=d, levels=levels, nodes=nodes)
 

@@ -1,8 +1,9 @@
 """Shared test fixtures: random smooth functions with known derivatives,
 the derivative-integral route to hierarchical surpluses, the independent
-oracle for :func:`sdrn.sparse_grid.surpluses`, and the one-id-at-a-time
+oracle for :func:`sdrn.sparse_grid.surpluses`, the one-id-at-a-time
 references (``index_set``, ``surplus_oracle``) for the array code in
-``sdrn.sparse_grid``."""
+``sdrn.sparse_grid``, and the stacked-triple reference for the keyed
+leaves of :func:`sdrn.relu_product.product_plan`."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from sdrn import relu_product as rp
 from sdrn.sparse_grid import BasisId, hat_eval
 
 
@@ -54,6 +56,29 @@ def surplus_oracle(f: Callable[[np.ndarray], np.ndarray], bid: BasisId) -> float
     for w in wgrids:
         wtotal *= w.ravel()
     return float(np.dot(wtotal, np.asarray(f(pts), dtype=float)))
+
+
+def stacked_triple_plan(levels, nodes) -> rp.ProductPlan:
+    """:func:`sdrn.relu_product.product_plan` with its leaves found by
+    ``np.unique(axis=0)`` over the stacked ``(coordinate, level, node)``
+    triples of every factor: the reference for the plan's packed keys."""
+    levels = np.asarray(levels, dtype=np.int64)
+    k, d = levels.shape
+    coords = np.broadcast_to(np.arange(d), (k, d))
+    triples = np.stack([coords, levels, np.asarray(nodes, dtype=np.int64)], axis=-1)
+    leaves, idx = np.unique(triples.reshape(-1, 3), axis=0, return_inverse=True)
+    idx = idx.reshape(k, d)
+    pairs, width, widest = [], len(leaves), len(leaves)
+    while idx.shape[1] > 1:
+        q = idx.shape[1]
+        forwarded, last = np.unique(idx[:, q - q % 2 :], return_inverse=True)
+        keys = idx[:, 0 : q - 1 : 2] * width + idx[:, 1:q:2]
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        idx = np.column_stack([inverse.reshape(keys.shape), len(distinct) + last.reshape(k, q % 2)])
+        pairs.append((*np.divmod(distinct, width), forwarded))
+        width = len(distinct) + len(forwarded)
+        widest = max(widest, width)
+    return rp.ProductPlan(leaves, pairs, idx[:, 0], max(1, rp._BLOCK_CELLS // widest))
 
 
 class QuadratureError(RuntimeError):

@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from scipy.special import expit, ndtri
@@ -319,6 +322,52 @@ def test_model4_non_logistic_fits_call_both_classes():
                                  kappas=(1.0,), cs=(0,))
     metrics = report.cell(1.0, 0).metrics
     assert metrics.accuracy > 0.7 and metrics.specificity > 0.8 and metrics.sensitivity > 0.5
+
+
+def test_model4_rates_average_over_the_replications_that_define_them(monkeypatch):
+    # at kappa = 1.0, c = -1 the third replication calls no point 1, so it
+    # has no precision and no f1; the other two define both
+    per_rep = []
+    metrics = ev.classification_metrics
+
+    def recording(*args):
+        result = metrics(*args)
+        per_rep.append(astuple(result))
+        return result
+
+    monkeypatch.setattr(ev, "classification_metrics", recording)
+    spec = ev.SimModelSpec(model_id=4, n=300, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = ev.run_replications(spec, FitConfig(loss=LossSpec("logistic")), reps=3,
+                                     kappas=(1.0,), cs=(-1,))
+    columns = np.array(per_rep).T
+    assert [np.isnan(column).sum() for column in columns] == [0, 0, 0, 1, 0, 1, 0]
+    for column, value in zip(columns, astuple(report.cell(1.0, -1).metrics)):
+        assert value == float(np.mean(column[~np.isnan(column)]))
+
+
+def test_model4_rate_means_keep_their_bits(monkeypatch):
+    # ten replications with made-up rates: a column without nan is np.mean
+    # of the column, one with nan the mean of the rest, one without a
+    # defined value nan, and none of them warns
+    gen = np.random.default_rng(8)
+    rates = gen.random((10, 7))
+    rates[[2, 7], 3] = np.nan
+    rates[:, 5] = np.nan
+    made = iter(rates)
+    monkeypatch.setattr(ev, "classification_metrics",
+                        lambda *args: ev.ClassificationMetrics(*next(made)))
+    spec = ev.SimModelSpec(model_id=4, n=60, seed=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = ev.run_replications(spec, FitConfig(loss=LossSpec("logistic")), reps=10,
+                                     kappas=(1.0,), cs=(-2,))
+    means = astuple(report.cells[0].metrics)
+    for j in (0, 1, 2, 4, 6):
+        assert means[j] == float(np.mean(rates[:, j]))
+    assert means[3] == float(np.mean(np.delete(rates[:, 3], [2, 7])))
+    assert np.isnan(means[5])
 
 
 def test_cardinality_table_against_enumeration():

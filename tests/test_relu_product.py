@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import stacked_triple_plan
 from sdrn import relu_product as rp
-from sdrn.sparse_grid import BasisId, enumerate_basis, tensor_hat_eval
+from sdrn.sparse_grid import BasisId, enumerate_basis, hat_eval, tensor_hat_eval
 
 
 def test_tooth_values():
@@ -165,6 +166,37 @@ def test_product_plan_shape():
         if d > 1:
             # the root is the last level, and it forwards nothing
             assert len(plan.pairs[-1][2]) == 0
+
+
+@pytest.mark.parametrize("d, m", [(1, 3), (2, 4), (5, 4), (7, 3), (8, 2), (10, 2)])
+def test_product_plan_matches_the_stacked_triple_plan(d, m):
+    basis = enumerate_basis(d, m)
+    plan = rp.product_plan(basis.levels, basis.nodes)
+    reference = stacked_triple_plan(basis.levels, basis.nodes)
+    arrays = [(plan.leaves, reference.leaves), (plan.top, reference.top)]
+    assert len(plan.pairs) == len(reference.pairs)
+    for level, expected in zip(plan.pairs, reference.pairs):
+        arrays += zip(level, expected)  # left, right, forwarded
+    for array, expected in arrays:
+        assert array.dtype == expected.dtype and array.shape == expected.shape
+        assert np.array_equal(array, expected)
+    assert plan.rows == reference.rows
+
+
+def test_product_plan_of_the_d10_m3_basis():
+    # Model 3's basis at c = 1 (109,824 ids): its 90 hats are every
+    # (coordinate, level, node) with level <= 3, in that lexicographic order
+    basis = enumerate_basis(10, 3)
+    plan = rp.product_plan(basis.levels, basis.nodes)
+    hats = [(j, l, s) for j in range(10) for l in range(4)
+            for s in ([0, 1] if l == 0 else range(1, 2 ** l, 2))]
+    assert plan.leaves.tolist() == [list(hat) for hat in hats]
+    assert np.array_equal(np.sort(plan.top), np.arange(len(basis)))
+    assert len(plan.pairs[-1][0]) == len(basis)  # one root pair per id
+    X = np.random.default_rng(17).random((3, 10))
+    exact = np.prod(hat_eval(basis.levels[None], basis.nodes[None], X[:, None, :]), axis=2)
+    deviation = rp.product_features(6, basis.levels, basis.nodes, X, plan) - exact
+    assert np.max(np.abs(deviation)) <= 3.0 * 2.0 ** -14 * 9
 
 
 def test_product_pairs_is_the_feature_diagonal():

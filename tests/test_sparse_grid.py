@@ -78,11 +78,12 @@ def test_enumerate_basis_arrays_match_brute_force(monkeypatch):
         basis = sg.enumerate_basis(d, m)
         levels, nodes = _brute_force_basis(d, m)
         for array, expected in ((basis.levels, levels), (basis.nodes, nodes)):
-            assert array.dtype == np.int64
+            assert array.dtype == np.int32
             assert array.shape == (sg.basis_size(d, m), d)
             assert array.tolist() == [list(row) for row in expected]
         for i in range(len(basis)):
             assert basis[i] == sg.BasisId(levels[i], nodes[i])
+            assert all(type(v) is int for v in basis[i].level + basis[i].node)
     # enumerating builds no BasisId; indexing builds one
     made = []
     post_init = sg.BasisId.__post_init__
@@ -95,6 +96,23 @@ def test_enumerate_basis_arrays_match_brute_force(monkeypatch):
     basis = sg.enumerate_basis(5, 4)
     assert made == []
     assert basis[-1] == made[0]
+
+
+def test_enumerate_basis_int32_holds_every_enumerable_id(monkeypatch):
+    # d = 1 at m = 20: the 2**20 + 1 ids end at the last odd node of level 20
+    basis = sg.enumerate_basis(1, 20)
+    assert len(basis) == 2 ** 20 + 1 and basis.nodes.dtype == np.int32
+    assert basis.levels[-1, 0] == 20 and basis.nodes[-1, 0] == 2 ** 20 - 1
+    # the cap admits m <= 23 (levels and nodes below 2**23), and refuses
+    # m = 24 before allocating anything
+    assert sg.basis_size(1, 23) <= sg.DEFAULT_ID_CAP < 2 ** 24
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated before the cap check")
+
+    monkeypatch.setattr(sg.np, "empty", no_allocation)
+    with pytest.raises(sg.BasisSizeError):
+        sg.enumerate_basis(1, 24)
 
 
 def test_enumerate_basis_order_is_lexicographic():
