@@ -45,15 +45,10 @@ from .losses import LossInputError, LossSpec, sigmoid
 from .relu_product import MAX_R, ComplexityReport, basis_network_complexity
 from .sparse_grid import BasisSizeError, basis_size, cardinality_bounds, cardinality_log_bounds
 
-DEFAULT_SEED = 0
 # a cap on the exact counting work of basis-info; at it, basis_size and
 # the network count take well under a second (basis-info --d 100000 --m 0
 # --r 511 prints in 0.42 s on a 2-core machine)
 MAX_COUNT_TERMS = 100_000
-EPOCHS_HELP = (
-    "iteration cap of the Newton (huber, logistic) and interior-point (quantile) fits; "
-    "the quadratic loss is solved exactly"
-)
 TOL_HELP = (
     "relative target for the fit's optimality certificate (huber, logistic) "
     "or duality gap (quantile)"
@@ -274,9 +269,7 @@ def cmd_fit(args) -> int:
         raise DataError(f"need --m >= 0 and 1 <= --r <= {MAX_R}")
     c_offset = 0 if args.c is None else args.c
     try:
-        config = FitConfig(
-            loss=loss, kappa=args.kappa, c_offset=c_offset, epochs=args.epochs, tol=args.tol
-        )
+        config = FitConfig(loss=loss, kappa=args.kappa, c_offset=c_offset, tol=args.tol)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     header, data = read_csv(args.input)
@@ -301,7 +294,7 @@ def cmd_fit(args) -> int:
     net = implied_network_complexity(model.d, len(model.gamma), model.R)
     sched_m, sched_R = hyperparams_from_n(len(y), c_offset)
     print(f"fitted {args.input}: n={len(y)} d={model.d} target={args.target}")
-    print(f"loss={loss.selector()} kappa={_format(model.kappa)} c={c_offset} seed={args.seed}")
+    print(f"loss={loss.selector()} kappa={_format(model.kappa)} c={c_offset}")
     print(
         f"m={model.m} R={model.R}"
         + ("" if (model.m, model.R) == (sched_m, sched_R) else " (overridden)")
@@ -429,7 +422,7 @@ def cmd_simulate(args) -> int:
     try:
         loss = LossSpec.parse(args.loss)
         spec = SimModelSpec(model_id=args.model, n=args.n, noise=args.noise, seed=args.seed)
-        config = FitConfig(loss=loss, epochs=args.epochs, tol=args.tol)
+        config = FitConfig(loss=loss, tol=args.tol)
         for kappa in kappas:  # the config of each grid point, checked before any fit
             replace(config, kappa=kappa)
     except ValueError as exc:
@@ -507,11 +500,7 @@ def build_parser() -> _Parser:
     p_fit.add_argument("--c", type=int, default=None, help="offset in the m-schedule (conflicts with --m)")
     p_fit.add_argument("--m", type=int, default=None, help="override the level-sum budget m")
     p_fit.add_argument("--r", type=int, default=None, help="override the product accuracy R")
-    p_fit.add_argument("--epochs", type=int, default=5000, help=EPOCHS_HELP)
     p_fit.add_argument("--tol", type=float, default=1e-12, help=TOL_HELP)
-    p_fit.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED, help="echoed in the summary; the fit does not use it"
-    )
     p_fit.set_defaults(func=cmd_fit)
 
     p_pred = sub.add_parser("predict", help="append predictions to a CSV file")
@@ -528,9 +517,8 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--loss", default="quadratic")
     p_sim.add_argument("--kappas", default=",".join(str(k) for k in DEFAULT_KAPPAS))
     p_sim.add_argument("--cs", default=",".join(str(c) for c in DEFAULT_CS))
-    p_sim.add_argument("--epochs", type=int, default=3000, help=EPOCHS_HELP)
     p_sim.add_argument("--tol", type=float, default=1e-12, help=TOL_HELP)
-    p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out-csv", default=None)
     p_sim.add_argument("--out-json", default=None)
     p_sim.set_defaults(func=cmd_simulate)

@@ -159,8 +159,8 @@ class FitConfig:
     ``kappa`` is the ridge tuning parameter (``lambda = kappa / n``);
     ``c_offset`` shifts the sample-size schedule for ``m``.  The
     quadratic loss is solved exactly.  The Huber and logistic losses run
-    Newton's method and the quantile loss an interior-point method;
-    ``epochs`` caps their iterations and ``tol`` is the relative target
+    Newton's method and the quantile loss an interior-point method, at
+    most ``MAX_ITERATIONS`` steps each; ``tol`` is the relative target
     for their optimality certificate (see :func:`adam_fit`).  These
     losses need ``kappa > 0``: without the ridge term the risk is not
     strongly convex, so there is no certificate and maybe no minimiser.
@@ -169,15 +169,12 @@ class FitConfig:
     loss: LossSpec
     kappa: float = 1.0
     c_offset: int = 0
-    epochs: int = 5000
     tol: float = 1e-12
 
     def __post_init__(self) -> None:
         for name, value in (("kappa", self.kappa), ("tol", self.tol)):
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.kappa == 0 and self.loss.kind != "quadratic":
             raise LossInputError(
                 f"the {self.loss.kind} loss needs kappa > 0: without the ridge term "
@@ -258,10 +255,13 @@ MIN_STEP = 1e-12
 # iterations without a smaller objective (Newton) or gap (interior point)
 # after which a method stops: its target is below what rounding allows
 PATIENCE = 5
+# the iteration cap of both methods; no measured fit came near it: badly
+# scaled Huber fits take the most, a few hundred Newton steps
+MAX_ITERATIONS = 5000
 
 
 def _newton(
-    Phi: np.ndarray, y: np.ndarray, loss: LossSpec, kappa: float, max_iter: int, tol: float
+    Phi: np.ndarray, y: np.ndarray, loss: LossSpec, kappa: float, tol: float
 ) -> tuple[np.ndarray, int]:
     """Newton's method with Armijo backtracking from ``gamma = 0``, for
     the Huber and logistic risks.
@@ -273,9 +273,9 @@ def _newton(
     ``gamma - x``.  When ``p > n`` the Gram ``K`` is formed once.  It
     stops when ``|gradient|^2 / (2 kappa)``, which bounds the distance to
     the minimum by kappa-strong convexity, is at most ``tol`` times the
-    objective, after ``max_iter`` steps, after ``PATIENCE`` steps that do
-    not lower the objective, or when the line search stalls.  Returns the
-    iterate and the number of steps taken.
+    objective, after ``MAX_ITERATIONS`` steps, after ``PATIENCE`` steps
+    that do not lower the objective, or when the line search stalls.
+    Returns the iterate and the number of steps taken.
     """
     K = _gram(Phi)
     gamma = np.zeros(Phi.shape[1])
@@ -285,7 +285,7 @@ def _newton(
     for it in count():
         slope_f = loss_subgradient(loss, f, y)
         grad = Phi.T @ slope_f + kappa * gamma
-        if float(grad @ grad) / (2.0 * kappa) <= tol * value or it == max_iter or stale > PATIENCE:
+        if float(grad @ grad) / (2.0 * kappa) <= tol * value or it == MAX_ITERATIONS or stale > PATIENCE:
             return gamma, it
         w = loss_curvature(loss, f, y)
         try:
@@ -328,7 +328,7 @@ def _max_step(*pairs: tuple[np.ndarray, np.ndarray]) -> float:
 
 
 def _quantile_ipm(
-    Phi: np.ndarray, y: np.ndarray, loss: LossSpec, kappa: float, max_iter: int, tol: float
+    Phi: np.ndarray, y: np.ndarray, loss: LossSpec, kappa: float, tol: float
 ) -> tuple[np.ndarray, int, float]:
     """Primal-dual interior-point method (Mehrotra predictor-corrector)
     on the Fenchel dual of the quantile risk,
@@ -352,9 +352,9 @@ def _quantile_ipm(
     also tries an exact finish from the bounds the iterate holds
     (``s < z`` or ``t < w``), and the candidate with the smallest gap is
     kept.  Stops when that gap is at most ``tol`` times the objective,
-    after ``max_iter`` iterations, after ``PATIENCE`` iterations without
-    a smaller gap, or when a step stalls.  Returns that candidate's
-    ``gamma``, the iterations and its relative gap.
+    after ``MAX_ITERATIONS`` iterations, after ``PATIENCE`` iterations
+    without a smaller gap, or when a step stalls.  Returns that
+    candidate's ``gamma``, the iterations and its relative gap.
     """
     n, p = Phi.shape
     tau = loss.tau
@@ -428,7 +428,7 @@ def _quantile_ipm(
             if cand_gap < best_gap:
                 best_gamma, best_gap, stale = cand_gamma, cand_gap, -1
         stale += 1
-        if best_gap <= tol or it == max_iter or stale > PATIENCE:
+        if best_gap <= tol or it == MAX_ITERATIONS or stale > PATIENCE:
             break
         residual = -r - z + w
         Dinv = 1.0 / (z / s + w / t)
@@ -471,7 +471,7 @@ def adam_fit(Phi: np.ndarray, y: np.ndarray, config: FitConfig) -> tuple[np.ndar
     the minimum-norm least-squares solution, its limit, at ``kappa = 0``
     (``epochs_run`` 0, ``converged`` True).  The Huber and logistic
     losses run :func:`_newton` and the quantile loss
-    :func:`_quantile_ipm`, at most ``config.epochs`` iterations each.
+    :func:`_quantile_ipm`, at most ``MAX_ITERATIONS`` iterations each.
     ``certificate`` in the diagnostics bounds
     ``(objective - minimum) / objective``: ``|gradient|^2 / (2 kappa)``
     for the smooth losses (NaN for the quadratic loss at
@@ -501,11 +501,9 @@ def adam_fit(Phi: np.ndarray, y: np.ndarray, config: FitConfig) -> tuple[np.ndar
         if not np.isfinite(start):
             raise NonFiniteObjectiveError(f"non-finite objective {start!r} at gamma = 0")
         if loss.kind == "quantile":
-            gamma, iterations, certificate = _quantile_ipm(
-                Phi, y, loss, kappa, config.epochs, config.tol
-            )
+            gamma, iterations, certificate = _quantile_ipm(Phi, y, loss, kappa, config.tol)
         else:
-            gamma, iterations = _newton(Phi, y, loss, kappa, config.epochs, config.tol)
+            gamma, iterations = _newton(Phi, y, loss, kappa, config.tol)
     final = objective(gamma, Phi, y, loss, kappa)
     if not (np.all(np.isfinite(gamma)) and np.isfinite(final)):
         raise NonFiniteObjectiveError(f"non-finite objective {final!r} of the fit")

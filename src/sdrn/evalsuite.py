@@ -382,17 +382,32 @@ def run_replications(
 
 @dataclass(frozen=True)
 class BoundCheck:
+    """``measured`` against its guarantee: it passes when ``lower <= measured
+    <= bound``, never for NaN; an exact count has ``lower == bound``."""
+
     name: str
     measured: float
     bound: float
-    passed: bool
+    lower: float = -math.inf
     asserted: bool = True
-    note: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.lower <= self.measured <= self.bound
+
+    @property
+    def note(self) -> str:
+        """``lower=<repr>`` for a finite lower end below ``bound``, else empty."""
+        return f"lower={self.lower!r}" if -math.inf < self.lower < self.bound else ""
 
 
 @dataclass
 class BoundReport:
     checks: list[BoundCheck] = field(default_factory=list)
+
+    def add(self, *args, **kwargs) -> None:
+        """Append ``BoundCheck(*args, **kwargs)``."""
+        self.checks.append(BoundCheck(*args, **kwargs))
 
     @property
     def all_passed(self) -> bool:
@@ -445,49 +460,26 @@ def verify_bounds() -> BoundReport:
     report = BoundReport()
 
     for d, row in CARDINALITY_TABLE.items():
-        for m, expected in enumerate(row):
-            count = len(enumerate_basis(d, m))
-            report.checks.append(
-                BoundCheck(
-                    name=f"cardinality-table d={d} m={m}",
-                    measured=float(count),
-                    bound=float(expected),
-                    passed=count == expected,
-                )
-            )
+        for m, expected in enumerate(map(float, row)):
+            count = float(len(enumerate_basis(d, m)))
+            report.add(f"cardinality-table d={d} m={m}", count, expected, lower=expected)
 
     for d in range(2, 9):
         for m in range(0, 7):
-            count = basis_size(d, m)
             lower, upper = cardinality_bounds(d, m)
-            ok = lower <= count <= upper
-            report.checks.append(
-                BoundCheck(
-                    name=f"cardinality-sandwich d={d} m={m}",
-                    measured=float(count),
-                    bound=upper,
-                    passed=ok,
-                    asserted=m >= 1,
-                    note=f"lower={lower!r}",
-                )
-            )
+            report.add(f"cardinality-sandwich d={d} m={m}", float(basis_size(d, m)), upper, lower,
+                       asserted=m >= 1)
 
     xs = np.linspace(0.0, 1.0, 10_000)
     for R in range(1, 9):
         err = float(np.max(np.abs(square_approx(R, xs) - xs ** 2)))
-        bound = 2.0 ** (-2 * R - 2)
-        report.checks.append(
-            BoundCheck(name=f"square R={R}", measured=err, bound=bound, passed=err <= bound)
-        )
+        report.add(f"square R={R}", err, 2.0 ** (-2 * R - 2))
 
     g = np.linspace(0.0, 1.0, 201)
     GX, GY = np.meshgrid(g, g)
     for R in range(1, 7):
         err = float(np.max(np.abs(pair_product(R, GX, GY) - GX * GY)))
-        bound = 3.0 * 2.0 ** (-2 * R - 2)
-        report.checks.append(
-            BoundCheck(name=f"pair R={R}", measured=err, bound=bound, passed=err <= bound)
-        )
+        report.add(f"pair R={R}", err, 3.0 * 2.0 ** (-2 * R - 2))
 
     gen = rng.stream(0, "product-sweep")
     for d in (2, 3, 4, 5, 8):
@@ -496,39 +488,18 @@ def verify_bounds() -> BoundReport:
             approx = product_pairs(R, levels, nodes, X)
             exact = np.prod(hat_eval(levels, nodes, X), axis=1)
             worst = float(np.max(np.abs(approx - exact)))
-            bound = 3.0 * 2.0 ** (-2 * R - 2) * (d - 1)
-            report.checks.append(
-                BoundCheck(
-                    name=f"product d={d} R={R}", measured=worst, bound=bound, passed=worst <= bound
-                )
-            )
+            report.add(f"product d={d} R={R}", worst, 3.0 * 2.0 ** (-2 * R - 2) * (d - 1))
 
     interpolants = {m: interpolate(corner_bump, 2, m) for m in range(1, 7)}
     errors = decay_errors(interpolants)
-    for m in errors:
-        bound = approximation_bound(2, m, CORNER_BUMP_D2_NORM)
-        err = errors[m]
-        report.checks.append(
-            BoundCheck(
-                name=f"interp-decay m={m}", measured=err, bound=bound, passed=err <= bound
-            )
-        )
+    for m, err in errors.items():
+        report.add(f"interp-decay m={m}", err, approximation_bound(2, m, CORNER_BUMP_D2_NORM))
     for m in range(2, 6):
-        ratio = errors[m] / errors[m + 1]
         # the exact level-by-level ratio at m = 2 is 2.8871 (the closed-form
         # error oracle in tests/test_acceptance.py, criterion 7), below
         # the nominal window that the pre-asymptotic decay only reaches
         # from m = 3 on; that row is reported rather than asserted
-        report.checks.append(
-            BoundCheck(
-                name=f"interp-ratio m={m}",
-                measured=ratio,
-                bound=5.5,
-                passed=3.0 <= ratio <= 5.5,
-                asserted=m >= 3,
-                note="lower=3.0",
-            )
-        )
+        report.add(f"interp-ratio m={m}", errors[m] / errors[m + 1], 5.5, lower=3.0, asserted=m >= 3)
 
     # the envelope holds for interior ids (every level >= 1); the corner
     # bump's surpluses there are 16 * 4**-|l|, so the ratio to the
@@ -538,9 +509,5 @@ def verify_bounds() -> BoundReport:
         interior = fm.basis.levels.min(axis=1) >= 1
         envelope = fm.coefficient_bounds(CORNER_BUMP_D2_NORM)[interior]
         worst = float(np.max(np.abs(fm.coefficients[interior]) / envelope))
-        report.checks.append(
-            BoundCheck(
-                name=f"coefficient-envelope m={m}", measured=worst, bound=1.0, passed=worst <= 1.0
-            )
-        )
+        report.add(f"coefficient-envelope m={m}", worst, 1.0)
     return report

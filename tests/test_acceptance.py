@@ -254,7 +254,7 @@ def test_criterion_08_ridge_quadratic_oracle():
 @pytest.fixture(scope="module")
 def model1_sweep():
     spec = ev.SimModelSpec(model_id=1, n=2000, noise="normal", seed=SEED)
-    cfg = FitConfig(loss=LossSpec("quadratic"), epochs=4000, tol=1e-8)
+    cfg = FitConfig(loss=LossSpec("quadratic"), tol=1e-8)
     # record the per-replication predictions each cell is scored on, so the
     # criterion can put a jackknife standard error on its margin
     scored = []
@@ -320,7 +320,7 @@ def test_criterion_09_desk_scale_reproduction(model1_sweep):
 
 
 def test_criterion_10_sample_size_trend():
-    cfg = FitConfig(loss=LossSpec("quadratic"), epochs=4000, tol=1e-8)
+    cfg = FitConfig(loss=LossSpec("quadratic"), tol=1e-8)
     best = {}
     for n in (2000, 5000):
         spec = ev.SimModelSpec(model_id=1, n=n, noise="normal", seed=SEED)
@@ -357,7 +357,7 @@ def test_criterion_11_laplace_robustness():
     with pytest.MonkeyPatch.context() as patch:
         fits = _record_fits(patch)
         for loss in (LossSpec("quadratic"), LossSpec("quantile", tau=0.5)):
-            cfg = FitConfig(loss=loss, epochs=4000, tol=1e-8)
+            cfg = FitConfig(loss=loss, tol=1e-8)
             report = ev.run_replications(spec, cfg, reps=20, kappas=(0.5, 1.0), cs=(0,))
             best[loss.kind] = min(cell.metrics.avg_mse for cell in report.cells)
     uncertified = _uncertified(fits)
@@ -374,9 +374,8 @@ def test_criterion_11_laplace_robustness():
 
 def test_criterion_12_classification_accuracy():
     spec = ev.SimModelSpec(model_id=4, n=2000, seed=SEED)
-    # Newton's method certifies each logistic fit within a few iterations;
-    # 1000 is only the cap
-    cfg = FitConfig(loss=LossSpec("logistic"), epochs=1000, tol=1e-8)
+    # Newton's method certifies each logistic fit within a few iterations
+    cfg = FitConfig(loss=LossSpec("logistic"), tol=1e-8)
     with pytest.MonkeyPatch.context() as patch:
         fits = _record_fits(patch)
         report = ev.run_replications(spec, cfg, reps=10, kappas=(0.5, 1.0, 2.0), cs=(-2, -1))
@@ -407,7 +406,7 @@ def test_criterion_13_byte_determinism(tmp_path):
         model_path = tmp_path / f"model{run}.json"
         rc = cli.main(
             ["fit", "--input", str(train), "--target", "y",
-             "--model-out", str(model_path), "--epochs", "80", "--seed", "5"]
+             "--model-out", str(model_path)]
         )
         assert rc == 0
         fit_bytes.append(model_path.read_bytes())
@@ -418,7 +417,7 @@ def test_criterion_13_byte_determinism(tmp_path):
         out_json = tmp_path / f"sim{run}.json"
         rc = cli.main(
             ["simulate", "--model", "1", "--n", "90", "--reps", "2", "--seed", "7",
-             "--kappas", "0.5,1.0", "--cs=-2,-1", "--epochs", "50",
+             "--kappas", "0.5,1.0", "--cs=-2,-1",
              "--out-csv", str(out_csv), "--out-json", str(out_json)]
         )
         assert rc == 0

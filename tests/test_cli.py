@@ -40,8 +40,6 @@ def test_fit_writes_model_with_full_gamma(tmp_path, capsys):
             "--input", str(train),
             "--target", "y",
             "--model-out", str(model_path),
-            "--epochs", "150",
-            "--seed", "7",
         ]
     )
     assert rc == 0
@@ -65,7 +63,6 @@ def test_fit_override_flags_echoed(tmp_path, capsys):
             "--model-out", str(tmp_path / "m.json"),
             "--m", "2",
             "--r", "6",
-            "--epochs", "30",
         ]
     )
     assert rc == 0
@@ -139,7 +136,7 @@ def test_fit_with_non_finite_objective_is_data_error(tmp_path, capsys):
         train = tmp_path / "big.csv"
         _write_with_targets(train, targets)
         rc = cli.main(["fit", "--input", str(train), "--target", "y", "--loss", loss,
-                       "--model-out", str(tmp_path / "m.json"), "--epochs", "20"])
+                       "--model-out", str(tmp_path / "m.json")])
         _assert_data_error(rc, capsys, "non-finite objective")
         assert not (tmp_path / "m.json").exists()
 
@@ -283,8 +280,7 @@ def test_fit_logistic_on_non_binary_target_is_data_error(tmp_path, capsys):
     train = tmp_path / "train.csv"
     _write_training_csv(train, n=60)
     rc = cli.main(["fit", "--input", str(train), "--target", "y",
-                   "--model-out", str(tmp_path / "m.json"), "--loss", "logistic",
-                   "--epochs", "5"])
+                   "--model-out", str(tmp_path / "m.json"), "--loss", "logistic"])
     _assert_data_error(rc, capsys, "{0, 1}")
 
 
@@ -315,7 +311,7 @@ def test_quadratic_fit_builds_one_feature_matrix(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(estimator.FeatureMap, "__call__", counting)
     assert cli.main(["fit", "--input", str(train), "--target", "y",
-                     "--model-out", str(model_path), "--epochs", "60"]) == 0
+                     "--model-out", str(model_path)]) == 0
     monkeypatch.undo()
     assert len(calls) == 1
     # M is the largest training residual, as predicting on the training rows gives it
@@ -334,6 +330,14 @@ def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["simulate", "--model", "9"])  # outside the model choices
     assert exc.value.code == 1
+    # the iteration cap is a constant, and a fit draws nothing at random
+    fit = ["fit", "--input", "x.csv", "--target", "y", "--model-out", "m.json"]
+    for argv in (fit + ["--epochs", "5"], ["simulate", "--model", "1", "--epochs", "5"],
+                 fit + ["--seed", "7"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def _fit_small(tmp_path, loss="quadratic"):
@@ -342,7 +346,7 @@ def _fit_small(tmp_path, loss="quadratic"):
     _write_training_csv(train, n=80)
     args = [
         "fit", "--input", str(train), "--target", "y",
-        "--model-out", str(model_path), "--epochs", "60", "--loss", loss,
+        "--model-out", str(model_path), "--loss", loss,
     ]
     if loss == "logistic":
         # rewrite targets as labels
@@ -457,7 +461,6 @@ def test_simulate_deterministic_bytes(tmp_path):
             [
                 "simulate", "--model", "1", "--n", "90", "--reps", "2",
                 "--seed", "7", "--kappas", "1.0", "--cs=-2,-1",
-                "--epochs", "40",
                 "--out-csv", str(csv_path), "--out-json", str(json_path),
             ]
         )
@@ -475,7 +478,7 @@ def test_simulate_classification_columns(tmp_path):
         [
             "simulate", "--model", "4", "--n", "60", "--reps", "1",
             "--loss", "logistic", "--kappas", "1.0", "--cs=-2",
-            "--epochs", "30", "--out-csv", str(csv_path),
+            "--out-csv", str(csv_path),
         ]
     )
     assert rc == 0
@@ -607,7 +610,7 @@ def test_fit_rejects_m_with_c(tmp_path, capsys):
     _write_training_csv(train, n=60)
     rc = cli.main(["fit", "--input", str(train), "--target", "y",
                    "--model-out", str(tmp_path / "m.json"),
-                   "--m", "1", "--c", "1", "--epochs", "10"])
+                   "--m", "1", "--c", "1"])
     assert rc == 2
     assert "contradictory" in capsys.readouterr().err
 
@@ -627,7 +630,7 @@ def test_verify_bounds_exit_three_on_violation(monkeypatch, capsys):
     import sdrn.evalsuite as ev_mod
 
     failing = ev_mod.BoundReport(
-        checks=[ev_mod.BoundCheck(name="demo", measured=2.0, bound=1.0, passed=False)]
+        checks=[ev_mod.BoundCheck("demo", 2.0, 1.0)]
     )
     monkeypatch.setattr(cli, "verify_bounds", lambda: failing)
     assert cli.main(["verify-bounds"]) == 3
@@ -655,7 +658,6 @@ def _csv_bytes(tmp_path, data):
 
 BAD_INPUTS = {
     "fit-kappa=-1": lambda tmp: _fit_argv(tmp, "--kappa", "-1"),
-    "fit-epochs=0": lambda tmp: _fit_argv(tmp, "--epochs", "0"),
     "fit-r=2000": lambda tmp: _fit_argv(tmp, "--r", "2000"),
     "fit-target-only": lambda tmp: _fit_argv(
         tmp, train=_csv_bytes(tmp, b"y\n1.0\n2.0\n3.0\n")),
@@ -676,7 +678,6 @@ BAD_INPUTS = {
     "simulate-reps=0": lambda tmp: _simulate_argv(tmp, "--reps", "0"),
     "simulate-kappas=-1": lambda tmp: _simulate_argv(tmp, "--kappas=-1"),
     "simulate-kappas=nan": lambda tmp: _simulate_argv(tmp, "--kappas", "nan"),
-    "simulate-epochs=0-huber": lambda tmp: _simulate_argv(tmp, "--epochs", "0", "--loss", "huber:1"),
     "simulate-unwritable-out-csv": lambda tmp: _simulate_argv(
         tmp, "--out-csv", str(tmp / "no-dir" / "sim.csv")),
     "simulate-tol=nan": lambda tmp: _simulate_argv(tmp, "--tol", "nan"),

@@ -78,7 +78,7 @@ def test_fit_on_fuzzed_csv_ends_in_an_exit_code(table, loss):
         train = Path(tmp) / "train.csv"
         _write(train, *table)
         argv = ["fit", "--input", str(train), "--target", "y", "--loss", loss,
-                "--model-out", str(Path(tmp) / "m.json"), "--epochs", "50"]
+                "--model-out", str(Path(tmp) / "m.json")]
         assert _exit_code(argv) in (0, 2)
 
 
@@ -90,7 +90,7 @@ def test_fit_predict_round_trip_on_fuzzed_csv(table, loss, shuffle):
         train, model = Path(tmp) / "train.csv", Path(tmp) / "m.json"
         _write(train, header, rows)
         argv = ["fit", "--input", str(train), "--target", "y", "--loss", loss,
-                "--model-out", str(model), "--epochs", "50"]
+                "--model-out", str(model)]
         code = _exit_code(argv)
         assert code in (0, 2)
         if code != 0:
@@ -114,20 +114,19 @@ BIG_BUDGET = st.integers(24, 10 ** 12)  # refused by the id cap from 2**m alone
 @given(
     kappa=FLOATS,
     tol=FLOATS,
-    epochs=st.integers(-3, 60),
     m=st.one_of(st.none(), st.integers(-3, 3), BIG_BUDGET),
     c=st.one_of(st.none(), st.integers(-4, 1), BIG_BUDGET),
     r=st.one_of(st.none(), st.integers(-3, 12), st.integers(500, 3000)),
     loss=LOSSES,
 )
-def test_fit_options_end_in_an_exit_code(kappa, tol, epochs, m, c, r, loss):
+def test_fit_options_end_in_an_exit_code(kappa, tol, m, c, r, loss):
     with tempfile.TemporaryDirectory() as tmp:
         train = Path(tmp) / "train.csv"
         rows = [[repr(0.1 * i), repr((0.37 * i) % 1.0), str(i % 2)] for i in range(30)]
         _write(train, ["a", "b", "y"], rows)
         argv = ["fit", "--input", str(train), "--target", "y", "--loss", loss,
                 "--model-out", str(Path(tmp) / "m.json"), f"--kappa={kappa!r}",
-                f"--tol={tol!r}", f"--epochs={epochs}"]
+                f"--tol={tol!r}"]
         for flag, value in (("--m", m), ("--c", c), ("--r", r)):
             if value is not None:
                 argv.append(f"{flag}={value}")
@@ -143,15 +142,14 @@ def test_fit_options_end_in_an_exit_code(kappa, tol, epochs, m, c, r, loss):
         lambda ks: ",".join(repr(k) for k in ks)), st.text(max_size=6)),
     cs=st.one_of(st.lists(st.integers(-4, 0), min_size=1, max_size=2).map(
         lambda cs: ",".join(map(str, cs))), st.one_of(BIG_BUDGET.map(str), st.text(max_size=6))),
-    epochs=st.integers(-3, 40),
     tol=FLOATS,
     loss=LOSSES,
     noise=st.sampled_from(["normal", "laplace", "none"]),
 )
-def test_simulate_options_end_in_an_exit_code(model, n, reps, kappas, cs, epochs, tol, loss, noise):
+def test_simulate_options_end_in_an_exit_code(model, n, reps, kappas, cs, tol, loss, noise):
     with tempfile.TemporaryDirectory() as tmp:
         argv = ["simulate", f"--model={model}", f"--n={n}", f"--reps={reps}",
-                f"--kappas={kappas}", f"--cs={cs}", f"--epochs={epochs}", f"--tol={tol!r}",
+                f"--kappas={kappas}", f"--cs={cs}", f"--tol={tol!r}",
                 "--loss", loss, "--noise", noise, "--out-csv", str(Path(tmp) / "sim.csv")]
         assert _exit_code(argv) in (0, 1, 2)
 

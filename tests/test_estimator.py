@@ -177,10 +177,8 @@ def test_gradient_matches_finite_differences():
                 assert abs(grad[k] - fd) / scale <= 1e-5
 
 
-def test_adam_rejects_zero_epochs():
-    # FitConfig rejects the cap, and a non-finite or negative kappa
-    with pytest.raises(ValueError, match="epochs"):
-        est.FitConfig(loss=QUADRATIC, epochs=0)
+def test_fit_config_rejects_bad_kappa():
+    # FitConfig rejects a non-finite or negative kappa
     for kappa in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="kappa"):
             est.FitConfig(loss=QUADRATIC, kappa=kappa)
@@ -188,7 +186,7 @@ def test_adam_rejects_zero_epochs():
 
 def test_adam_nonfinite_aborts():
     for loss in (QUADRATIC, HUBER, QUANTILE, LOGISTIC):
-        cfg = est.FitConfig(loss=loss, epochs=10)
+        cfg = est.FitConfig(loss=loss)
         with pytest.raises(est.NonFiniteObjectiveError):
             est.adam_fit(np.ones((2, 1)), np.array([np.inf, 1.0]), cfg)
 
@@ -240,7 +238,7 @@ def test_exact_fits_match_scipy_optimize(loss, n, p):
     assert abs(diag.final_objective - value) <= 1e-9 * value
     assert diag.final_objective == est.objective(gamma, Phi, y, loss, kappa)
     assert diag.converged and 0.0 <= diag.certificate <= cfg.tol
-    assert 1 <= diag.epochs_run < cfg.epochs
+    assert 1 <= diag.epochs_run < est.MAX_ITERATIONS
 
 
 @pytest.mark.parametrize("loss", [HUBER, LOGISTIC, QUANTILE], ids=lambda loss: loss.kind)
@@ -256,9 +254,10 @@ def test_exact_fits_are_bitwise_repeatable(loss):
 
 
 @pytest.mark.parametrize("loss", [HUBER, LOGISTIC, QUANTILE], ids=lambda loss: loss.kind)
-def test_one_iteration_cap_stops_unconverged(loss):
+def test_one_iteration_cap_stops_unconverged(loss, monkeypatch):
     Phi, y = _problem(loss, 40, 12, seed=6)
-    gamma, diag = est.adam_fit(Phi, y, est.FitConfig(loss=loss, kappa=0.5, epochs=1))
+    monkeypatch.setattr(est, "MAX_ITERATIONS", 1)
+    gamma, diag = est.adam_fit(Phi, y, est.FitConfig(loss=loss, kappa=0.5))
     assert diag.epochs_run == 1 and not diag.converged
     assert diag.certificate > 1e-12
     if loss.kind != "quantile":
@@ -347,7 +346,7 @@ def test_adam_deterministic():
     gen = np.random.default_rng(9)
     Phi = gen.random((30, 8))
     y = gen.standard_normal(30)
-    cfg = est.FitConfig(loss=LossSpec("huber", delta=1.0), kappa=0.5, epochs=200)
+    cfg = est.FitConfig(loss=LossSpec("huber", delta=1.0), kappa=0.5)
     g1, _ = est.adam_fit(Phi, y, cfg)
     g2, _ = est.adam_fit(Phi, y, cfg)
     assert np.all(g1 == g2)
@@ -365,8 +364,8 @@ def test_unpenalized_equals_kappa_zero():
     gen = np.random.default_rng(10)
     Phi = gen.random((25, 5))
     y = gen.standard_normal(25)
-    a, _ = est.adam_fit(Phi, y, est.FitConfig(loss=QUADRATIC, kappa=0.0, epochs=300))
-    b, _ = est.adam_fit(Phi, y, est.FitConfig(loss=QUADRATIC, kappa=0.0, epochs=300))
+    a, _ = est.adam_fit(Phi, y, est.FitConfig(loss=QUADRATIC, kappa=0.0))
+    b, _ = est.adam_fit(Phi, y, est.FitConfig(loss=QUADRATIC, kappa=0.0))
     assert np.all(a == b)
 
 
@@ -377,7 +376,7 @@ def _small_model(loss=QUADRATIC, n=60, seed=11):
         y = (gen.random(n) < 0.5).astype(float)
     else:
         y = np.sin(X[:, 0]) + X[:, 1] + 0.1 * gen.standard_normal(n)
-    cfg = est.FitConfig(loss=loss, kappa=1.0, epochs=400)
+    cfg = est.FitConfig(loss=loss, kappa=1.0)
     return est.fit_sdrn(X, y, cfg, m=1, R=4, column_names=("a", "b")), X
 
 

@@ -1,5 +1,6 @@
+import math
 import warnings
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -192,7 +193,7 @@ def test_auc_ranks_ties_as_rankdata_does():
 
 def test_run_replications_smoke_and_determinism():
     spec = ev.SimModelSpec(model_id=1, n=80, noise="normal", seed=3)
-    cfg = FitConfig(loss=LossSpec("quadratic"), epochs=60, tol=1e-6)
+    cfg = FitConfig(loss=LossSpec("quadratic"), tol=1e-6)
     report = ev.run_replications(spec, cfg, reps=1, kappas=(0.5, 1.0), cs=(-2, -1))
     assert len(report.cells) == 4
     for cell in report.cells:
@@ -242,7 +243,7 @@ def test_run_replications_builds_only_training_matrices(monkeypatch):
 
 def test_run_replications_classification_columns():
     spec = ev.SimModelSpec(model_id=4, n=60, seed=4)
-    cfg = FitConfig(loss=LossSpec("logistic"), epochs=40, tol=1e-6)
+    cfg = FitConfig(loss=LossSpec("logistic"), tol=1e-6)
     report = ev.run_replications(spec, cfg, reps=1, kappas=(1.0,), cs=(-2,))
     names = list(report.cells[0].row())
     assert names == ["kappa", "c", "m", "R", "accuracy", "sensitivity", "specificity",
@@ -251,7 +252,7 @@ def test_run_replications_classification_columns():
 
 def test_run_replications_error_identifies_cell():
     spec = ev.SimModelSpec(model_id=1, n=50, noise="normal", seed=3)
-    cfg = FitConfig(loss=LossSpec("logistic"), epochs=10)  # continuous y: invalid
+    cfg = FitConfig(loss=LossSpec("logistic"))  # continuous y: invalid
     with pytest.raises(RuntimeError, match=r"kappa=1.0, c=-2, rep=0"):
         ev.run_replications(spec, cfg, reps=1, kappas=(1.0,), cs=(-2,))
 
@@ -423,3 +424,29 @@ def test_verify_bounds_default_sweep():
     assert m0 and all(not c.asserted for c in m0)
     csv_text = report.to_csv()
     assert csv_text.splitlines()[0] == "name,measured,bound,passed,asserted,note"
+    # each row re-judged from its text as the benchmark's rows-rejudged check
+    # reads bounds.csv: lower from the note, or -inf without one
+    rows = [line.split(",", 5) for line in csv_text.splitlines()[1:]]
+    assert len(rows) == 128
+    for name, measured, bound, passed, asserted, note in rows:
+        measured, bound = float(measured), float(bound)
+        lower = float(note.removeprefix("lower=")) if note else -math.inf
+        assert passed == str(int(lower <= measured <= bound)), name
+        if name.startswith("cardinality-table"):
+            assert measured == bound, name
+
+
+def test_bound_check_passes_from_lower_to_bound():
+    # the verdict and the note are derived, not stored
+    stored = [f.name for f in fields(ev.BoundCheck)]
+    assert stored == ["name", "measured", "bound", "lower", "asserted"]
+    assert not ev.BoundCheck("nan", math.nan, 1.0).passed
+    # an exact count: lower == bound, and no note
+    exact = [ev.BoundCheck("table", value, 81.0, lower=81.0) for value in (80.0, 81.0, 82.0)]
+    assert [c.passed for c in exact] == [False, True, False]
+    assert all(c.note == "" for c in exact)
+    assert not ev.BoundCheck("ratio", 2.9, 5.5, lower=3.0).passed
+    window = ev.BoundCheck("ratio", 3.0, 5.5, lower=3.0)
+    assert window.passed and window.note == "lower=3.0"
+    one_sided = ev.BoundCheck("square", 0.01, 0.25)
+    assert one_sided.passed and one_sided.note == ""
