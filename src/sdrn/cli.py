@@ -18,7 +18,7 @@ import os
 import shutil
 import sys
 import tempfile
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from itertools import chain
 
@@ -361,9 +361,36 @@ def _write(path: str | None, text: str) -> None:
         out.write(text)
 
 
+def _block_text(data: np.ndarray, lines: list[str], job=None) -> str:
+    """A block's output rows, each row as read and repr of its score (and
+    probability), for ``job``, ``(model, column order)``: a worker's by default."""
+    model, order = job or _worker_job
+    scores = model.predict(data[:, order])
+    if model.loss.kind == "logistic":
+        rows = zip(lines, scores.tolist(), sigmoid(scores).tolist())
+        return "".join(f"{row},{s!r},{q!r}\n" for row, s, q in rows)
+    return "".join(f"{row},{s!r}\n" for row, s in zip(lines, scores.tolist()))
+
+
+_worker_job = None  # set as a pool worker starts, so that no block carries the model
+
+
+def _start_worker(job) -> None:
+    import signal
+    import threading
+    global _worker_job
+    _worker_job = job
+    # the parent shuts the pool down on an interrupt; an orphan would wait for blocks forever
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parent = sys.modules["multiprocessing"].parent_process()
+    threading.Thread(target=lambda: parent.join() or os._exit(1), daemon=True).start()
+
+
 def cmd_predict(args) -> int:
-    """Score the input one block at a time: read, score and write a block
-    of rows, so memory stays flat as the row count grows."""
+    """Score the input one block at a time, so memory stays flat as the
+    row count grows.  This process reads the blocks; from two on, forked
+    workers score them, one per usable CPU and at most one per 1 MiB
+    piece, and their text is written in input order."""
     try:
         model = SdrnModel.load(args.model)
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -384,20 +411,32 @@ def cmd_predict(args) -> int:
             )
         order = list(range(model.d))
     out_header = header + ["prediction"]
-    logistic = model.loss.kind == "logistic"
-    if logistic:
+    if model.loss.kind == "logistic":
         out_header.append("probability")
-    with _atomic_output(args.output) as out:
+    job = (model, order)
+    with _atomic_output(args.output) as out, ExitStack() as stack:
         out.write(f"# sdrn-predict model={args.model} schema_version={MODEL_SCHEMA_VERSION}\n")
         out.write(",".join(out_header) + "\n")
-        for _, data, lines in chain([(header, data, lines)], blocks):
-            scores = model.predict(data[:, order])
-            # each input row as read, then repr of its score (and probability)
-            if logistic:
-                rows = zip(lines, scores.tolist(), sigmoid(scores).tolist())
-                out.write("".join(f"{row},{s!r},{q!r}\n" for row, s, q in rows))
-            else:
-                out.write("".join(f"{row},{s!r}\n" for row, s in zip(lines, scores.tolist())))
+        pool, workers, pending = None, 1, []
+        second = next(blocks, None)
+        if second is not None and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+            workers = len(os.sched_getaffinity(0))
+            if os.path.isfile(args.input):
+                workers = min(workers, -(-os.path.getsize(args.input) // _PIECE))
+            if workers > 1:  # imported here, so that import sdrn.cli does not pay for them
+                import multiprocessing
+                from concurrent.futures import ProcessPoolExecutor
+                model.feature_map.plan  # planned once, before the fork, for every worker
+                ctx = multiprocessing.get_context("fork")  # spawn, forkserver re-import sdrn
+                pool = stack.enter_context(ProcessPoolExecutor(workers, ctx, _start_worker, (job,)))
+        for _, data, lines in chain([(header, data, lines)], [second] if second else [], blocks):
+            if pool is None:
+                out.write(_block_text(data, lines, job))
+                continue
+            pending.append(pool.submit(_block_text, data, lines))
+            if len(pending) > workers:  # one block queued beyond one per worker
+                out.write(pending.pop(0).result())
+        out.writelines(future.result() for future in pending)
     return 0
 
 

@@ -504,11 +504,12 @@ def adam_fit(Phi: np.ndarray, y: np.ndarray, config: FitConfig) -> tuple[np.ndar
             gamma, iterations, certificate = _quantile_ipm(Phi, y, loss, kappa, config.tol)
         else:
             gamma, iterations = _newton(Phi, y, loss, kappa, config.tol)
-    final = objective(gamma, Phi, y, loss, kappa)
+    scores = Phi @ gamma  # one pass over Phi for objective() and objective_gradient()
+    final = float(np.sum(loss_value(loss, scores, y))) + 0.5 * kappa * float(gamma @ gamma)
     if not (np.all(np.isfinite(gamma)) and np.isfinite(final)):
         raise NonFiniteObjectiveError(f"non-finite objective {final!r} of the fit")
     if loss.kind != "quantile" and kappa > 0:
-        grad = objective_gradient(gamma, Phi, y, loss, kappa)
+        grad = Phi.T @ loss_subgradient(loss, scores, y) + kappa * gamma
         bound = float(grad @ grad) / (2.0 * kappa)
         certificate = bound / final if final > 0 else bound
     converged = loss.kind == "quadratic" or certificate <= config.tol

@@ -750,9 +750,19 @@ def _covariate_csv(path, n, seed=0):
     return X
 
 
+def _usable_cpus(monkeypatch, count):
+    # sdrn predict forks one worker per usable CPU: these are the first
+    # `count` of the machine's, never more than it has
+    if hasattr(os, "sched_getaffinity"):
+        cpus = set(sorted(os.sched_getaffinity(0))[:count])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+
+
 def test_predict_failing_late_leaves_no_output(tmp_path, capsys, monkeypatch):
-    # 4 KiB pieces: earlier blocks are scored and written before the last
-    # block's non-finite cell is read
+    # 4 KiB pieces: earlier blocks are scored and written, on two CPUs by
+    # forked workers, before the last block's non-finite cell is read
+    import multiprocessing
+
     _, model_path = _fit_small(tmp_path)
     bad = tmp_path / "bad.csv"
     _covariate_csv(bad, 1000)
@@ -761,22 +771,78 @@ def test_predict_failing_late_leaves_no_output(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     before = sorted(p.name for p in tmp_path.iterdir())
     existing = tmp_path / "old.csv"
-    for output in (tmp_path / "new.csv", existing, None):
-        if output == existing:
-            existing.write_bytes(b"kept\n")
-            existing.chmod(0o600)
-            before.append(existing.name)
-        argv = ["predict", "--model", str(model_path), "--input", str(bad)]
-        rc = cli.main(argv + (["--output", str(output)] if output else []))
-        captured = capsys.readouterr()
-        assert rc == 2 and captured.out == ""
-        assert "non-finite value 'inf' at row 1002, column 'x3'" in captured.err
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
+    for cpus in (2, 1):
+        _usable_cpus(monkeypatch, cpus)
+        for output in (tmp_path / "new.csv", existing, None):
+            if output == existing and existing.name not in before:
+                existing.write_bytes(b"kept\n")
+                existing.chmod(0o600)
+                before.append(existing.name)
+            argv = ["predict", "--model", str(model_path), "--input", str(bad)]
+            rc = cli.main(argv + (["--output", str(output)] if output else []))
+            captured = capsys.readouterr()
+            assert rc == 2 and captured.out == ""
+            assert "non-finite value 'inf' at row 1002, column 'x3'" in captured.err
+            assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
+            assert multiprocessing.active_children() == []
     assert existing.read_bytes() == b"kept\n"
     # a successful run replaces the file and keeps its permissions
     assert cli.main(["predict", "--model", str(model_path), "--input", str(tmp_path / "train.csv"),
                      "--output", str(existing)]) == 0
     assert stat.S_IMODE(existing.stat().st_mode) == 0o600 and existing.read_bytes() != b"kept\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two usable CPUs")
+@pytest.mark.parametrize("loss", ["huber:1.0", "logistic"])
+def test_pooled_predict_writes_the_bytes_of_one_cpu(tmp_path, capsys, monkeypatch, loss):
+    # 4 KiB pieces split 3,000 rows into many blocks: on one CPU this
+    # process scores them all, on two the forked workers do; to a file and
+    # to standard output, the bytes agree
+    import multiprocessing
+
+    _, model_path = _fit_small(tmp_path, loss=loss)
+    new = tmp_path / "new.csv"
+    _covariate_csv(new, 3000)
+    monkeypatch.setattr(cli, "_PIECE", 4096)
+    scored = []  # rows per SdrnModel.predict call in this process, not in the workers
+    original = SdrnModel.predict
+    monkeypatch.setattr(SdrnModel, "predict", lambda self, X: scored.append(len(X)) or original(self, X))
+    argv = ["predict", "--model", str(model_path), "--input", str(new)]
+    written = {}
+    for cpus in (2, 1):
+        _usable_cpus(monkeypatch, cpus)
+        out = tmp_path / f"pred{cpus}.csv"
+        scored.clear()
+        capsys.readouterr()
+        assert cli.main(argv + ["--output", str(out)]) == 0
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+        assert multiprocessing.active_children() == []
+        written[cpus] = out.read_bytes()
+        assert sum(scored) == (0 if cpus == 2 else 2 * 3000)
+    assert written[2] == written[1]
+    lines = written[2].decode().splitlines()
+    assert len(lines) == 2 + 3000
+    assert lines[1].endswith("prediction,probability" if loss == "logistic" else ",prediction")
+
+
+def test_commands_without_a_pool_import_no_multiprocessing(tmp_path):
+    # predict starts a pool only once it reads a second block, so importing
+    # sdrn.cli, these commands and a one-piece predict leave its modules out
+    train, model, out = str(tmp_path / "train.csv"), str(tmp_path / "model.json"), str(tmp_path / "out.csv")
+    _write_binary_training_csv(tmp_path / "train.csv", 80)
+    argvs = [["fit", "--input", train, "--target", "y", "--model-out", model],
+             ["predict", "--model", model, "--input", train, "--output", out],
+             SIMULATE_SMALL + ["--out-csv", out],
+             ["verify-bounds", "--out-csv", out]]
+    code = ("import sys\nfrom sdrn import cli\n"
+            f"for argv in {argvs!r}:\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n")
+    done = _run_python(code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 SIMULATE_SMALL = ["simulate", "--model", "1", "--n", "60", "--reps", "1", "--kappas", "1.0", "--cs=-2"]
