@@ -4,7 +4,8 @@ CSV dialect: comma separated, first row is the header, UTF-8, ``.``
 decimal point, numeric fields unquoted.  Lines starting with ``#`` are
 configuration echoes and are skipped on read, so no column name may
 start with ``#``.  Exit codes: 0 success,
-1 usage error, 2 data error, 3 bound violation (verify-bounds only).
+1 usage error, 2 data error, 3 bound violation (verify-bounds only),
+143 terminated by SIGTERM (with no partial output left behind).
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ import json
 import math
 import os
 import shutil
+import signal
 import sys
 import tempfile
+import threading
 from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from itertools import chain
@@ -376,12 +379,13 @@ _worker_job = None  # set as a pool worker starts, so that no block carries the 
 
 
 def _start_worker(job) -> None:
-    import signal
-    import threading
     global _worker_job
     _worker_job = job
-    # the parent shuts the pool down on an interrupt; an orphan would wait for blocks forever
+    # the parent shuts the pool down on an interrupt or a SIGTERM; an
+    # orphan would wait for blocks forever
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})  # held while the parent forked
     parent = sys.modules["multiprocessing"].parent_process()
     threading.Thread(target=lambda: parent.join() or os._exit(1), daemon=True).start()
 
@@ -428,7 +432,12 @@ def cmd_predict(args) -> int:
                 from concurrent.futures import ProcessPoolExecutor
                 model.feature_map.plan  # planned once, before the fork, for every worker
                 ctx = multiprocessing.get_context("fork")  # spawn, forkserver re-import sdrn
-                pool = stack.enter_context(ProcessPoolExecutor(workers, ctx, _start_worker, (job,)))
+                # the workers fork at the first submit; SIGTERM is held until
+                # they have, because an exception its handler raises inside an
+                # at-fork hook (logging registers some) is dropped
+                with _sigterm_held():
+                    pool = stack.enter_context(ProcessPoolExecutor(workers, ctx, _start_worker, (job,)))
+                    pool.submit(int)
         for _, data, lines in chain([(header, data, lines)], [second] if second else [], blocks):
             if pool is None:
                 out.write(_block_text(data, lines, job))
@@ -575,11 +584,42 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _raise_exit(signum, frame):
+    raise SystemExit(128 + signum)
+
+
+@contextmanager
+def _sigterm_unwinds():
+    """While a command runs in the main thread, SIGTERM raises
+    ``SystemExit(143)``, so the command unwinds as from an interrupt:
+    :func:`_atomic_output` removes its temporary file and ``predict``
+    shuts its workers down.  The previous handler is restored after."""
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    previous = signal.signal(signal.SIGTERM, _raise_exit)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+@contextmanager
+def _sigterm_held():
+    """SIGTERM stays pending in the body and is delivered after it."""
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _sigterm_unwinds():
+            return args.func(args)
     except (DataError, LossInputError, BasisSizeError, NonFiniteObjectiveError) as exc:
         print(f"sdrn: data error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,10 @@ certified: the quadratic loss is ridge regression, solved in closed
 form; the Huber and logistic losses run Newton's method and the
 quantile loss a primal-dual interior-point method on its dual, each
 stopped by a bound on the distance to the minimum.  The solvers use
-``numpy.linalg`` only.
+``numpy.linalg`` only: every symmetric weighted ridge system is
+factored in place by 64-column Cholesky panels, so LAPACK never sees
+more than a 64 x 64 block of it and no fit holds a copy of its
+largest matrix.
 """
 
 from __future__ import annotations
@@ -203,6 +206,50 @@ def _gram(Phi: np.ndarray) -> np.ndarray | None:
     return Phi @ Phi.T if p > n else None
 
 
+# columns per panel of _cholesky, so LAPACK sees at most a _PANEL x _PANEL block
+_PANEL = 64
+
+
+def _cholesky(M: np.ndarray):
+    """Factor the symmetric positive definite ``M = L L'`` in place and
+    return the solve ``b -> M^-1 b``.
+
+    Left-looking, one ``_PANEL``-column panel at a time: the panel takes
+    the update from the columns of ``L`` to its left in one product, its
+    diagonal block is factored and inverted by ``numpy.linalg``, and the
+    rows below it are scaled by that inverse.  The lower triangle of
+    ``M`` ends as ``L``.  Besides ``M`` it holds one ``n x _PANEL``
+    workspace and the diagonal blocks' inverses; the solve is forward
+    and back substitution over the panels.  A pivot that is not positive
+    raises ``numpy.linalg.LinAlgError``.
+    """
+    n = len(M)
+    work = np.empty(n * _PANEL)
+    panels = []  # (first column, end, inverse of the diagonal block of L)
+    for j in range(0, n, _PANEL):
+        e = min(j + _PANEL, n)
+        col = M[j:, j:e]
+        if j:
+            col -= np.matmul(M[j:, :j], M[j:e, :j].T, out=work[: col.size].reshape(col.shape))
+        L = np.linalg.cholesky(col[: e - j])
+        inverse = np.linalg.inv(L)
+        col[: e - j] = L
+        below = col[e - j :]
+        below[...] = np.matmul(below, inverse.T, out=work[: below.size].reshape(below.shape))
+        panels.append((j, e, inverse))
+
+    def solve(b):
+        x = np.array(b, dtype=float)
+        for j, e, inverse in panels:  # L y = b
+            x[j:e] = inverse @ x[j:e]
+            x[e:] -= M[e:, j:e] @ x[j:e]
+        for j, e, inverse in reversed(panels):  # L' x = y
+            x[j:e] = inverse.T @ (x[j:e] - M[e:, j:e].T @ x[e:])
+        return x
+
+    return solve
+
+
 def _weighted_ridge(Phi: np.ndarray, w: float | np.ndarray, kappa: float, K: np.ndarray | None = None):
     """The solve ``u -> (x, s)`` of the weighted ridge system on ``Phi``,
 
@@ -214,7 +261,11 @@ def _weighted_ridge(Phi: np.ndarray, w: float | np.ndarray, kappa: float, K: np.
     ``x`` over the rows with ``w > 0``; when ``p > n`` the n x n system
     ``(kappa I + W K) v = u``, with ``x = Phi' v`` and ``s = kappa v``.
     A caller that solves for many ``w`` passes ``K`` from :func:`_gram`;
-    otherwise it is formed here and weighted in place.
+    otherwise it is formed here and weighted in place.  Every symmetric
+    system, the p x p one and the n x n one at a scalar ``w``, is
+    factored in place by :func:`_cholesky`, so no copy of it is made;
+    only ``kappa I + W K`` at a vector ``w`` goes to ``np.linalg.solve``,
+    which factors it anew per right-hand side.
     """
     scale = w if np.ndim(w) == 0 else w[:, None]
     if K is None:
@@ -225,9 +276,10 @@ def _weighted_ridge(Phi: np.ndarray, w: float | np.ndarray, kappa: float, K: np.
         M = scale * K
     if M is not None:
         M.flat[:: M.shape[0] + 1] += kappa
+        inverse = _cholesky(M) if np.ndim(w) == 0 else lambda u: np.linalg.solve(M, u)
 
         def solve(u):
-            v = np.linalg.solve(M, u)
+            v = inverse(u)
             return Phi.T @ v, kappa * v
 
         return solve
@@ -240,9 +292,10 @@ def _weighted_ridge(Phi: np.ndarray, w: float | np.ndarray, kappa: float, K: np.
         A *= np.sqrt(w[rows])[:, None]
         H = A.T @ A
     H.flat[:: H.shape[0] + 1] += kappa
+    inverse = _cholesky(H)
 
     def solve(u):
-        x = np.linalg.solve(H, Phi.T @ u)
+        x = inverse(Phi.T @ u)
         return x, u - w * (Phi @ x)
 
     return solve
@@ -494,7 +547,8 @@ def adam_fit(Phi: np.ndarray, y: np.ndarray, config: FitConfig) -> tuple[np.ndar
             else:
                 gamma = _weighted_ridge(Phi, 2.0, kappa)(2.0 * y)[0]
         except np.linalg.LinAlgError as exc:
-            # for finite data the LU solve and the least-squares SVD succeed
+            # kappa I keeps every Cholesky pivot positive unless rounding
+            # swamps it; the least-squares SVD of finite data succeeds
             raise NonFiniteObjectiveError(f"exact ridge solve failed: {exc}") from exc
     else:
         start = float(np.sum(loss_value(loss, np.zeros(len(y)), y)))

@@ -344,15 +344,23 @@ def run_replications(
     ``kappa`` grid.  The fits of a schedule cell ``c`` fill one
     ``(p, len(kappas) * reps)`` coefficient array in (kappa, rep) column
     order, which goes through :meth:`FeatureMap.scores` once, so no
-    evaluation feature matrix exists.
+    evaluation feature matrix exists.  The cells are fitted largest basis
+    first, so that the largest fit does not start on a heap the smaller
+    ones left behind; the report lists them in ``cs`` order.  Every draw
+    is keyed by ``(seed, rep)``, so the order changes no value.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     report = SimulationReport(spec=spec, loss_selector=fit_config.loss.selector(), reps=reps)
     points, truth = design(spec)
     truth_class = (truth >= 0.5).astype(int)
-    for c in cs:
-        m, R = hyperparams_from_n(spec.n, c)
+    schedule = {c: hyperparams_from_n(spec.n, c) for c in cs}
+    rows = {c: [] for c in cs}
+    # the basis grows with m, which is cheaper to sort on than its size:
+    # a c past the id cap must reach enumerate_basis, which refuses it
+    # before counting; the stable sort keeps equal m in cs order
+    for c in sorted(rows, key=lambda c: -schedule[c][0]):
+        m, R = schedule[c]
         fmap = FeatureMap(basis=enumerate_basis(spec.dimension, m), R=R)
         # c_offset does not change the fit; it labels the config for
         # wrappers of adam_fit that record fits per schedule cell
@@ -371,7 +379,8 @@ def run_replications(
                 per_rep = [astuple(classification_metrics(prob >= 0.5, truth_class, prob))
                            for prob in probs]
                 metrics = ClassificationMetrics(*map(_defined_mean, zip(*per_rep)))
-            report.cells.append(GridCell(kappa=kappa, c=c, m=m, R=R, metrics=metrics))
+            rows[c].append(GridCell(kappa=kappa, c=c, m=m, R=R, metrics=metrics))
+    report.cells = [cell for c in cs for cell in rows[c]]
     return report
 
 

@@ -3,9 +3,11 @@ import decimal
 import json
 import math
 import os
+import signal
 import stat
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -184,11 +186,15 @@ def _run_with_scipy_blocked(*argvs):
     assert done.returncode == 0, done.stderr
 
 
-def _run_python(code, *args):
-    # a fresh interpreter that imports this checkout's sdrn
+def _checkout_env():
+    # the environment of a fresh interpreter that imports this checkout's sdrn
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def _run_python(code, *args):
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=_checkout_env())
 
 
 def _write_binary_training_csv(path, n):
@@ -825,6 +831,47 @@ def test_pooled_predict_writes_the_bytes_of_one_cpu(tmp_path, capsys, monkeypatc
     lines = written[2].decode().splitlines()
     assert len(lines) == 2 + 3000
     assert lines[1].endswith("prediction,probability" if loss == "logistic" else ",prediction")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="reads the workers' pids from /proc; needs two usable CPUs")
+def test_sigterm_during_predict_leaves_no_temporary_file_and_no_worker(tmp_path):
+    # 4 KiB pieces split 60,000 rows into hundreds of blocks, so predict is
+    # still writing its temporary file, with its workers forked, when the
+    # SIGTERM comes
+    _, model_path = _fit_small(tmp_path)
+    new = tmp_path / "new.csv"
+    _covariate_csv(new, 60000)
+    out = tmp_path / "pred.csv"
+    code = "import sys\nfrom sdrn import cli\ncli._PIECE = 4096\nsys.exit(cli.main(sys.argv[1:]))\n"
+    argv = ["predict", "--model", str(model_path), "--input", str(new), "--output", str(out)]
+    proc = subprocess.Popen([sys.executable, "-c", code, *argv], env=_checkout_env(),
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    tmp = Path(f"{out}.{proc.pid}.tmp")
+    workers, deadline = [], time.monotonic() + 60
+    try:
+        while not (tmp.exists() and workers) and proc.poll() is None and time.monotonic() < deadline:
+            try:
+                workers = [pid for task in Path(f"/proc/{proc.pid}/task").iterdir()
+                           for pid in (task / "children").read_text().split()]
+            except OSError:
+                pass
+            time.sleep(0.005)
+        assert proc.poll() is None and tmp.exists() and workers
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 143, err
+    assert b"Traceback" not in err
+    assert not tmp.exists() and not out.exists()
+    # the workers were joined, not orphaned
+    assert not any(Path(f"/proc/{pid}").exists() for pid in workers)
+    # an in-process caller keeps its own handler
+    before = signal.getsignal(signal.SIGTERM)
+    argv[argv.index(str(new))] = str(tmp_path / "train.csv")
+    assert cli.main(argv) == 0 and signal.getsignal(signal.SIGTERM) is before
 
 
 def test_commands_without_a_pool_import_no_multiprocessing(tmp_path):

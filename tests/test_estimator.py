@@ -283,6 +283,74 @@ def test_quantile_finish_solves_at_most_p_rows(monkeypatch):
     assert model.diagnostics.converged
 
 
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 1032])
+def test_cholesky_panels_solve_as_lapack(n):
+    # n = 1 and 63 are one partial panel, 64 one full panel, 65 a full one
+    # and a one-column one, 130 and 1032 several; two right-hand sides go
+    # through one factorisation
+    gen = np.random.default_rng(n)
+    B = gen.random((n, n + 3))
+    S = B @ B.T / n + 0.1 * np.eye(n)
+    M = S.copy()
+    solve = est._cholesky(M)
+    assert np.allclose(np.tril(M), np.linalg.cholesky(S), rtol=0, atol=1e-12)
+    for b in (gen.standard_normal(n), gen.standard_normal((n, 2))):
+        x = solve(b)
+        # a backward-stable solve: residual within 8 n eps of |S| |x|
+        assert np.linalg.norm(S @ x - b) <= 8 * n * np.finfo(float).eps * np.linalg.norm(S) * np.linalg.norm(x)
+        reference = np.linalg.solve(S, b)
+        assert np.max(np.abs(x - reference)) <= 1e-11 * np.max(np.abs(reference))
+
+
+def test_cholesky_of_an_indefinite_matrix_raises():
+    # the non-positive pivot is in the last of three panels
+    gen = np.random.default_rng(1)
+    B = gen.random((130, 130))
+    S = B @ B.T + np.eye(130)
+    S[129, 129] = -1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        est._cholesky(S)
+
+
+def _lapack_shapes(monkeypatch):
+    """Record the shape of every matrix handed to np.linalg.solve, cholesky and inv."""
+    shapes = {}
+
+    def record(name):
+        original, shapes[name] = getattr(np.linalg, name), []
+
+        def recording(a, *args):
+            shapes[name].append(np.shape(a))
+            return original(a, *args)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+
+    for name in ("solve", "cholesky", "inv"):
+        record(name)
+    return shapes
+
+
+@pytest.mark.parametrize("loss, n, p", [(QUADRATIC, 300, 1200), (HUBER, 400, 150)],
+                         ids=["quadratic-wide", "huber-tall"])
+def test_symmetric_ridge_systems_reach_lapack_in_panels(loss, n, p, monkeypatch):
+    Phi, y = _problem(loss, n, p)
+    shapes = _lapack_shapes(monkeypatch)
+    _, diag = est.adam_fit(Phi, y, est.FitConfig(loss=loss, kappa=0.5))
+    assert diag.converged
+    assert shapes["solve"] == [] and shapes["cholesky"] and shapes["inv"]
+    assert max(max(shape) for shape in shapes["cholesky"] + shapes["inv"]) <= est._PANEL == 64
+
+
+def test_logistic_wide_fit_solves_its_weighted_system_with_lu(monkeypatch):
+    # kappa I + W K at a vector w is not symmetric: the one n x n system
+    # that still goes to np.linalg.solve
+    Phi, y = _problem(LOGISTIC, 60, 200)
+    shapes = _lapack_shapes(monkeypatch)
+    _, diag = est.adam_fit(Phi, y, est.FitConfig(loss=LOGISTIC, kappa=0.5))
+    assert diag.converged and shapes["cholesky"] == []
+    assert shapes["solve"] and set(shapes["solve"]) == {(60, 60)}
+
+
 @pytest.mark.parametrize(
     "loss, n, p, limit",
     [

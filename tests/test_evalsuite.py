@@ -216,7 +216,29 @@ def test_run_replications_labels_each_fit_with_its_cell(monkeypatch):
     spec = ev.SimModelSpec(model_id=1, n=60, noise="normal", seed=3)
     ev.run_replications(spec, FitConfig(loss=LossSpec("quadratic")), reps=1,
                         kappas=(0.5, 1.0), cs=(-1, 0))
-    assert seen == [(0.5, -1, 32), (1.0, -1, 32), (0.5, 0, 112), (1.0, 0, 112)]
+    # the largest basis is fitted first
+    assert seen == [(0.5, 0, 112), (1.0, 0, 112), (0.5, -1, 32), (1.0, -1, 32)]
+
+
+def test_run_replications_reports_in_cs_order_whatever_the_fit_order(monkeypatch):
+    # at n = 80 the schedule gives m = 1 at c = 0 and m = 0 at c = -2 and -1:
+    # c = 0 is fitted first, the tie keeps its cs order, and every row is
+    # the one a simulation of its c alone reports
+    fitted = []
+    fit = ev.adam_fit
+    monkeypatch.setattr(ev, "adam_fit", lambda Phi, y, config: fitted.append(config.c_offset)
+                        or fit(Phi, y, config))
+    spec = ev.SimModelSpec(model_id=1, n=80, noise="normal", seed=5)
+    cfg = FitConfig(loss=LossSpec("huber", delta=1.0))
+    kappas, cs = (0.5, 1.0), (0, -2, -1)
+    report = ev.run_replications(spec, cfg, reps=2, kappas=kappas, cs=cs)
+    assert fitted == [0] * 4 + [-2] * 4 + [-1] * 4
+    assert [(cell.kappa, cell.c) for cell in report.cells] == [(k, c) for c in cs for k in kappas]
+    header, *rows = report.to_csv().splitlines()[1:]
+    alone = [ev.run_replications(spec, cfg, reps=2, kappas=kappas, cs=(c,)).to_csv().splitlines()
+             for c in cs]
+    assert all(lines[1] == header for lines in alone)
+    assert rows == [row for lines in alone for row in lines[2:]]
 
 
 def test_run_replications_builds_only_training_matrices(monkeypatch):
