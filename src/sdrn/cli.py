@@ -22,7 +22,6 @@ import sys
 import tempfile
 import threading
 from contextlib import ExitStack, contextmanager
-from dataclasses import replace
 from itertools import chain
 
 import numpy as np
@@ -52,10 +51,6 @@ from .sparse_grid import BasisSizeError, basis_size, cardinality_bounds, cardina
 # the network count take well under a second (basis-info --d 100000 --m 0
 # --r 511 prints in 0.42 s on a 2-core machine)
 MAX_COUNT_TERMS = 100_000
-TOL_HELP = (
-    "relative target for the fit's optimality certificate (huber, logistic) "
-    "or duality gap (quantile)"
-)
 
 
 class DataError(Exception):
@@ -272,7 +267,7 @@ def cmd_fit(args) -> int:
         raise DataError(f"need --m >= 0 and 1 <= --r <= {MAX_R}")
     c_offset = 0 if args.c is None else args.c
     try:
-        config = FitConfig(loss=loss, kappa=args.kappa, c_offset=c_offset, tol=args.tol)
+        config = FitConfig(loss=loss, kappa=args.kappa, c_offset=c_offset)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     header, data = read_csv(args.input)
@@ -470,13 +465,12 @@ def cmd_simulate(args) -> int:
     try:
         loss = LossSpec.parse(args.loss)
         spec = SimModelSpec(model_id=args.model, n=args.n, noise=args.noise, seed=args.seed)
-        config = FitConfig(loss=loss, tol=args.tol)
         for kappa in kappas:  # the config of each grid point, checked before any fit
-            replace(config, kappa=kappa)
+            FitConfig(loss=loss, kappa=kappa)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     try:
-        report = run_replications(spec, config, reps=args.reps, kappas=kappas, cs=cs)
+        report = run_replications(spec, loss, reps=args.reps, kappas=kappas, cs=cs)
     except RuntimeError as exc:  # a failed fit, named by its cell
         if isinstance(exc.__cause__, (LossInputError, NonFiniteObjectiveError)):
             raise DataError(str(exc)) from exc
@@ -548,7 +542,6 @@ def build_parser() -> _Parser:
     p_fit.add_argument("--c", type=int, default=None, help="offset in the m-schedule (conflicts with --m)")
     p_fit.add_argument("--m", type=int, default=None, help="override the level-sum budget m")
     p_fit.add_argument("--r", type=int, default=None, help="override the product accuracy R")
-    p_fit.add_argument("--tol", type=float, default=1e-12, help=TOL_HELP)
     p_fit.set_defaults(func=cmd_fit)
 
     p_pred = sub.add_parser("predict", help="append predictions to a CSV file")
@@ -565,7 +558,6 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--loss", default="quadratic")
     p_sim.add_argument("--kappas", default=",".join(str(k) for k in DEFAULT_KAPPAS))
     p_sim.add_argument("--cs", default=",".join(str(c) for c in DEFAULT_CS))
-    p_sim.add_argument("--tol", type=float, default=1e-12, help=TOL_HELP)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out-csv", default=None)
     p_sim.add_argument("--out-json", default=None)

@@ -162,22 +162,19 @@ class FitConfig:
     ``kappa`` is the ridge tuning parameter (``lambda = kappa / n``);
     ``c_offset`` shifts the sample-size schedule for ``m``.  The
     quadratic loss is solved exactly.  The Huber and logistic losses run
-    Newton's method and the quantile loss an interior-point method, at
-    most ``MAX_ITERATIONS`` steps each; ``tol`` is the relative target
-    for their optimality certificate (see :func:`adam_fit`).  These
-    losses need ``kappa > 0``: without the ridge term the risk is not
-    strongly convex, so there is no certificate and maybe no minimiser.
+    Newton's method and the quantile loss an interior-point method,
+    each certified to ``TOL`` (see :func:`adam_fit`).  These losses need
+    ``kappa > 0``: without the ridge term the risk is not strongly
+    convex, so there is no certificate and maybe no minimiser.
     """
 
     loss: LossSpec
     kappa: float = 1.0
     c_offset: int = 0
-    tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        for name, value in (("kappa", self.kappa), ("tol", self.tol)):
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+        if not (math.isfinite(self.kappa) and self.kappa >= 0):
+            raise ValueError(f"kappa must be finite and nonnegative, got {self.kappa!r}")
         if self.kappa == 0 and self.loss.kind != "quadratic":
             raise LossInputError(
                 f"the {self.loss.kind} loss needs kappa > 0: without the ridge term "
@@ -280,7 +277,9 @@ def _weighted_ridge(Phi: np.ndarray, w: float | np.ndarray, kappa: float, K: np.
 
         def solve(u):
             v = inverse(u)
-            return Phi.T @ v, kappa * v
+            # einsum adds the rows in order; a threaded gemv's order, and so
+            # x's last bits, would follow the BLAS thread count
+            return np.einsum("ij,i->j", Phi, v), kappa * v
 
         return solve
     if np.ndim(w) == 0:
@@ -311,10 +310,13 @@ PATIENCE = 5
 # the iteration cap of both methods; no measured fit came near it: badly
 # scaled Huber fits take the most, a few hundred Newton steps
 MAX_ITERATIONS = 5000
+# the relative target of both methods' certificate: the bound on
+# (objective - minimum) / objective below which a fit is converged
+TOL = 1e-12
 
 
 def _newton(
-    Phi: np.ndarray, y: np.ndarray, loss: LossSpec, kappa: float, tol: float
+    Phi: np.ndarray, y: np.ndarray, loss: LossSpec, kappa: float
 ) -> tuple[np.ndarray, int]:
     """Newton's method with Armijo backtracking from ``gamma = 0``, for
     the Huber and logistic risks.
@@ -325,7 +327,7 @@ def _newton(
     :func:`_weighted_ridge` at ``u = W f - loss'``, and the step is
     ``gamma - x``.  When ``p > n`` the Gram ``K`` is formed once.  It
     stops when ``|gradient|^2 / (2 kappa)``, which bounds the distance to
-    the minimum by kappa-strong convexity, is at most ``tol`` times the
+    the minimum by kappa-strong convexity, is at most ``TOL`` times the
     objective, after ``MAX_ITERATIONS`` steps, after ``PATIENCE`` steps
     that do not lower the objective, or when the line search stalls.
     Returns the iterate and the number of steps taken.
@@ -338,7 +340,7 @@ def _newton(
     for it in count():
         slope_f = loss_subgradient(loss, f, y)
         grad = Phi.T @ slope_f + kappa * gamma
-        if float(grad @ grad) / (2.0 * kappa) <= tol * value or it == MAX_ITERATIONS or stale > PATIENCE:
+        if float(grad @ grad) / (2.0 * kappa) <= TOL * value or it == MAX_ITERATIONS or stale > PATIENCE:
             return gamma, it
         w = loss_curvature(loss, f, y)
         try:
@@ -381,7 +383,7 @@ def _max_step(*pairs: tuple[np.ndarray, np.ndarray]) -> float:
 
 
 def _quantile_ipm(
-    Phi: np.ndarray, y: np.ndarray, loss: LossSpec, kappa: float, tol: float
+    Phi: np.ndarray, y: np.ndarray, loss: LossSpec, kappa: float
 ) -> tuple[np.ndarray, int, float]:
     """Primal-dual interior-point method (Mehrotra predictor-corrector)
     on the Fenchel dual of the quantile risk,
@@ -404,7 +406,7 @@ def _quantile_ipm(
     of magnitude, so once the gap is below ``POLISH_GAP`` each iteration
     also tries an exact finish from the bounds the iterate holds
     (``s < z`` or ``t < w``), and the candidate with the smallest gap is
-    kept.  Stops when that gap is at most ``tol`` times the objective,
+    kept.  Stops when that gap is at most ``TOL`` times the objective,
     after ``MAX_ITERATIONS`` iterations, after ``PATIENCE`` iterations
     without a smaller gap, or when a step stalls.  Returns that
     candidate's ``gamma``, the iterations and its relative gap.
@@ -481,7 +483,7 @@ def _quantile_ipm(
             if cand_gap < best_gap:
                 best_gamma, best_gap, stale = cand_gamma, cand_gap, -1
         stale += 1
-        if best_gap <= tol or it == MAX_ITERATIONS or stale > PATIENCE:
+        if best_gap <= TOL or it == MAX_ITERATIONS or stale > PATIENCE:
             break
         residual = -r - z + w
         Dinv = 1.0 / (z / s + w / t)
@@ -529,7 +531,7 @@ def adam_fit(Phi: np.ndarray, y: np.ndarray, config: FitConfig) -> tuple[np.ndar
     ``(objective - minimum) / objective``: ``|gradient|^2 / (2 kappa)``
     for the smooth losses (NaN for the quadratic loss at
     ``kappa = 0``), the duality gap for the quantile loss; those losses
-    are ``converged`` when it is at most ``config.tol``.  The name
+    are ``converged`` when it is at most ``TOL``.  The name
     predates the exact solvers and stays because the benchmark harness
     looks the solver up by it.  Deterministic given (data, config).
     """
@@ -555,9 +557,9 @@ def adam_fit(Phi: np.ndarray, y: np.ndarray, config: FitConfig) -> tuple[np.ndar
         if not np.isfinite(start):
             raise NonFiniteObjectiveError(f"non-finite objective {start!r} at gamma = 0")
         if loss.kind == "quantile":
-            gamma, iterations, certificate = _quantile_ipm(Phi, y, loss, kappa, config.tol)
+            gamma, iterations, certificate = _quantile_ipm(Phi, y, loss, kappa)
         else:
-            gamma, iterations = _newton(Phi, y, loss, kappa, config.tol)
+            gamma, iterations = _newton(Phi, y, loss, kappa)
     scores = Phi @ gamma  # one pass over Phi for objective() and objective_gradient()
     final = float(np.sum(loss_value(loss, scores, y))) + 0.5 * kappa * float(gamma @ gamma)
     if not (np.all(np.isfinite(gamma)) and np.isfinite(final)):
@@ -566,7 +568,7 @@ def adam_fit(Phi: np.ndarray, y: np.ndarray, config: FitConfig) -> tuple[np.ndar
         grad = Phi.T @ loss_subgradient(loss, scores, y) + kappa * gamma
         bound = float(grad @ grad) / (2.0 * kappa)
         certificate = bound / final if final > 0 else bound
-    converged = loss.kind == "quadratic" or certificate <= config.tol
+    converged = loss.kind == "quadratic" or certificate <= TOL
     return gamma, FitDiagnostics(
         final_objective=final,
         epochs_run=iterations,
@@ -645,6 +647,8 @@ class SdrnModel:
             raise ValueError(f"gamma has {gamma.size} entries, not the size of the d={d}, m={m} basis")
         if not all(np.all(np.isfinite(a)) for a in (gamma, mins, maxs)):
             raise ValueError("gamma and scaler values must be finite")
+        if not np.all(maxs > mins):  # Scaler.fit refuses a constant column
+            raise ValueError("each scaler column needs max > min")
         return cls(
             gamma=gamma,
             d=d,

@@ -19,14 +19,14 @@ measured-vs-bound outcomes.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, astuple, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import rng
 from .estimator import FeatureMap, FitConfig, adam_fit, hyperparams_from_n
-from .losses import sigmoid
+from .losses import LossSpec, sigmoid
 from .relu_product import pair_product, product_pairs, square_approx
 from .sparse_grid import (
     approximation_bound,
@@ -320,12 +320,12 @@ def _defined_mean(values) -> float:
 
 def run_replications(
     spec: SimModelSpec,
-    fit_config: FitConfig,
+    loss: LossSpec,
     reps: int,
     kappas: Sequence[float] = DEFAULT_KAPPAS,
     cs: Sequence[int] = DEFAULT_CS,
 ) -> SimulationReport:
-    """Fit on fresh data per replication for every (kappa, c) cell.
+    """Fit ``loss`` on fresh data per replication for every (kappa, c) cell.
 
     Every replication is scored on the fixed evaluation design: squared
     error against the true regression function for models 1-3, and for
@@ -351,7 +351,7 @@ def run_replications(
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    report = SimulationReport(spec=spec, loss_selector=fit_config.loss.selector(), reps=reps)
+    report = SimulationReport(spec=spec, loss_selector=loss.selector(), reps=reps)
     points, truth = design(spec)
     truth_class = (truth >= 0.5).astype(int)
     schedule = {c: hyperparams_from_n(spec.n, c) for c in cs}
@@ -364,7 +364,7 @@ def run_replications(
         fmap = FeatureMap(basis=enumerate_basis(spec.dimension, m), R=R)
         # c_offset does not change the fit; it labels the config for
         # wrappers of adam_fit that record fits per schedule cell
-        configs = [replace(fit_config, kappa=kappa, c_offset=c) for kappa in kappas]
+        configs = [FitConfig(loss=loss, kappa=kappa, c_offset=c) for kappa in kappas]
         coefs = np.empty((len(fmap.basis), len(kappas) * reps))
         for rep in range(reps):
             X, y = generate(spec, rep)
@@ -375,7 +375,7 @@ def run_replications(
             if spec.model_id != 4:
                 metrics = regression_metrics(scores, truth)
             else:
-                probs = sigmoid(scores) if fit_config.loss.kind == "logistic" else scores
+                probs = sigmoid(scores) if loss.kind == "logistic" else scores
                 per_rep = [astuple(classification_metrics(prob >= 0.5, truth_class, prob))
                            for prob in probs]
                 metrics = ClassificationMetrics(*map(_defined_mean, zip(*per_rep)))

@@ -23,7 +23,7 @@ import pytest
 from sdrn import cli
 from sdrn import evalsuite as ev
 from sdrn import rng
-from sdrn.estimator import FeatureMap, FitConfig, adam_fit
+from sdrn.estimator import TOL, FeatureMap, FitConfig, adam_fit
 from sdrn.losses import LossSpec
 from sdrn.relu_product import (
     approx_basis_eval,
@@ -254,7 +254,6 @@ def test_criterion_08_ridge_quadratic_oracle():
 @pytest.fixture(scope="module")
 def model1_sweep():
     spec = ev.SimModelSpec(model_id=1, n=2000, noise="normal", seed=SEED)
-    cfg = FitConfig(loss=LossSpec("quadratic"), tol=1e-8)
     # record the per-replication predictions each cell is scored on, so the
     # criterion can put a jackknife standard error on its margin
     scored = []
@@ -267,7 +266,8 @@ def model1_sweep():
     start = time.monotonic()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ev, "regression_metrics", recording_metrics)
-        report = ev.run_replications(spec, cfg, reps=20, kappas=(1.0,), cs=(-2, -1, 0, 1, 2))
+        report = ev.run_replications(spec, LossSpec("quadratic"), reps=20, kappas=(1.0,),
+                                     cs=(-2, -1, 0, 1, 2))
     return report, time.monotonic() - start, scored
 
 
@@ -320,11 +320,11 @@ def test_criterion_09_desk_scale_reproduction(model1_sweep):
 
 
 def test_criterion_10_sample_size_trend():
-    cfg = FitConfig(loss=LossSpec("quadratic"), tol=1e-8)
     best = {}
     for n in (2000, 5000):
         spec = ev.SimModelSpec(model_id=1, n=n, noise="normal", seed=SEED)
-        report = ev.run_replications(spec, cfg, reps=10, kappas=(0.5, 1.0, 2.0), cs=(0,))
+        report = ev.run_replications(spec, LossSpec("quadratic"), reps=10, kappas=(0.5, 1.0, 2.0),
+                                     cs=(0,))
         best[n] = min(cell.metrics.avg_mse for cell in report.cells)
     ok = best[5000] < best[2000]
     assert _report(10, "optimal mse shrinks with n", ok, f"n=2000: {best[2000]:.4f}, n=5000: {best[5000]:.4f}")
@@ -344,10 +344,10 @@ def _record_fits(patch) -> list:
 
 
 def _uncertified(fits) -> list:
-    """The iterative fits whose certificate or duality gap misses their tol."""
+    """The iterative fits whose certificate or duality gap misses ``TOL``."""
     return [
         diag for config, diag in fits
-        if config.loss.kind != "quadratic" and not (diag.converged and diag.certificate <= config.tol)
+        if config.loss.kind != "quadratic" and not (diag.converged and diag.certificate <= TOL)
     ]
 
 
@@ -357,8 +357,7 @@ def test_criterion_11_laplace_robustness():
     with pytest.MonkeyPatch.context() as patch:
         fits = _record_fits(patch)
         for loss in (LossSpec("quadratic"), LossSpec("quantile", tau=0.5)):
-            cfg = FitConfig(loss=loss, tol=1e-8)
-            report = ev.run_replications(spec, cfg, reps=20, kappas=(0.5, 1.0), cs=(0,))
+            report = ev.run_replications(spec, loss, reps=20, kappas=(0.5, 1.0), cs=(0,))
             best[loss.kind] = min(cell.metrics.avg_mse for cell in report.cells)
     uncertified = _uncertified(fits)
     ok = best["quantile"] < best["quadratic"] and not uncertified
@@ -375,10 +374,10 @@ def test_criterion_11_laplace_robustness():
 def test_criterion_12_classification_accuracy():
     spec = ev.SimModelSpec(model_id=4, n=2000, seed=SEED)
     # Newton's method certifies each logistic fit within a few iterations
-    cfg = FitConfig(loss=LossSpec("logistic"), tol=1e-8)
     with pytest.MonkeyPatch.context() as patch:
         fits = _record_fits(patch)
-        report = ev.run_replications(spec, cfg, reps=10, kappas=(0.5, 1.0, 2.0), cs=(-2, -1))
+        report = ev.run_replications(spec, LossSpec("logistic"), reps=10, kappas=(0.5, 1.0, 2.0),
+                                     cs=(-2, -1))
     uncertified = _uncertified(fits)
     tuned = max(report.cells, key=lambda cell: cell.metrics.accuracy)
     ok = tuned.metrics.accuracy >= 0.89 and not uncertified

@@ -336,10 +336,12 @@ def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["simulate", "--model", "9"])  # outside the model choices
     assert exc.value.code == 1
-    # the iteration cap is a constant, and a fit draws nothing at random
+    # the iteration cap and the certificate target are constants, and a fit
+    # draws nothing at random
     fit = ["fit", "--input", "x.csv", "--target", "y", "--model-out", "m.json"]
-    for argv in (fit + ["--epochs", "5"], ["simulate", "--model", "1", "--epochs", "5"],
-                 fit + ["--seed", "7"]):
+    simulate = ["simulate", "--model", "1"]
+    for argv in (fit + ["--epochs", "5"], simulate + ["--epochs", "5"], fit + ["--seed", "7"],
+                 fit + ["--tol", "1e-8"], simulate + ["--tol", "1e-8"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 1
@@ -676,9 +678,6 @@ BAD_INPUTS = {
     # a model would map both covariates to the first "a"
     "fit-repeated-column-name": lambda tmp: _fit_argv(
         tmp, train=_csv_bytes(tmp, b"a,a,y\n1.0,2.0,0.5\n2.0,1.0,1.5\n3.0,0.0,1.0\n")),
-    "fit-tol=nan": lambda tmp: _fit_argv(tmp, "--loss", "quantile:0.5", "--tol", "nan"),
-    "fit-tol=-1": lambda tmp: _fit_argv(tmp, "--loss", "huber:1", "--tol=-1"),
-    "fit-tol=inf": lambda tmp: _fit_argv(tmp, "--tol", "inf"),
     "fit-huber:nan": lambda tmp: _fit_argv(tmp, "--loss", "huber:nan"),
     "fit-huber:inf": lambda tmp: _fit_argv(tmp, "--loss", "huber:inf"),
     "simulate-reps=0": lambda tmp: _simulate_argv(tmp, "--reps", "0"),
@@ -686,9 +685,6 @@ BAD_INPUTS = {
     "simulate-kappas=nan": lambda tmp: _simulate_argv(tmp, "--kappas", "nan"),
     "simulate-unwritable-out-csv": lambda tmp: _simulate_argv(
         tmp, "--out-csv", str(tmp / "no-dir" / "sim.csv")),
-    "simulate-tol=nan": lambda tmp: _simulate_argv(tmp, "--tol", "nan"),
-    "simulate-tol=-1": lambda tmp: _simulate_argv(tmp, "--loss", "quantile:0.5", "--tol=-1"),
-    "simulate-tol=inf": lambda tmp: _simulate_argv(tmp, "--loss", "huber:1", "--tol", "inf"),
     "simulate-huber:nan": lambda tmp: _simulate_argv(tmp, "--loss", "huber:nan"),
     # a repeated grid value would fit every cell of it twice
     "simulate-kappas=1,1": lambda tmp: _simulate_argv(tmp, "--kappas", "1,1"),
@@ -704,7 +700,6 @@ BAD_FIELDS = {
     "simulate-kappas=1,1": "--kappas '1,1' repeats the value 1.0",
     "simulate-kappas=1,1.0": "--kappas '0.5,1,1.0' repeats the value 1.0",
     "simulate-cs=0,0": "--cs '0,-1,0' repeats the value 0",
-    **{f"{cmd}-tol={v}": "tol" for cmd in ("fit", "simulate") for v in ("nan", "-1", "inf")},
 }
 
 

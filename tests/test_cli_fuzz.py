@@ -113,20 +113,18 @@ BIG_BUDGET = st.integers(24, 10 ** 12)  # refused by the id cap from 2**m alone
 @FUZZ
 @given(
     kappa=FLOATS,
-    tol=FLOATS,
     m=st.one_of(st.none(), st.integers(-3, 3), BIG_BUDGET),
     c=st.one_of(st.none(), st.integers(-4, 1), BIG_BUDGET),
     r=st.one_of(st.none(), st.integers(-3, 12), st.integers(500, 3000)),
     loss=LOSSES,
 )
-def test_fit_options_end_in_an_exit_code(kappa, tol, m, c, r, loss):
+def test_fit_options_end_in_an_exit_code(kappa, m, c, r, loss):
     with tempfile.TemporaryDirectory() as tmp:
         train = Path(tmp) / "train.csv"
         rows = [[repr(0.1 * i), repr((0.37 * i) % 1.0), str(i % 2)] for i in range(30)]
         _write(train, ["a", "b", "y"], rows)
         argv = ["fit", "--input", str(train), "--target", "y", "--loss", loss,
-                "--model-out", str(Path(tmp) / "m.json"), f"--kappa={kappa!r}",
-                f"--tol={tol!r}"]
+                "--model-out", str(Path(tmp) / "m.json"), f"--kappa={kappa!r}"]
         for flag, value in (("--m", m), ("--c", c), ("--r", r)):
             if value is not None:
                 argv.append(f"{flag}={value}")
@@ -142,14 +140,13 @@ def test_fit_options_end_in_an_exit_code(kappa, tol, m, c, r, loss):
         lambda ks: ",".join(repr(k) for k in ks)), st.text(max_size=6)),
     cs=st.one_of(st.lists(st.integers(-4, 0), min_size=1, max_size=2).map(
         lambda cs: ",".join(map(str, cs))), st.one_of(BIG_BUDGET.map(str), st.text(max_size=6))),
-    tol=FLOATS,
     loss=LOSSES,
     noise=st.sampled_from(["normal", "laplace", "none"]),
 )
-def test_simulate_options_end_in_an_exit_code(model, n, reps, kappas, cs, tol, loss, noise):
+def test_simulate_options_end_in_an_exit_code(model, n, reps, kappas, cs, loss, noise):
     with tempfile.TemporaryDirectory() as tmp:
         argv = ["simulate", f"--model={model}", f"--n={n}", f"--reps={reps}",
-                f"--kappas={kappas}", f"--cs={cs}", f"--tol={tol!r}",
+                f"--kappas={kappas}", f"--cs={cs}",
                 "--loss", loss, "--noise", noise, "--out-csv", str(Path(tmp) / "sim.csv")]
         assert _exit_code(argv) in (0, 1, 2)
 

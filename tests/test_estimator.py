@@ -1,7 +1,11 @@
 import dataclasses
 import functools
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -178,6 +182,8 @@ def test_gradient_matches_finite_differences():
 
 
 def test_fit_config_rejects_bad_kappa():
+    # the certificate target and the iteration cap are module constants
+    assert [field.name for field in dataclasses.fields(est.FitConfig)] == ["loss", "kappa", "c_offset"]
     # FitConfig rejects a non-finite or negative kappa
     for kappa in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="kappa"):
@@ -237,7 +243,7 @@ def test_exact_fits_match_scipy_optimize(loss, n, p):
     assert np.max(np.abs(gamma - reference)) <= 1e-6
     assert abs(diag.final_objective - value) <= 1e-9 * value
     assert diag.final_objective == est.objective(gamma, Phi, y, loss, kappa)
-    assert diag.converged and 0.0 <= diag.certificate <= cfg.tol
+    assert diag.converged and 0.0 <= diag.certificate <= est.TOL
     assert 1 <= diag.epochs_run < est.MAX_ITERATIONS
 
 
@@ -339,6 +345,34 @@ def test_symmetric_ridge_systems_reach_lapack_in_panels(loss, n, p, monkeypatch)
     assert diag.converged
     assert shapes["solve"] == [] and shapes["cholesky"] and shapes["inv"]
     assert max(max(shape) for shape in shapes["cholesky"] + shapes["inv"]) <= est._PANEL == 64
+
+
+_WIDE_QUADRATIC_GAMMA = """
+import hashlib
+import numpy as np
+from sdrn import estimator as est
+from sdrn.losses import LossSpec
+gen = np.random.default_rng(12)
+Phi, y = gen.random((2000, 2882)), gen.standard_normal(2000)
+gamma, _ = est.adam_fit(Phi, y, est.FitConfig(loss=LossSpec("quadratic")))
+print(hashlib.sha256(gamma.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two usable CPUs")
+def test_wide_quadratic_fit_has_the_same_bits_at_one_and_two_blas_threads():
+    # simulate-sweep's c = 2 shape: p = 2882 > n = 2000, so the fit solves
+    # the 2000 x 2000 system by panels and forms gamma = Phi' v from it
+    src = str(Path(est.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", _WIDE_QUADRATIC_GAMMA], capture_output=True,
+                             text=True, env=env, check=True)
+        digests.append(run.stdout)
+    assert len(digests[0]) == 65 and digests[0] == digests[1]
 
 
 def test_logistic_wide_fit_solves_its_weighted_system_with_lu(monkeypatch):
@@ -573,6 +607,9 @@ def test_model_from_json_rejects_inconsistent_files():
         lambda doc: doc.update(R=600),
         lambda doc: doc["scaler"]["min"].__setitem__(1, float("-inf")),
         lambda doc: doc["gamma"].__setitem__(3, float("inf")),
+        # scaler columns that Scaler.fit never writes: max == min, max < min
+        lambda doc: doc["scaler"]["max"].__setitem__(0, doc["scaler"]["min"][0]),
+        lambda doc: doc["scaler"].update(min=doc["scaler"]["max"], max=doc["scaler"]["min"]),
     )
     for edit in edits:
         doc = json.loads(json.dumps(good))

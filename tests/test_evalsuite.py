@@ -193,12 +193,12 @@ def test_auc_ranks_ties_as_rankdata_does():
 
 def test_run_replications_smoke_and_determinism():
     spec = ev.SimModelSpec(model_id=1, n=80, noise="normal", seed=3)
-    cfg = FitConfig(loss=LossSpec("quadratic"), tol=1e-6)
-    report = ev.run_replications(spec, cfg, reps=1, kappas=(0.5, 1.0), cs=(-2, -1))
+    loss = LossSpec("quadratic")
+    report = ev.run_replications(spec, loss, reps=1, kappas=(0.5, 1.0), cs=(-2, -1))
     assert len(report.cells) == 4
     for cell in report.cells:
         assert all(np.isfinite(v) for v in cell.row().values())
-    again = ev.run_replications(spec, cfg, reps=1, kappas=(0.5, 1.0), cs=(-2, -1))
+    again = ev.run_replications(spec, loss, reps=1, kappas=(0.5, 1.0), cs=(-2, -1))
     assert report.to_csv() == again.to_csv()
     assert report.cell(0.5, -2).m == 0
     assert [(c.kappa, c.c) for c in report.cells] == [(0.5, -2), (1.0, -2), (0.5, -1), (1.0, -1)]
@@ -214,8 +214,7 @@ def test_run_replications_labels_each_fit_with_its_cell(monkeypatch):
 
     monkeypatch.setattr(ev, "adam_fit", recording_fit)
     spec = ev.SimModelSpec(model_id=1, n=60, noise="normal", seed=3)
-    ev.run_replications(spec, FitConfig(loss=LossSpec("quadratic")), reps=1,
-                        kappas=(0.5, 1.0), cs=(-1, 0))
+    ev.run_replications(spec, LossSpec("quadratic"), reps=1, kappas=(0.5, 1.0), cs=(-1, 0))
     # the largest basis is fitted first
     assert seen == [(0.5, 0, 112), (1.0, 0, 112), (0.5, -1, 32), (1.0, -1, 32)]
 
@@ -229,13 +228,13 @@ def test_run_replications_reports_in_cs_order_whatever_the_fit_order(monkeypatch
     monkeypatch.setattr(ev, "adam_fit", lambda Phi, y, config: fitted.append(config.c_offset)
                         or fit(Phi, y, config))
     spec = ev.SimModelSpec(model_id=1, n=80, noise="normal", seed=5)
-    cfg = FitConfig(loss=LossSpec("huber", delta=1.0))
+    loss = LossSpec("huber", delta=1.0)
     kappas, cs = (0.5, 1.0), (0, -2, -1)
-    report = ev.run_replications(spec, cfg, reps=2, kappas=kappas, cs=cs)
+    report = ev.run_replications(spec, loss, reps=2, kappas=kappas, cs=cs)
     assert fitted == [0] * 4 + [-2] * 4 + [-1] * 4
     assert [(cell.kappa, cell.c) for cell in report.cells] == [(k, c) for c in cs for k in kappas]
     header, *rows = report.to_csv().splitlines()[1:]
-    alone = [ev.run_replications(spec, cfg, reps=2, kappas=kappas, cs=(c,)).to_csv().splitlines()
+    alone = [ev.run_replications(spec, loss, reps=2, kappas=kappas, cs=(c,)).to_csv().splitlines()
              for c in cs]
     assert all(lines[1] == header for lines in alone)
     assert rows == [row for lines in alone for row in lines[2:]]
@@ -253,8 +252,7 @@ def test_run_replications_builds_only_training_matrices(monkeypatch):
 
     monkeypatch.setattr(FeatureMap, "__call__", recording)
     spec = ev.SimModelSpec(model_id=1, n=60, noise="normal", seed=3)
-    ev.run_replications(spec, FitConfig(loss=LossSpec("quadratic")), reps=2,
-                        kappas=(0.5, 1.0), cs=(-1, 0))
+    ev.run_replications(spec, LossSpec("quadratic"), reps=2, kappas=(0.5, 1.0), cs=(-1, 0))
     monkeypatch.undo()
     # one matrix per (c, rep), of that replication's training draw; the
     # evaluation design is scored without one
@@ -265,8 +263,7 @@ def test_run_replications_builds_only_training_matrices(monkeypatch):
 
 def test_run_replications_classification_columns():
     spec = ev.SimModelSpec(model_id=4, n=60, seed=4)
-    cfg = FitConfig(loss=LossSpec("logistic"), tol=1e-6)
-    report = ev.run_replications(spec, cfg, reps=1, kappas=(1.0,), cs=(-2,))
+    report = ev.run_replications(spec, LossSpec("logistic"), reps=1, kappas=(1.0,), cs=(-2,))
     names = list(report.cells[0].row())
     assert names == ["kappa", "c", "m", "R", "accuracy", "sensitivity", "specificity",
                      "precision", "recall", "f1", "auc"]
@@ -274,9 +271,9 @@ def test_run_replications_classification_columns():
 
 def test_run_replications_error_identifies_cell():
     spec = ev.SimModelSpec(model_id=1, n=50, noise="normal", seed=3)
-    cfg = FitConfig(loss=LossSpec("logistic"))  # continuous y: invalid
+    logistic = LossSpec("logistic")  # continuous y: invalid
     with pytest.raises(RuntimeError, match=r"kappa=1.0, c=-2, rep=0"):
-        ev.run_replications(spec, cfg, reps=1, kappas=(1.0,), cs=(-2,))
+        ev.run_replications(spec, logistic, reps=1, kappas=(1.0,), cs=(-2,))
 
 
 def _class_rates(calls, truth_class, scores):
@@ -297,7 +294,7 @@ def _class_rates(calls, truth_class, scores):
     "model_id, loss, c", [(1, "huber:1.0", 0), (4, "logistic", -1), (4, "quadratic", -1)]
 )
 def test_run_replications_matches_an_independent_recomputation(model_id, loss, c):
-    from dataclasses import astuple, replace
+    from dataclasses import astuple
 
     from sdrn.estimator import hyperparams_from_n
     from sdrn.losses import sigmoid
@@ -305,9 +302,8 @@ def test_run_replications_matches_an_independent_recomputation(model_id, loss, c
     from sdrn.sparse_grid import enumerate_basis
 
     spec = ev.SimModelSpec(model_id=model_id, n=150, seed=6)
-    config = FitConfig(loss=LossSpec.parse(loss))
     kappas, reps = (0.5, 2.0), 3
-    report = ev.run_replications(spec, config, reps=reps, kappas=kappas, cs=(c,))
+    report = ev.run_replications(spec, LossSpec.parse(loss), reps=reps, kappas=kappas, cs=(c,))
     m, R = hyperparams_from_n(spec.n, c)
     basis = enumerate_basis(spec.dimension, m)
     points, truth = ev.design(spec)
@@ -316,7 +312,7 @@ def test_run_replications_matches_an_independent_recomputation(model_id, loss, c
         scores = []
         for X, y in samples:
             Phi = product_features(R, basis.levels, basis.nodes, X)
-            gamma, _ = ev.adam_fit(Phi, y, replace(config, kappa=kappa))
+            gamma, _ = ev.adam_fit(Phi, y, FitConfig(loss=LossSpec.parse(loss), kappa=kappa))
             scores.append(product_features(R, basis.levels, basis.nodes, points) @ gamma)
         P = np.array(scores)
         metrics = astuple(report.cell(kappa, c).metrics)
@@ -341,8 +337,7 @@ def test_model4_non_logistic_fits_call_both_classes():
     # a quadratic score estimates P(Y = 1 | x); its sigmoid is above 1/2
     # wherever that estimate is positive, which called almost every point 1
     spec = ev.SimModelSpec(model_id=4, n=400, seed=0)
-    report = ev.run_replications(spec, FitConfig(loss=LossSpec("quadratic")), reps=2,
-                                 kappas=(1.0,), cs=(0,))
+    report = ev.run_replications(spec, LossSpec("quadratic"), reps=2, kappas=(1.0,), cs=(0,))
     metrics = report.cell(1.0, 0).metrics
     assert metrics.accuracy > 0.7 and metrics.specificity > 0.8 and metrics.sensitivity > 0.5
 
@@ -362,8 +357,7 @@ def test_model4_rates_average_over_the_replications_that_define_them(monkeypatch
     spec = ev.SimModelSpec(model_id=4, n=300, seed=0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = ev.run_replications(spec, FitConfig(loss=LossSpec("logistic")), reps=3,
-                                     kappas=(1.0,), cs=(-1,))
+        report = ev.run_replications(spec, LossSpec("logistic"), reps=3, kappas=(1.0,), cs=(-1,))
     columns = np.array(per_rep).T
     assert [np.isnan(column).sum() for column in columns] == [0, 0, 0, 1, 0, 1, 0]
     for column, value in zip(columns, astuple(report.cell(1.0, -1).metrics)):
@@ -384,8 +378,7 @@ def test_model4_rate_means_keep_their_bits(monkeypatch):
     spec = ev.SimModelSpec(model_id=4, n=60, seed=4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = ev.run_replications(spec, FitConfig(loss=LossSpec("logistic")), reps=10,
-                                     kappas=(1.0,), cs=(-2,))
+        report = ev.run_replications(spec, LossSpec("logistic"), reps=10, kappas=(1.0,), cs=(-2,))
     means = astuple(report.cells[0].metrics)
     for j in (0, 1, 2, 4, 6):
         assert means[j] == float(np.mean(rates[:, j]))
