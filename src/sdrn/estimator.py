@@ -11,10 +11,9 @@ certified: the quadratic loss is ridge regression, solved in closed
 form; the Huber and logistic losses run Newton's method and the
 quantile loss a primal-dual interior-point method on its dual, each
 stopped by a bound on the distance to the minimum.  The solvers use
-``numpy.linalg`` only: every symmetric weighted ridge system is
-factored in place by 64-column Cholesky panels, so LAPACK never sees
-more than a 64 x 64 block of it and no fit holds a copy of its
-largest matrix.
+``numpy.linalg`` only: every linear system of a fit with ``kappa > 0``
+is posed symmetric positive definite and factored by 64-column Cholesky
+panels, so LAPACK never sees more than a 64 x 64 block of it.
 """
 
 from __future__ import annotations
@@ -126,6 +125,11 @@ class FeatureMap:
         return X
 
 
+def _sq(a: np.ndarray) -> float:
+    """``a . a`` summed in index order; BLAS's dot rounds by the thread count."""
+    return float(np.einsum("i,i->", a, a))
+
+
 def objective(
     gamma: np.ndarray,
     Phi: np.ndarray,
@@ -142,17 +146,7 @@ def objective(
     if lambda_star < 0:
         raise ValueError("lambda_star must be nonnegative")
     total = float(np.sum(loss_value(loss, Phi @ gamma, y)))
-    return total + 0.5 * lambda_star * float(gamma @ gamma)
-
-
-def objective_gradient(
-    gamma: np.ndarray,
-    Phi: np.ndarray,
-    y: np.ndarray,
-    loss: LossSpec,
-    lambda_star: float,
-) -> np.ndarray:
-    return Phi.T @ loss_subgradient(loss, Phi @ gamma, y) + lambda_star * gamma
+    return total + 0.5 * lambda_star * _sq(gamma)
 
 
 @dataclass(frozen=True)
@@ -256,24 +250,31 @@ def _weighted_ridge(Phi: np.ndarray, w: float | np.ndarray, kappa: float, K: np.
     ``K = Phi Phi'``; the push-through identity ties them by
     ``s = u - W Phi x``.  When ``p <= n`` it solves the p x p system for
     ``x`` over the rows with ``w > 0``; when ``p > n`` the n x n system
-    ``(kappa I + W K) v = u``, with ``x = Phi' v`` and ``s = kappa v``.
-    A caller that solves for many ``w`` passes ``K`` from :func:`_gram`;
-    otherwise it is formed here and weighted in place.  Every symmetric
-    system, the p x p one and the n x n one at a scalar ``w``, is
-    factored in place by :func:`_cholesky`, so no copy of it is made;
-    only ``kappa I + W K`` at a vector ``w`` goes to ``np.linalg.solve``,
-    which factors it anew per right-hand side.
-    """
-    scale = w if np.ndim(w) == 0 else w[:, None]
-    if K is None:
-        M = _gram(Phi)
-        if M is not None:
-            M *= scale
-    else:
-        M = scale * K
-    if M is not None:
-        M.flat[:: M.shape[0] + 1] += kappa
-        inverse = _cholesky(M) if np.ndim(w) == 0 else lambda u: np.linalg.solve(M, u)
+    ``(kappa I + W K) v = u``, with ``x = Phi' v`` and ``s = kappa v``,
+    each row with ``w > 0`` divided by its ``w`` into the symmetric
+    ``(kappa / w + K) v = u / w``; a row with ``w = 0``, or whose
+    ``kappa / w`` overflows, has ``v = u / kappa``.  :func:`_cholesky`
+    factors every system.  A caller that solves for many ``w`` passes
+    ``K`` from :func:`_gram`; otherwise it is formed here (and weighted
+    in place at a scalar ``w``)."""
+    formed = K is None
+    K = _gram(Phi) if formed else K
+    if K is not None:
+        if np.ndim(w) == 0:
+            M = np.multiply(K, w, out=K if formed else None)
+            M.flat[:: len(M) + 1] += kappa
+            inverse = _cholesky(M)
+        else:
+            with np.errstate(divide="ignore", over="ignore"):
+                rows = np.isfinite(kappa / w)
+            M, cross = K[np.ix_(rows, rows)], K[np.ix_(rows, ~rows)]
+            M.flat[:: len(M) + 1] += kappa / w[rows]
+            factor = _cholesky(M)
+
+            def inverse(u):
+                v = u / kappa
+                v[rows] = factor(u[rows] / w[rows] - np.einsum("ij,j->i", cross, v[~rows]))
+                return v
 
         def solve(u):
             v = inverse(u)
@@ -340,7 +341,7 @@ def _newton(
     for it in count():
         slope_f = loss_subgradient(loss, f, y)
         grad = Phi.T @ slope_f + kappa * gamma
-        if float(grad @ grad) / (2.0 * kappa) <= TOL * value or it == MAX_ITERATIONS or stale > PATIENCE:
+        if _sq(grad) / (2.0 * kappa) <= TOL * value or it == MAX_ITERATIONS or stale > PATIENCE:
             return gamma, it
         w = loss_curvature(loss, f, y)
         try:
@@ -352,7 +353,7 @@ def _newton(
         t = 1.0
         while True:
             cand, cand_f = gamma - t * step, f - t * dir_f
-            cand_value = float(np.sum(loss_value(loss, cand_f, y))) + 0.5 * kappa * float(cand @ cand)
+            cand_value = float(np.sum(loss_value(loss, cand_f, y))) + 0.5 * kappa * _sq(cand)
             if cand_value <= value - ARMIJO * t * slope:  # False for NaN
                 break
             t *= 0.5
@@ -368,8 +369,9 @@ TO_BOUNDARY = 0.995
 # relative duality gap below which the interior-point iterate is close
 # enough to the optimum to try an exact finish on its active bounds
 POLISH_GAP = 1e-2
-# cap on the active-set steps of one exact finish
-FINISH_STEPS = 2
+# caps on the active-set steps of one exact finish and on the certified
+# refinement passes of each step
+FINISH_STEPS, REFINE_PASSES = 2, 4
 
 
 def _max_step(*pairs: tuple[np.ndarray, np.ndarray]) -> float:
@@ -397,19 +399,21 @@ def _quantile_ipm(
     rounds to zero at the bounds; ``z`` and ``w`` are their multipliers.
     Each Newton system ``(Phi Phi' / kappa + D) dalpha = b``, ``D``
     diagonal, gives ``dalpha`` as the ``s`` of :func:`_weighted_ridge`
-    at ``w = 1/D`` and ``u = b / D``.  For a
-    feasible ``alpha`` the duality gap ``P(gamma) - D(alpha)`` is
-    ``sum_i rho(r_i) - alpha_i r_i`` over the residuals ``r``, a sum of
-    nonnegative terms; it certifies ``gamma``.
+    at ``w = 1/D`` and ``u = b / D``, factored once for the predictor
+    and the corrector.  For a feasible ``alpha`` the duality gap
+    ``P(gamma) - D(alpha)`` is ``sum_i rho(r_i) - alpha_i r_i`` over the
+    residuals ``r``, a sum of nonnegative terms; it certifies ``gamma``.
 
     The Newton systems lose accuracy as ``D`` spreads over many orders
     of magnitude, so once the gap is below ``POLISH_GAP`` each iteration
     also tries an exact finish from the bounds the iterate holds
-    (``s < z`` or ``t < w``), and the candidate with the smallest gap is
-    kept.  Stops when that gap is at most ``TOL`` times the objective,
-    after ``MAX_ITERATIONS`` iterations, after ``PATIENCE`` iterations
-    without a smaller gap, or when a step stalls.  Returns that
-    candidate's ``gamma``, the iterations and its relative gap.
+    (``s < z`` or ``t < w``), which factors its free rows' Gram once by
+    :func:`_cholesky` for ``REFINE_PASSES`` certified passes; the
+    candidate with the smallest gap is kept.  Stops when that gap is at
+    most ``TOL`` times the objective, after ``MAX_ITERATIONS`` iterations,
+    after ``PATIENCE`` iterations without a smaller gap, or when a step
+    stalls.  Returns that candidate's ``gamma``, the iterations and its
+    relative gap.
     """
     n, p = Phi.shape
     tau = loss.tau
@@ -421,7 +425,7 @@ def _quantile_ipm(
         f = Phi @ gamma
         r = y - f
         gap = float(np.sum(np.maximum(r, 0.0) * (hi - a) + np.maximum(-r, 0.0) * (a - lo)))
-        value = float(np.sum(loss_value(loss, f, y))) + 0.5 * kappa * float(gamma @ gamma)
+        value = float(np.sum(loss_value(loss, f, y))) + 0.5 * kappa * _sq(gamma)
         if not np.isfinite(gap + value):
             return gamma, r, np.inf
         return gamma, r, gap / value if value > 0 else 0.0
@@ -448,15 +452,16 @@ def _quantile_ipm(
             else:
                 gram, Ka = K[np.ix_(free, free)], lambda a: (Phi @ (Phi.T @ a))[free]
             try:
-                # the second pass solves for the residuals the first one
-                # leaves (one step of iterative refinement)
-                for _ in range(2):
-                    a[free] += np.linalg.solve(gram, kappa * y[free] - Ka(a))
+                inverse = _cholesky(gram)
             except np.linalg.LinAlgError:
                 break
-            gamma, r, gap = certify(a)
-            if gap < found[0]:
-                found = (gap, gamma)
+            # each pass solves for the residuals the last one left; past the
+            # second it mostly redraws their rounding, on which the gap rests
+            for _ in range(REFINE_PASSES):
+                a[free] += inverse(kappa * y[free] - Ka(a))
+                gamma, r, gap = certify(a)
+                if gap < found[0]:
+                    found = (gap, gamma)
             new_upper = np.where(free, a > hi, upper & (r >= 0.0))
             new_free = ~new_upper & np.where(free, a >= lo, upper | (r > 0.0))
             if np.array_equal(new_free, free) and np.array_equal(new_upper, upper):
@@ -560,13 +565,13 @@ def adam_fit(Phi: np.ndarray, y: np.ndarray, config: FitConfig) -> tuple[np.ndar
             gamma, iterations, certificate = _quantile_ipm(Phi, y, loss, kappa)
         else:
             gamma, iterations = _newton(Phi, y, loss, kappa)
-    scores = Phi @ gamma  # one pass over Phi for objective() and objective_gradient()
-    final = float(np.sum(loss_value(loss, scores, y))) + 0.5 * kappa * float(gamma @ gamma)
+    scores = Phi @ gamma  # one pass over Phi for the objective and its gradient
+    final = float(np.sum(loss_value(loss, scores, y))) + 0.5 * kappa * _sq(gamma)
     if not (np.all(np.isfinite(gamma)) and np.isfinite(final)):
         raise NonFiniteObjectiveError(f"non-finite objective {final!r} of the fit")
     if loss.kind != "quantile" and kappa > 0:
         grad = Phi.T @ loss_subgradient(loss, scores, y) + kappa * gamma
-        bound = float(grad @ grad) / (2.0 * kappa)
+        bound = _sq(grad) / (2.0 * kappa)
         certificate = bound / final if final > 0 else bound
     converged = loss.kind == "quadratic" or certificate <= TOL
     return gamma, FitDiagnostics(
@@ -632,6 +637,9 @@ class SdrnModel:
         if doc.get("diagnostics"):
             diag = FitDiagnostics(**{name: doc["diagnostics"][name] for name in SAVED_DIAGNOSTICS})
         d, m, R = doc["d"], doc["m"], doc["R"]
+        for name, value in (("d", d), ("m", m), ("R", R)):
+            if type(value) is not int:  # not a float, nor a bool
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if m < 0 or not 1 <= R <= MAX_R:
             raise ValueError(f"need m >= 0 and 1 <= R <= {MAX_R}, got m={m!r}, R={R!r}")
         gamma = np.array(doc["gamma"], dtype=float)
