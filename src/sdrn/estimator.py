@@ -248,36 +248,32 @@ def _weighted_ridge(Phi: np.ndarray, w: float | np.ndarray, kappa: float, K: np.
 
     with ``W = diag(w) >= 0`` (a scalar ``w`` stands for ``w I``) and
     ``K = Phi Phi'``; the push-through identity ties them by
-    ``s = u - W Phi x``.  When ``p <= n`` it solves the p x p system for
-    ``x`` over the rows with ``w > 0``; when ``p > n`` the n x n system
+    ``s = u - W Phi x``.  When ``p > n`` it solves the n x n system
     ``(kappa I + W K) v = u``, with ``x = Phi' v`` and ``s = kappa v``,
-    each row with ``w > 0`` divided by its ``w`` into the symmetric
-    ``(kappa / w + K) v = u / w``; a row with ``w = 0``, or whose
-    ``kappa / w`` overflows, has ``v = u / kappa``.  :func:`_cholesky`
-    factors every system.  A caller that solves for many ``w`` passes
-    ``K`` from :func:`_gram`; otherwise it is formed here (and weighted
-    in place at a scalar ``w``)."""
+    at a scalar ``w`` as at a vector: each row with ``w > 0`` is divided
+    by its ``w`` into the symmetric ``(kappa / w + K) v = u / w``; a row
+    with ``w = 0``, or whose ``kappa / w`` overflows, has
+    ``v = u / kappa``.  With no such row the system is ``K`` itself when
+    formed here, else a copy of it.  When ``p <= n`` it solves the p x p
+    system for ``x`` over the rows with ``w > 0``: a vector ``w`` weights
+    a copy of those rows, a scalar one the Gram ``Phi' Phi``, so that the
+    quadratic fit copies no ``Phi``.  :func:`_cholesky` factors every
+    system.  A caller that solves for many ``w`` passes ``K`` from
+    :func:`_gram`; otherwise it is formed here."""
     formed = K is None
     K = _gram(Phi) if formed else K
     if K is not None:
-        if np.ndim(w) == 0:
-            M = np.multiply(K, w, out=K if formed else None)
-            M.flat[:: len(M) + 1] += kappa
-            inverse = _cholesky(M)
-        else:
-            with np.errstate(divide="ignore", over="ignore"):
-                rows = np.isfinite(kappa / w)
-            M, cross = K[np.ix_(rows, rows)], K[np.ix_(rows, ~rows)]
-            M.flat[:: len(M) + 1] += kappa / w[rows]
-            factor = _cholesky(M)
-
-            def inverse(u):
-                v = u / kappa
-                v[rows] = factor(u[rows] / w[rows] - np.einsum("ij,j->i", cross, v[~rows]))
-                return v
+        w = np.broadcast_to(w, len(K))
+        with np.errstate(divide="ignore", over="ignore"):
+            rows = np.isfinite(kappa / w)
+        cross = K[np.ix_(rows, ~rows)]
+        M = (K if formed else K.copy()) if rows.all() else K[np.ix_(rows, rows)]
+        M.flat[:: len(M) + 1] += kappa / w[rows]
+        factor = _cholesky(M)
 
         def solve(u):
-            v = inverse(u)
+            v = u / kappa
+            v[rows] = factor(u[rows] / w[rows] - np.einsum("ij,j->i", cross, v[~rows]))
             # einsum adds the rows in order; a threaded gemv's order, and so
             # x's last bits, would follow the BLAS thread count
             return np.einsum("ij,i->j", Phi, v), kappa * v
@@ -527,10 +523,11 @@ def adam_fit(Phi: np.ndarray, y: np.ndarray, config: FitConfig) -> tuple[np.ndar
     """Minimise the penalised empirical risk to a certified optimum.
 
     The quadratic loss is minimised exactly, as the weighted ridge
-    system of :func:`_weighted_ridge` at ``w = 2``, ``u = 2 y``, or by
-    the minimum-norm least-squares solution, its limit, at ``kappa = 0``
-    (``epochs_run`` 0, ``converged`` True).  The Huber and logistic
-    losses run :func:`_newton` and the quantile loss
+    system of :func:`_weighted_ridge` at ``w = 2``, ``u = 2 y`` (when
+    ``p > n``, ``(kappa / 2 + K) v = y``, factored in the Gram's own
+    memory), or by the minimum-norm least-squares solution, its limit,
+    at ``kappa = 0`` (``epochs_run`` 0, ``converged`` True).  The Huber
+    and logistic losses run :func:`_newton` and the quantile loss
     :func:`_quantile_ipm`, at most ``MAX_ITERATIONS`` iterations each.
     ``certificate`` in the diagnostics bounds
     ``(objective - minimum) / objective``: ``|gradient|^2 / (2 kappa)``

@@ -368,8 +368,6 @@ def _combine(terms: Sequence[tuple[float, Expr]], bias: float = 0.0) -> Expr:
     coeffs: dict[tuple[int, int], float] = {}
     b = bias
     for c, (refs, eb) in terms:
-        if c == 0.0:
-            continue
         b += c * eb
         for key, w in refs.items():
             coeffs[key] = coeffs.get(key, 0.0) + c * w

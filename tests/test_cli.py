@@ -494,6 +494,19 @@ def test_simulate_classification_columns(tmp_path):
     assert "accuracy" in header and "avg_mse" not in header
 
 
+@pytest.mark.parametrize("model_id", [2, 3])
+def test_simulate_models_2_and_3(tmp_path, model_id):
+    csv_path = tmp_path / f"sim{model_id}.csv"
+    rc = cli.main(["simulate", "--model", str(model_id), "--n", "200", "--reps", "2",
+                   "--kappas", "1.0", "--cs=-1,0", "--out-csv", str(csv_path)])
+    assert rc == 0
+    comment, header, *rows = csv_path.read_text().splitlines()
+    assert comment.startswith(f"# model={model_id} n=200")
+    assert header == "kappa,c,m,R,avg_bias2,avg_variance,avg_mse"
+    assert [row.split(",")[:2] for row in rows] == [["1.0", "-1"], ["1.0", "0"]]
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row.split(","))
+
+
 def test_basis_info(capsys):
     assert cli.main(["basis-info", "--d", "2", "--m", "2"]) == 0
     assert "basis size=17" in capsys.readouterr().out
@@ -601,6 +614,35 @@ def test_predict_echoes_cells_as_written(tmp_path):
         np.array([[1.5, 1e-3, 2.0, 0.5, 0.25], [0.5, 0.1, 0.2, 0.3, 0.4]])).tolist()
     assert out.read_text().splitlines()[2:] == [
         f"1.50,1e-3, 2 ,0.5,0.25,{scores[0]!r}", f"0.5,0.1,0.2,3e-1,0.4,{scores[1]!r}"]
+
+
+def test_predict_with_an_unnamed_column_model_reads_columns_in_order(tmp_path, capsys):
+    # a model fitted without column names takes its d covariates from the
+    # input's columns in order, whatever their header says
+    from sdrn.estimator import FitConfig, fit_sdrn
+    from sdrn.losses import LossSpec
+
+    X = np.random.default_rng(4).random((40, 3))
+    model = fit_sdrn(X, X.sum(axis=1), FitConfig(loss=LossSpec("quadratic")))
+    model_path = tmp_path / "unnamed.json"
+    model_path.write_text(json.dumps(model.to_json()), encoding="utf-8")
+    assert json.loads(model_path.read_text())["columns"] is None
+    new = tmp_path / "new.csv"
+    new.write_text("a,b,c\n" + "".join(f"{r[0]!r},{r[1]!r},{r[2]!r}\n" for r in X[:5].tolist()))
+    out = tmp_path / "pred.csv"
+    assert cli.main(["predict", "--model", str(model_path), "--input", str(new),
+                     "--output", str(out)]) == 0
+    scores = SdrnModel.load(model_path).predict(X[:5])
+    rows = np.column_stack([X[:5], scores]).tolist()
+    assert out.read_text().splitlines()[1:] == ["a,b,c,prediction"] + [",".join(map(repr, row)) for row in rows]
+
+    narrow = tmp_path / "narrow.csv"
+    narrow.write_text("a,b\n0.1,0.2\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = cli.main(["predict", "--model", str(model_path), "--input", str(narrow),
+                   "--output", str(tmp_path / "narrow-pred.csv")])
+    _assert_data_error(rc, capsys, "model expects 3 unnamed columns, got 2")
+    assert not (tmp_path / "narrow-pred.csv").exists()
 
 
 def test_predict_on_training_file_matches_diagnostics(tmp_path):

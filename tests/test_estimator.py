@@ -278,6 +278,42 @@ def test_one_iteration_cap_stops_unconverged(loss, monkeypatch):
         assert diag.final_objective < est.objective(np.zeros(12), Phi, y, loss, 0.5)
 
 
+@pytest.mark.parametrize("loss", [HUBER, LOGISTIC], ids=lambda loss: loss.kind)
+def test_newton_returns_its_last_iterate_when_a_factorisation_fails(loss, monkeypatch):
+    # from the second step on every Hessian is "singular": the fit ends
+    # unconverged at the first step's iterate, which a one-step cap also gives
+    Phi, y = _problem(loss, 40, 12, seed=6)
+    cfg = est.FitConfig(loss=loss, kappa=0.5)
+    with monkeypatch.context() as patch:
+        patch.setattr(est, "MAX_ITERATIONS", 1)
+        one_step, _ = est.adam_fit(Phi, y, cfg)
+    cholesky, calls = est._cholesky, []
+
+    def failing(M):
+        calls.append(len(M))
+        if len(calls) > 1:
+            raise np.linalg.LinAlgError("not positive definite")
+        return cholesky(M)
+
+    monkeypatch.setattr(est, "_cholesky", failing)
+    gamma, diag = est.adam_fit(Phi, y, cfg)
+    assert len(calls) == 2 and diag.epochs_run == 1 and not diag.converged
+    assert np.array_equal(gamma, one_step)
+    assert diag.final_objective < est.objective(np.zeros(12), Phi, y, loss, 0.5)
+
+
+@pytest.mark.parametrize("loss", [HUBER, LOGISTIC], ids=lambda loss: loss.kind)
+def test_newton_returns_its_last_iterate_when_the_line_search_stalls(loss, monkeypatch):
+    # no step can lower the objective by 1e9 times its slope, so the
+    # first line search halves t below MIN_STEP and the fit stays at 0
+    Phi, y = _problem(loss, 40, 12, seed=6)
+    monkeypatch.setattr(est, "ARMIJO", 1e9)
+    gamma, diag = est.adam_fit(Phi, y, est.FitConfig(loss=loss, kappa=0.5))
+    assert diag.epochs_run == 0 and not diag.converged
+    assert not np.any(gamma)
+    assert diag.final_objective == est.objective(np.zeros(12), Phi, y, loss, 0.5)
+
+
 def test_quantile_finish_solves_at_most_p_rows(monkeypatch):
     # n >> p: an active-set step can free hundreds of rows, and a Gram of
     # more than p of them is singular
@@ -378,6 +414,21 @@ def test_weighted_ridge_at_a_vector_weight_solves_the_unsymmetric_system(given):
     assert np.array_equal(K, kept)  # a shared Gram is not overwritten
 
 
+def test_weighted_ridge_takes_a_scalar_weight_as_a_constant_vector():
+    # p > n: the quadratic fit's scalar w and the same weight as a vector
+    # with a shared K solve one system, (kappa / w + K) v = u / w, in the
+    # same arithmetic; the first factors the Gram it formed in place
+    gen = np.random.default_rng(8)
+    n, p, kappa = 130, 260, 0.4
+    Phi, u = gen.random((n, p)), gen.standard_normal(n)
+    K = est._gram(Phi)
+    kept = K.copy()
+    x1, s1 = est._weighted_ridge(Phi, 2.0, kappa)(u)
+    x2, s2 = est._weighted_ridge(Phi, np.full(n, 2.0), kappa, K)(u)
+    assert np.array_equal(x1, x2) and np.array_equal(s1, s2)
+    assert np.array_equal(K, kept)
+
+
 def test_solver_stress_counts_do_not_rise():
     # seed 2024 of the stress recipe (tests/solver_stress.py): 300 fits of
     # the iterative losses; none may raise, and no (regime, loss, side)
@@ -431,8 +482,10 @@ def test_wide_quadratic_fit_has_the_same_bits_at_one_and_two_blas_threads():
         (QUANTILE, 300, 1200, lambda Phi: 1.6 * Phi.nbytes),
         # the p x p Gram, no copy of Phi
         (QUADRATIC, 4000, 300, lambda Phi: 0.25 * Phi.nbytes),
+        # K, factored in place: no second n x n matrix
+        (QUADRATIC, 600, 2400, lambda Phi: 1.5 * 600 ** 2 * 8),
     ],
-    ids=["tall-newton", "wide-newton", "tall-quantile", "wide-quantile", "tall-ridge"],
+    ids=["tall-newton", "wide-newton", "tall-quantile", "wide-quantile", "tall-ridge", "wide-ridge"],
 )
 def test_fit_peak_memory(loss, n, p, limit):
     Phi, y = _problem(loss, n, p)

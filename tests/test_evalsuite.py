@@ -29,6 +29,21 @@ def test_model_dimensions_and_values():
         ev.SimModelSpec(model_id=1, n=100, noise="cauchy")
 
 
+@pytest.mark.parametrize(
+    "model_id, at_zero, at_one",
+    [
+        # 1/(1+e); 1 + 1/(1+e) + tan(1/4)
+        (2, 1.0 / (1.0 + math.e), 1.0 + 1.0 / (1.0 + math.e) + math.tan(0.25)),
+        # 1; 1.5 cos 3 + sqrt(2.1) + 1/2 + 1
+        (3, 1.0, 1.5 * math.cos(3.0) + math.sqrt(2.1) + 1.5),
+    ],
+)
+def test_models_2_and_3_at_the_cube_corners(model_id, at_zero, at_one):
+    d = ev.MODEL_DIMS[model_id]
+    values = ev.true_regression(model_id, np.array([np.zeros(d), np.ones(d)]))
+    assert values == pytest.approx([at_zero, at_one], rel=1e-14)
+
+
 def test_laplace_noise_moments():
     gen = rng.stream(0, "laplace-moments")
     draws = rng.standard_laplace(gen, 10 ** 6)
