@@ -16,13 +16,15 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import signal
 import sys
 import tempfile
 import threading
+from collections import deque
 from contextlib import ExitStack, contextmanager
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -88,45 +90,71 @@ def read_blocks(path: str):
     Yields ``(header, data, lines)`` per block, at least one block once
     the header is read; ``lines`` holds each data row's cells as read,
     joined by ``,``: where the text has no quotes, that is the data line
-    itself.  A block is the text of ``fh.read(_PIECE)`` plus the rest of
-    its last line from ``fh.readline()``, so it ends on a line end, and
-    goes through numpy's C parser where it can (:func:`_parse_plain`);
-    from the first block it cannot take, the rest of the stream goes
-    through the per-cell ``csv.reader`` path (:func:`_parse_cells`),
-    with row numbers counted from the file's start.  A data error in a
-    late block is raised after the earlier blocks were yielded.
+    itself.  A block is a piece of :func:`_pieces`, the rest of the
+    header's piece after :func:`_read_header` for the first, and goes
+    through numpy's C parser where it can (:func:`_parse_plain`); from
+    the first piece it cannot take, the rest of the stream goes through
+    the per-cell ``csv.reader`` path (:func:`_parse_cells`), with row
+    numbers counted from the file's start.  A data error in a late block
+    is raised after the earlier blocks were yielded.  ``predict`` reads
+    the same pieces, and hands them to its workers to parse.
     """
+    header, lineno, texts = _read_header(path, _pieces(path))
+    for text in texts:
+        block = None if header is None else _parse_plain(text, header)
+        if block is None:
+            yield from _parse_cells(path, chain([text], texts), header, lineno)
+            return
+        _, data, lines, records = block
+        lineno += records
+        yield header, data, lines
+
+
+def _pieces(path: str):
+    """The text of ``path`` in whole lines: ``fh.read(_PIECE)`` plus the
+    rest of its last line from ``fh.readline()``.  A file that cannot be
+    opened, read or decoded is a :class:`DataError`."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             try:
-                yield from _parse_blocks(path, iter(lambda: fh.read(_PIECE) + fh.readline(), ""))
+                yield from iter(lambda: fh.read(_PIECE) + fh.readline(), "")
             except UnicodeDecodeError:
                 # parsed as a stream, a bad cell before the undecodable
                 # bytes is reported first: this rescan raises one or the other
                 fh.seek(0)
-                for _ in _parse_cells(path, csv.reader(fh)):
+                for _ in _parse_cells(path, fh):
                     pass
                 raise
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
-    except (UnicodeDecodeError, csv.Error) as exc:
+    except UnicodeDecodeError as exc:
         raise DataError(f"{path}: unreadable CSV: {exc}") from exc
 
 
-def _parse_blocks(path: str, texts):
-    header, lineno = None, 0
+# a line and its end, which csv.reader takes to be \r\n, \r or \n; the
+# header is the first line that is neither blank nor a "#" comment
+_LINE = re.compile(r"([^\r\n]*)(?:\r\n?|\n|\Z)")
+
+
+def _read_header(path: str, texts):
+    """The header of the whole lines ``texts``, the count of lines up to
+    and including it, and the texts after it, by numpy's path on those
+    lines alone; or None, the count before the header's piece, and the
+    texts from that piece on, for :func:`_parse_cells`."""
+    lineno = 0
     for text in texts:
-        block = _parse_plain(text, header)
+        end = next((line.end() for line in _LINE.finditer(text) if line[1][:1] not in ("", "#")),
+                   len(text))
+        block = _parse_plain(text[:end], None)
         if block is None:
-            lines = (line for t in chain([text], texts) for line in io.StringIO(t, newline=""))
-            yield from _parse_cells(path, csv.reader(lines), header, lineno)
-            return
-        header, data, body, records = block
+            return None, lineno, chain([text], texts)
+        header, _, _, records = block
         lineno += records
         if header is not None:
-            yield header, data, body
-    if header is None:
-        raise DataError(f"{path}: empty file, expected a header row")
+            # a chain keeps its arguments, but an exhausted list iterator
+            # lets go of its list: the piece is freed once it is read
+            return header, lineno, chain(iter([text[end:]]), texts)
+    raise DataError(f"{path}: empty file, expected a header row")
 
 
 # Characters on which csv.reader or float() part from a split on "," and
@@ -140,7 +168,8 @@ def _parse_plain(text: str, header: list[str] | None):
     read by numpy's C parser, as ``(header, data, lines, records)``; or
     None for text it might read otherwise, including all bad input, and
     :func:`_parse_cells` then names the bad row and column.  ``header``
-    is None until a block has read it; ``records`` counts the lines."""
+    is None for the lines up to and including it (:func:`_read_header`);
+    ``records`` counts the lines."""
     if any(c in text for c in _CSV_READER_CHARS):
         return None
     if "\r" in text:  # csv.reader's line ends: \n, \r\n and \r
@@ -170,42 +199,47 @@ def _parse_plain(text: str, header: list[str] | None):
     return header, data, body, records
 
 
-def _parse_cells(path: str, reader, header: list[str] | None = None, lineno: int = 0):
-    """Blocks of :func:`read_blocks` from a ``csv.reader`` whose first row
-    is row ``lineno + 1``, float() on every cell."""
+def _parse_cells(path: str, texts, header: list[str] | None = None, lineno: int = 0):
+    """Blocks of :func:`read_blocks` from the whole lines ``texts``, whose
+    first line is row ``lineno + 1``, by ``csv.reader``, float() on every
+    cell."""
     rows: list[list[float]] = []
     lines: list[str] = []
-    for lineno, row in enumerate(reader, start=lineno + 1):
-        if not row or (row[0].startswith("#") and header is None):
-            continue
-        if header is None:
-            header = [c.strip() for c in row]
-            if any(name.startswith("#") for name in header):
-                # a header line starting with one would be skipped as a comment
-                raise DataError(f"{path}: column names may not start with '#'")
-            continue
-        if len(row) != len(header):
-            raise DataError(
-                f"{path}: row {lineno} has {len(row)} fields, header has {len(header)}"
-            )
-        values = []
-        for j, cell in enumerate(row):
-            try:
-                value = float(cell)
-            except ValueError:
-                value = None
-            if value is None or not math.isfinite(value):
-                kind = "non-numeric" if value is None else "non-finite"
+    reader = csv.reader(line for text in texts for line in io.StringIO(text, newline=""))
+    try:
+        for lineno, row in enumerate(reader, start=lineno + 1):
+            if not row or (row[0].startswith("#") and header is None):
+                continue
+            if header is None:
+                header = [c.strip() for c in row]
+                if any(name.startswith("#") for name in header):
+                    # a header line starting with one would be skipped as a comment
+                    raise DataError(f"{path}: column names may not start with '#'")
+                continue
+            if len(row) != len(header):
                 raise DataError(
-                    f"{path}: {kind} value {cell!r} at row {lineno}, "
-                    f"column {header[j]!r}"
+                    f"{path}: row {lineno} has {len(row)} fields, header has {len(header)}"
                 )
-            values.append(value)
-        rows.append(values)
-        lines.append(",".join(row))
-        if len(rows) == _CELL_ROWS:
-            yield header, np.array(rows, dtype=float), lines
-            rows, lines = [], []
+            values = []
+            for j, cell in enumerate(row):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    value = None
+                if value is None or not math.isfinite(value):
+                    kind = "non-numeric" if value is None else "non-finite"
+                    raise DataError(
+                        f"{path}: {kind} value {cell!r} at row {lineno}, "
+                        f"column {header[j]!r}"
+                    )
+                values.append(value)
+            rows.append(values)
+            lines.append(",".join(row))
+            if len(rows) == _CELL_ROWS:
+                yield header, np.array(rows, dtype=float), lines
+                rows, lines = [], []
+    except csv.Error as exc:
+        raise DataError(f"{path}: unreadable CSV: {exc}") from exc
     if header is None:
         raise DataError(f"{path}: empty file, expected a header row")
     yield header, np.array(rows, dtype=float).reshape(len(rows), len(header)), lines
@@ -370,6 +404,34 @@ def _block_text(data: np.ndarray, lines: list[str], job=None) -> str:
     return "".join(f"{row},{s!r}\n" for row, s in zip(lines, scores.tolist()))
 
 
+def _piece_text(text: str, header: list[str], job=None):
+    """The output rows of the whole lines ``text`` and their count of
+    lines, as :func:`_block_text` writes them; None where numpy's parser
+    cannot take the lines (:func:`_parse_plain`)."""
+    block = _parse_plain(text, header)
+    if block is None:
+        return None
+    _, data, lines, records = block
+    return _block_text(data, lines, job), records
+
+
+def _in_order(pool, workers: int, fn, calls, job):
+    """``fn(*call)`` for each of ``calls``, in their order: in this process
+    for ``job`` when ``pool`` is None, else by the pool's ``workers``, with
+    one call queued beyond one per worker."""
+    if pool is None:
+        for call in calls:
+            yield fn(*call, job)
+        return
+    pending = deque()
+    for call in calls:
+        pending.append(pool.submit(fn, *call))
+        if len(pending) > workers:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
 _worker_job = None  # set as a pool worker starts, so that no block carries the model
 
 
@@ -386,16 +448,26 @@ def _start_worker(job) -> None:
 
 
 def cmd_predict(args) -> int:
-    """Score the input one block at a time, so memory stays flat as the
-    row count grows.  This process reads the blocks; from two on, forked
-    workers score them, one per usable CPU and at most one per 1 MiB
-    piece, and their text is written in input order."""
+    """Score the input one piece at a time, so memory stays flat as the
+    row count grows.  This process reads the pieces of :func:`read_blocks`
+    and parses the lines up to the header; from two pieces on, forked
+    workers parse, score and format them, one per usable CPU and at most
+    one per 1 MiB piece, and their text is written in input order.  From
+    the first piece that numpy's parser cannot take, this process reads
+    the rest through the per-cell path, and the workers score its blocks."""
     try:
         model = SdrnModel.load(args.model)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"cannot load model {args.model}: {exc}") from exc
-    blocks = read_blocks(args.input)
-    header, data, lines = next(blocks)
+    header, lineno, texts = _read_header(args.input, _pieces(args.input))
+    ahead = list(islice(texts, 2))  # a second piece starts the workers
+    several, texts = len(ahead) > 1, chain(iter(ahead), texts)
+    del ahead  # as in _read_header, a piece is freed once it is read
+    cells = None
+    if header is None:  # the per-cell path from the header's piece on
+        cells = _parse_cells(args.input, texts, None, lineno)
+        first = next(cells)
+        header, cells = first[0], chain([first], cells)
     if model.column_names:
         missing = [c for c in model.column_names if c not in header]
         if missing:
@@ -416,9 +488,8 @@ def cmd_predict(args) -> int:
     with _atomic_output(args.output) as out, ExitStack() as stack:
         out.write(f"# sdrn-predict model={args.model} schema_version={MODEL_SCHEMA_VERSION}\n")
         out.write(",".join(out_header) + "\n")
-        pool, workers, pending = None, 1, []
-        second = next(blocks, None)
-        if second is not None and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        pool, workers = None, 1
+        if several and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
             workers = len(os.sched_getaffinity(0))
             if os.path.isfile(args.input):
                 workers = min(workers, -(-os.path.getsize(args.input) // _PIECE))
@@ -433,14 +504,24 @@ def cmd_predict(args) -> int:
                 with _sigterm_held():
                     pool = stack.enter_context(ProcessPoolExecutor(workers, ctx, _start_worker, (job,)))
                     pool.submit(int)
-        for _, data, lines in chain([(header, data, lines)], [second] if second else [], blocks):
-            if pool is None:
-                out.write(_block_text(data, lines, job))
-                continue
-            pending.append(pool.submit(_block_text, data, lines))
-            if len(pending) > workers:  # one block queued beyond one per worker
-                out.write(pending.pop(0).result())
-        out.writelines(future.result() for future in pending)
+        if cells is None:
+            in_flight = deque()  # the pieces handed out and not yet written, in input order
+
+            def pieces():
+                for text in texts:
+                    in_flight.append(text)
+                    yield text, header
+
+            for result in _in_order(pool, workers, _piece_text, pieces(), job):
+                if result is None:  # the per-cell path from this piece on
+                    cells = _parse_cells(args.input, chain(in_flight, texts), header, lineno)
+                    break
+                in_flight.popleft()
+                out.write(result[0])
+                lineno += result[1]
+        if cells is not None:
+            blocks = ((data, lines) for _, data, lines in cells)
+            out.writelines(_in_order(pool, workers, _block_text, blocks, job))
     return 0
 
 

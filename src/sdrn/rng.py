@@ -9,22 +9,22 @@ uniforms, which keeps byte-identical output across platforms and numpy
 versions (the builtin ziggurat samplers make no such promise).  The
 normal inverse is the standard library's ``NormalDist.inv_cdf``
 (Wichura's AS241), so the draws depend on Python's ``statistics``
-module and on no other numeric library.
+module and on no other numeric library.  ``hashlib`` and ``statistics``
+are imported where they are used, so that ``fit`` and ``predict``, which
+draw nothing, do not load them.
 """
 
 from __future__ import annotations
 
-import hashlib
-from statistics import NormalDist
-
 import numpy as np
 
 _TINY = 2.0 ** -53
-_NORMAL_INV_CDF = NormalDist().inv_cdf
 
 
 def stream(seed: int, *path) -> np.random.Generator:
     """Generator keyed by ``(seed, *path)`` via SHA-256 into a Philox key."""
+    import hashlib
+
     tag = ":".join([str(int(seed))] + [str(p) for p in path])
     digest = hashlib.sha256(tag.encode("utf-8")).digest()
     key = int.from_bytes(digest[:16], "little")
@@ -39,8 +39,10 @@ def _open_uniform(gen: np.random.Generator, size) -> np.ndarray:
 
 def standard_normal(gen: np.random.Generator, size) -> np.ndarray:
     """N(0, 1) variates by inversion of the normal CDF."""
+    from statistics import NormalDist
+
     u = _open_uniform(gen, size)
-    return np.fromiter(map(_NORMAL_INV_CDF, u.ravel().tolist()), float, u.size).reshape(u.shape)
+    return np.fromiter(map(NormalDist().inv_cdf, u.ravel().tolist()), float, u.size).reshape(u.shape)
 
 
 def standard_laplace(gen: np.random.Generator, size) -> np.ndarray:

@@ -851,12 +851,22 @@ def test_pooled_predict_writes_the_bytes_of_one_cpu(tmp_path, capsys, monkeypatc
     scored = []  # rows per SdrnModel.predict call in this process, not in the workers
     original = SdrnModel.predict
     monkeypatch.setattr(SdrnModel, "predict", lambda self, X: scored.append(len(X)) or original(self, X))
+    parsed = []  # data rows per cli._parse_plain call in this process: the workers parse the pieces
+    parse_plain = cli._parse_plain
+
+    def recorded_parse_plain(text, header):
+        block = parse_plain(text, header)
+        parsed.append(0 if block is None or block[1] is None else len(block[1]))
+        return block
+
+    monkeypatch.setattr(cli, "_parse_plain", recorded_parse_plain)
     argv = ["predict", "--model", str(model_path), "--input", str(new)]
     written = {}
     for cpus in (2, 1):
         _usable_cpus(monkeypatch, cpus)
         out = tmp_path / f"pred{cpus}.csv"
         scored.clear()
+        parsed.clear()
         capsys.readouterr()
         assert cli.main(argv + ["--output", str(out)]) == 0
         assert cli.main(argv) == 0
@@ -864,10 +874,52 @@ def test_pooled_predict_writes_the_bytes_of_one_cpu(tmp_path, capsys, monkeypatc
         assert multiprocessing.active_children() == []
         written[cpus] = out.read_bytes()
         assert sum(scored) == (0 if cpus == 2 else 2 * 3000)
+        assert sum(parsed) == (0 if cpus == 2 else 2 * 3000) and len(parsed) >= 2
     assert written[2] == written[1]
     lines = written[2].decode().splitlines()
     assert len(lines) == 2 + 3000
     assert lines[1].endswith("prediction,probability" if loss == "logistic" else ",prediction")
+
+
+def test_pooled_predict_takes_the_per_cell_path_from_the_first_piece_numpy_cannot(
+        tmp_path, capsys, monkeypatch):
+    # 4 KiB pieces hold about 43 rows each; data row 2,001 quotes its cells,
+    # so the piece holding it, and every later one, those already handed to
+    # a worker too, go through the per-cell path (row 2,501 ends in \r\n).
+    # Its echo drops the quotes and line ends, so the output has the bytes
+    # of the plain file's, on two CPUs and on one; a bad cell further on is
+    # named by its row in the file
+    import multiprocessing
+
+    _, model_path = _fit_small(tmp_path)
+    plain, odd = tmp_path / "plain.csv", tmp_path / "odd.csv"
+    _covariate_csv(plain, 3000)
+    lines = plain.read_text().splitlines(keepends=True)
+    lines[2001] = ",".join(f'"{cell}"' for cell in lines[2001].rstrip("\n").split(",")) + "\n"
+    lines[2501] = lines[2501].replace("\n", "\r\n")
+    odd.write_bytes("".join(lines).encode())
+    cells = lines[2701].split(",")
+    lines[2701] = ",".join(cells[:2] + ["abc"] + cells[3:])
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes("".join(lines).encode())
+    monkeypatch.setattr(cli, "_PIECE", 4096)
+    predict = ["predict", "--model", str(model_path), "--input"]
+    assert cli.main(predict + [str(plain), "--output", str(tmp_path / "plain-pred.csv")]) == 0
+    want = (tmp_path / "plain-pred.csv").read_bytes()
+    assert len(want.splitlines()) == 2 + 3000
+    for cpus in (2, 1):
+        _usable_cpus(monkeypatch, cpus)
+        out = tmp_path / f"odd-pred{cpus}.csv"
+        assert cli.main(predict + [str(odd), "--output", str(out)]) == 0
+        assert out.read_bytes() == want
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert cli.main(predict + [str(bad), "--output", str(tmp_path / "bad-pred.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-numeric value 'abc' at row 2702, column 'x3'" in captured.err
+        assert sorted(tmp_path.iterdir()) == before
+        assert multiprocessing.active_children() == []
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task") or not hasattr(os, "sched_getaffinity")
@@ -912,8 +964,9 @@ def test_sigterm_during_predict_leaves_no_temporary_file_and_no_worker(tmp_path)
 
 
 def test_commands_without_a_pool_import_no_multiprocessing(tmp_path):
-    # predict starts a pool only once it reads a second block, so importing
-    # sdrn.cli, these commands and a one-piece predict leave its modules out
+    # predict starts its workers, which parse and score the pieces, only
+    # once it reads a second piece, so importing sdrn.cli, these commands
+    # and a one-piece predict leave multiprocessing's modules out
     train, model, out = str(tmp_path / "train.csv"), str(tmp_path / "model.json"), str(tmp_path / "out.csv")
     _write_binary_training_csv(tmp_path / "train.csv", 80)
     argvs = [["fit", "--input", train, "--target", "y", "--model-out", model],
@@ -924,6 +977,21 @@ def test_commands_without_a_pool_import_no_multiprocessing(tmp_path):
             f"for argv in {argvs!r}:\n"
             "    assert cli.main(argv) == 0, argv\n"
             "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n")
+    done = _run_python(code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_fit_and_predict_import_no_hashlib_or_statistics(tmp_path):
+    # only the random streams of simulate and verify-bounds use them
+    train, model, out = str(tmp_path / "train.csv"), str(tmp_path / "model.json"), str(tmp_path / "out.csv")
+    _write_binary_training_csv(tmp_path / "train.csv", 80)
+    argvs = [["fit", "--input", train, "--target", "y", "--model-out", model],
+             ["predict", "--model", model, "--input", train, "--output", out]]
+    code = ("import sys\nfrom sdrn import cli\n"
+            f"for argv in {argvs!r}:\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "print(sorted({'_hashlib', 'hashlib', 'statistics'} & set(sys.modules)))\n")
     done = _run_python(code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
