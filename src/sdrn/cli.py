@@ -1,9 +1,9 @@
 """Command-line front end: fit, predict, simulate, basis-info, verify-bounds.
 
 CSV dialect: comma separated, first row is the header, UTF-8, ``.``
-decimal point, numeric fields unquoted.  Lines starting with ``#`` are
-configuration echoes and are skipped on read, so no column name may
-start with ``#``.  Exit codes: 0 success,
+decimal point, as ``csv.reader`` reads it.  Lines starting with ``#``
+before the header are configuration echoes and are skipped on read, so
+no column name may start with ``#``.  Exit codes: 0 success,
 1 usage error, 2 data error, 3 bound violation (verify-bounds only),
 143 terminated by SIGTERM (with no partial output left behind).
 """
@@ -16,7 +16,6 @@ import io
 import json
 import math
 import os
-import re
 import shutil
 import signal
 import sys
@@ -24,7 +23,8 @@ import tempfile
 import threading
 from collections import deque
 from contextlib import ExitStack, contextmanager
-from itertools import chain, islice
+from functools import partial
+from itertools import chain, islice, starmap
 
 import numpy as np
 
@@ -88,25 +88,16 @@ def read_blocks(path: str):
     """Read a numeric CSV as :func:`read_csv` does, one block at a time.
 
     Yields ``(header, data, lines)`` per block, at least one block once
-    the header is read; ``lines`` holds each data row's cells as read,
-    joined by ``,``: where the text has no quotes, that is the data line
-    itself.  A block is a piece of :func:`_pieces`, the rest of the
-    header's piece after :func:`_read_header` for the first, and goes
-    through numpy's C parser where it can (:func:`_parse_plain`); from
-    the first piece it cannot take, the rest of the stream goes through
-    the per-cell ``csv.reader`` path (:func:`_parse_cells`), with row
-    numbers counted from the file's start.  A data error in a late block
-    is raised after the earlier blocks were yielded.  ``predict`` reads
-    the same pieces, and hands them to its workers to parse.
+    the header is read; ``lines`` holds each data row's cells as read, as
+    a CSV line (:func:`_record`): where the text has no quotes, that is
+    the data line itself.  The blocks are those of :func:`_stream`, run
+    in this process: numpy's C parser reads each piece it can, and from
+    the first it cannot, the per-cell ``csv.reader`` path reads the rest.
+    A data error in a late block is raised after the earlier blocks were
+    yielded, with its row number counted from the file's start.
     """
     header, lineno, texts = _read_header(path, _pieces(path))
-    for text in texts:
-        block = None if header is None else _parse_plain(text, header)
-        if block is None:
-            yield from _parse_cells(path, chain([text], texts), header, lineno)
-            return
-        _, data, lines, records = block
-        lineno += records
+    for data, lines in _stream(path, header, lineno, texts, _parse_plain, lambda *block: block):
         yield header, data, lines
 
 
@@ -122,7 +113,7 @@ def _pieces(path: str):
                 # parsed as a stream, a bad cell before the undecodable
                 # bytes is reported first: this rescan raises one or the other
                 fh.seek(0)
-                for _ in _parse_cells(path, fh):
+                for _ in _parse_cells(path, *_read_header(path, fh)):
                     pass
                 raise
     except OSError as exc:
@@ -131,29 +122,31 @@ def _pieces(path: str):
         raise DataError(f"{path}: unreadable CSV: {exc}") from exc
 
 
-# a line and its end, which csv.reader takes to be \r\n, \r or \n; the
-# header is the first line that is neither blank nor a "#" comment
-_LINE = re.compile(r"([^\r\n]*)(?:\r\n?|\n|\Z)")
-
-
 def _read_header(path: str, texts):
-    """The header of the whole lines ``texts``, the count of lines up to
-    and including it, and the texts after it, by numpy's path on those
-    lines alone; or None, the count before the header's piece, and the
-    texts from that piece on, for :func:`_parse_cells`."""
-    lineno = 0
-    for text in texts:
-        end = next((line.end() for line in _LINE.finditer(text) if line[1][:1] not in ("", "#")),
-                   len(text))
-        block = _parse_plain(text[:end], None)
-        if block is None:
-            return None, lineno, chain([text], texts)
-        header, _, _, records = block
-        lineno += records
-        if header is not None:
-            # a chain keeps its arguments, but an exhausted list iterator
-            # lets go of its list: the piece is freed once it is read
-            return header, lineno, chain(iter([text[end:]]), texts)
+    """The header of the whole lines ``texts``, read by ``csv.reader``: the
+    first record that is neither empty nor starts with ``#``.  Returns it,
+    the count of records up to and including it, and the rest of its text
+    followed by the later texts."""
+    piece = None
+
+    def lines():
+        nonlocal piece
+        for text in texts:
+            piece = io.StringIO(text, newline="")
+            yield from piece
+
+    try:
+        for lineno, row in enumerate(csv.reader(lines()), start=1):
+            if row and not row[0].startswith("#"):
+                header = [name.strip() for name in row]
+                if any(name.startswith("#") for name in header):
+                    # a header line starting with one would be skipped as a comment
+                    raise DataError(f"{path}: column names may not start with '#'")
+                # a chain keeps its arguments, but an exhausted list iterator
+                # lets go of its list: the piece is freed once it is read
+                return header, lineno, chain(iter([piece.read()]), texts)
+    except csv.Error as exc:
+        raise DataError(f"{path}: unreadable CSV: {exc}") from exc
     raise DataError(f"{path}: empty file, expected a header row")
 
 
@@ -163,13 +156,11 @@ def _read_header(path: str, texts):
 _CSV_READER_CHARS = '"\x00\x1c\x1d\x1e\x1f'
 
 
-def _parse_plain(text: str, header: list[str] | None):
+def _parse_plain(text: str, header: list[str]):
     """What :func:`_parse_cells` yields for the whole lines ``text``,
-    read by numpy's C parser, as ``(header, data, lines, records)``; or
-    None for text it might read otherwise, including all bad input, and
-    :func:`_parse_cells` then names the bad row and column.  ``header``
-    is None for the lines up to and including it (:func:`_read_header`);
-    ``records`` counts the lines."""
+    read by numpy's C parser, and the count of lines: ``((data, lines),
+    records)``; or None for text it might read otherwise, including all
+    bad input, and :func:`_parse_cells` then names the bad row and column."""
     if any(c in text for c in _CSV_READER_CHARS):
         return None
     if "\r" in text:  # csv.reader's line ends: \n, \r\n and \r
@@ -178,43 +169,28 @@ def _parse_plain(text: str, header: list[str] | None):
     records = len(lines) - (lines[-1] == "")
     if max(map(len, lines)) > csv.field_size_limit():
         return None
-    if header is None:
-        # blank lines are skipped, as are "#" lines before the header
-        start = next((i for i, line in enumerate(lines) if line and line[0] != "#"), None)
-        if start is None:
-            return None, None, None, records
-        header = [name.strip() for name in lines[start].split(",")]
-        if any(name.startswith("#") for name in header):
-            return None
-        lines = lines[start + 1 :]
     body = [line for line in lines if line]
     if not body:  # loadtxt warns on empty input
-        return header, np.empty((0, len(header))), body, records
+        return (np.empty((0, len(header))), body), records
     try:
         data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
     if data.shape != (len(body), len(header)) or not np.isfinite(data).all():
         return None
-    return header, data, body, records
+    return (data, body), records
 
 
-def _parse_cells(path: str, texts, header: list[str] | None = None, lineno: int = 0):
-    """Blocks of :func:`read_blocks` from the whole lines ``texts``, whose
-    first line is row ``lineno + 1``, by ``csv.reader``, float() on every
-    cell."""
+def _parse_cells(path: str, header: list[str], lineno: int, texts):
+    """The ``data`` and ``lines`` of :func:`read_blocks`' blocks from the
+    whole lines ``texts`` after the header, whose first line is row
+    ``lineno + 1``, by ``csv.reader``, float() on every cell."""
     rows: list[list[float]] = []
     lines: list[str] = []
     reader = csv.reader(line for text in texts for line in io.StringIO(text, newline=""))
     try:
         for lineno, row in enumerate(reader, start=lineno + 1):
-            if not row or (row[0].startswith("#") and header is None):
-                continue
-            if header is None:
-                header = [c.strip() for c in row]
-                if any(name.startswith("#") for name in header):
-                    # a header line starting with one would be skipped as a comment
-                    raise DataError(f"{path}: column names may not start with '#'")
+            if not row:
                 continue
             if len(row) != len(header):
                 raise DataError(
@@ -234,15 +210,64 @@ def _parse_cells(path: str, texts, header: list[str] | None = None, lineno: int 
                     )
                 values.append(value)
             rows.append(values)
-            lines.append(",".join(row))
+            lines.append(_record(row))
             if len(rows) == _CELL_ROWS:
-                yield header, np.array(rows, dtype=float), lines
+                yield np.array(rows, dtype=float), lines
                 rows, lines = [], []
     except csv.Error as exc:
         raise DataError(f"{path}: unreadable CSV: {exc}") from exc
-    if header is None:
-        raise DataError(f"{path}: empty file, expected a header row")
-    yield header, np.array(rows, dtype=float).reshape(len(rows), len(header)), lines
+    yield np.array(rows, dtype=float).reshape(len(rows), len(header)), lines
+
+
+def _record(cells: list[str]) -> str:
+    """``cells`` as one CSV line: a cell that holds a ``,``, a quote, a
+    carriage return or a newline is quoted, and its quotes doubled."""
+    line = ",".join(cells)
+    # one scan of the joined line, so that a row that needs no quotes pays no scan per cell
+    if '"' in line or "\n" in line or "\r" in line or line.count(",") >= len(cells):
+        line = ",".join('"' + c.replace('"', '""') + '"' if any(s in c for s in ',"\r\n') else c
+                        for c in cells)
+    return line
+
+
+def _stream(path: str, header: list[str], lineno: int, texts, piece, block, pool=None, workers=1):
+    """The results of ``piece(text, header)`` on the whole lines ``texts``
+    after the header's ``lineno`` records, in order (:func:`_in_order`).
+    ``piece`` gives a result and its count of lines, or None where numpy's
+    parser cannot take the lines; from that piece on, the pieces in flight
+    and the rest go through :func:`_parse_cells`, and the results of
+    ``block(data, lines)`` on its blocks follow."""
+    in_flight = deque()  # the pieces handed out and not yet yielded, in input order
+
+    def pieces():
+        for text in texts:
+            in_flight.append(text)
+            yield text, header
+
+    for result in _in_order(pool, workers, piece, pieces()):
+        if result is None:  # the per-cell path from this piece on
+            cells = _parse_cells(path, header, lineno, chain(in_flight, texts))
+            yield from _in_order(pool, workers, block, cells)
+            return
+        in_flight.popleft()
+        lineno += result[1]
+        yield result[0]
+
+
+def _in_order(pool, workers: int, fn, calls):
+    """``fn(*call)`` for each of ``calls``, in their order: in this process
+    when ``pool`` is None, else by the pool's ``workers``, with one call
+    queued beyond one per worker."""
+    if pool is None:
+        yield from starmap(fn, calls)
+        return
+    pending = deque()
+    for call in calls:
+        pending.append(pool.submit(fn, *call))
+        if len(pending) > workers:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
 
 def _format(value: float) -> str:
@@ -409,27 +434,7 @@ def _piece_text(text: str, header: list[str], job=None):
     lines, as :func:`_block_text` writes them; None where numpy's parser
     cannot take the lines (:func:`_parse_plain`)."""
     block = _parse_plain(text, header)
-    if block is None:
-        return None
-    _, data, lines, records = block
-    return _block_text(data, lines, job), records
-
-
-def _in_order(pool, workers: int, fn, calls, job):
-    """``fn(*call)`` for each of ``calls``, in their order: in this process
-    for ``job`` when ``pool`` is None, else by the pool's ``workers``, with
-    one call queued beyond one per worker."""
-    if pool is None:
-        for call in calls:
-            yield fn(*call, job)
-        return
-    pending = deque()
-    for call in calls:
-        pending.append(pool.submit(fn, *call))
-        if len(pending) > workers:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
+    return block and (_block_text(*block[0], job), block[1])
 
 
 _worker_job = None  # set as a pool worker starts, so that no block carries the model
@@ -449,12 +454,12 @@ def _start_worker(job) -> None:
 
 def cmd_predict(args) -> int:
     """Score the input one piece at a time, so memory stays flat as the
-    row count grows.  This process reads the pieces of :func:`read_blocks`
-    and parses the lines up to the header; from two pieces on, forked
-    workers parse, score and format them, one per usable CPU and at most
-    one per 1 MiB piece, and their text is written in input order.  From
-    the first piece that numpy's parser cannot take, this process reads
-    the rest through the per-cell path, and the workers score its blocks."""
+    row count grows.  This process reads the header (:func:`_read_header`)
+    and the pieces; from two pieces on, forked workers parse, score and
+    format them, one per usable CPU and at most one per 1 MiB piece, and
+    their text is written in input order (:func:`_stream`).  From the
+    first piece that numpy's parser cannot take, this process reads the
+    rest through the per-cell path, and the workers score its blocks."""
     try:
         model = SdrnModel.load(args.model)
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -463,11 +468,6 @@ def cmd_predict(args) -> int:
     ahead = list(islice(texts, 2))  # a second piece starts the workers
     several, texts = len(ahead) > 1, chain(iter(ahead), texts)
     del ahead  # as in _read_header, a piece is freed once it is read
-    cells = None
-    if header is None:  # the per-cell path from the header's piece on
-        cells = _parse_cells(args.input, texts, None, lineno)
-        first = next(cells)
-        header, cells = first[0], chain([first], cells)
     if model.column_names:
         missing = [c for c in model.column_names if c not in header]
         if missing:
@@ -487,8 +487,9 @@ def cmd_predict(args) -> int:
     job = (model, order)
     with _atomic_output(args.output) as out, ExitStack() as stack:
         out.write(f"# sdrn-predict model={args.model} schema_version={MODEL_SCHEMA_VERSION}\n")
-        out.write(",".join(out_header) + "\n")
+        out.write(_record(out_header) + "\n")
         pool, workers = None, 1
+        piece, block = partial(_piece_text, job=job), partial(_block_text, job=job)
         if several and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
             workers = len(os.sched_getaffinity(0))
             if os.path.isfile(args.input):
@@ -504,24 +505,8 @@ def cmd_predict(args) -> int:
                 with _sigterm_held():
                     pool = stack.enter_context(ProcessPoolExecutor(workers, ctx, _start_worker, (job,)))
                     pool.submit(int)
-        if cells is None:
-            in_flight = deque()  # the pieces handed out and not yet written, in input order
-
-            def pieces():
-                for text in texts:
-                    in_flight.append(text)
-                    yield text, header
-
-            for result in _in_order(pool, workers, _piece_text, pieces(), job):
-                if result is None:  # the per-cell path from this piece on
-                    cells = _parse_cells(args.input, chain(in_flight, texts), header, lineno)
-                    break
-                in_flight.popleft()
-                out.write(result[0])
-                lineno += result[1]
-        if cells is not None:
-            blocks = ((data, lines) for _, data, lines in cells)
-            out.writelines(_in_order(pool, workers, _block_text, blocks, job))
+                piece, block = _piece_text, _block_text  # the workers hold the job
+        out.writelines(_stream(args.input, header, lineno, texts, piece, block, pool, workers))
     return 0
 
 

@@ -130,25 +130,6 @@ def _sq(a: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, a))
 
 
-def objective(
-    gamma: np.ndarray,
-    Phi: np.ndarray,
-    y: np.ndarray,
-    loss: LossSpec,
-    lambda_star: float,
-) -> float:
-    """Penalised empirical risk ``sum_i loss(Phi_i . gamma, y_i) + lambda_star/2 |gamma|^2``."""
-    gamma = np.asarray(gamma, dtype=float)
-    if Phi.shape[1] != gamma.shape[0] or Phi.shape[0] != np.shape(y)[0]:
-        raise ValueError(
-            f"shape mismatch: Phi {Phi.shape}, gamma {gamma.shape}, y {np.shape(y)}"
-        )
-    if lambda_star < 0:
-        raise ValueError("lambda_star must be nonnegative")
-    total = float(np.sum(loss_value(loss, Phi @ gamma, y)))
-    return total + 0.5 * lambda_star * _sq(gamma)
-
-
 @dataclass(frozen=True)
 class FitConfig:
     """Everything the fitter needs besides the data.

@@ -468,29 +468,6 @@ class _GraphBuilder:
         return self.graph
 
 
-def build_square_network(R: int) -> ReluGraph:
-    """Explicit graph for f_R: depth R+2, units 3R+1, weights 15R-4."""
-    if R < 1:
-        raise ValueError(f"accuracy level R must be >= 1, got {R}")
-    b = _GraphBuilder(input_arity=1)
-    chain = _SquareChain(b.input_expr(0))
-    b.square_layers([chain], R)
-    return b.finish(chain.result())
-
-
-def build_pair_network(R: int) -> ReluGraph:
-    """Explicit graph computing the pair product on [0, 1]**2.
-
-    Matches :func:`pair_product` pointwise on the unit square (the graph
-    does not reproduce the input clamping applied outside it).
-    """
-    if R < 1:
-        raise ValueError(f"accuracy level R must be >= 1, got {R}")
-    b = _GraphBuilder(input_arity=2)
-    out = b.pair_exprs([(b.input_expr(0), b.input_expr(1))], R)[0]
-    return b.finish(out)
-
-
 def build_basis_network(R: int, bid: BasisId) -> ReluGraph:
     """Explicit graph for the ReLU-product basis feature of ``bid``.
 

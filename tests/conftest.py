@@ -2,8 +2,10 @@
 the derivative-integral route to hierarchical surpluses, the independent
 oracle for :func:`sdrn.sparse_grid.surpluses`, the one-id-at-a-time
 references (``index_set``, ``surplus_oracle``) for the array code in
-``sdrn.sparse_grid``, and the stacked-triple reference for the keyed
-leaves of :func:`sdrn.relu_product.product_plan`."""
+``sdrn.sparse_grid``, the stacked-triple reference for the keyed
+leaves of :func:`sdrn.relu_product.product_plan`, and the ReLU-graph
+twins of :func:`sdrn.relu_product.square_approx` and
+:func:`sdrn.relu_product.pair_product`."""
 
 from __future__ import annotations
 
@@ -264,3 +266,22 @@ def random_product_function(gen, d: int, boundary_vanishing: bool = False) -> Pr
     makers = (_bump, _interior_sine) if boundary_vanishing else (_sine, _cubic, _bump)
     comps = [makers[int(gen.integers(0, len(makers)))](gen) for _ in range(d)]
     return ProductFunction(comps)
+
+
+def build_square_network(R: int) -> rp.ReluGraph:
+    """Explicit graph for f_R: depth R+2, units 3R+1, weights 15R-4."""
+    b = rp._GraphBuilder(input_arity=1)
+    chain = rp._SquareChain(b.input_expr(0))
+    b.square_layers([chain], R)
+    return b.finish(chain.result())
+
+
+def build_pair_network(R: int) -> rp.ReluGraph:
+    """Explicit graph computing the pair product on [0, 1]**2.
+
+    Matches :func:`sdrn.relu_product.pair_product` pointwise on the unit
+    square (the graph does not reproduce the input clamping applied
+    outside it).
+    """
+    b = rp._GraphBuilder(input_arity=2)
+    return b.finish(b.pair_exprs([(b.input_expr(0), b.input_expr(1))], R)[0])

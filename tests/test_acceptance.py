@@ -20,6 +20,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import build_pair_network, build_square_network
 from sdrn import cli
 from sdrn import evalsuite as ev
 from sdrn import rng
@@ -28,8 +29,6 @@ from sdrn.losses import LossSpec
 from sdrn.relu_product import (
     approx_basis_eval,
     build_basis_network,
-    build_pair_network,
-    build_square_network,
     pair_product,
     product_pairs,
     square_approx,

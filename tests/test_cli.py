@@ -856,7 +856,7 @@ def test_pooled_predict_writes_the_bytes_of_one_cpu(tmp_path, capsys, monkeypatc
 
     def recorded_parse_plain(text, header):
         block = parse_plain(text, header)
-        parsed.append(0 if block is None or block[1] is None else len(block[1]))
+        parsed.append(0 if block is None else len(block[0][0]))
         return block
 
     monkeypatch.setattr(cli, "_parse_plain", recorded_parse_plain)
@@ -874,7 +874,10 @@ def test_pooled_predict_writes_the_bytes_of_one_cpu(tmp_path, capsys, monkeypatc
         assert multiprocessing.active_children() == []
         written[cpus] = out.read_bytes()
         assert sum(scored) == (0 if cpus == 2 else 2 * 3000)
-        assert sum(parsed) == (0 if cpus == 2 else 2 * 3000) and len(parsed) >= 2
+        if cpus == 2:  # the header is read by csv.reader, the pieces by the workers
+            assert parsed == []
+        else:
+            assert sum(parsed) == 2 * 3000 and len(parsed) >= 2
     assert written[2] == written[1]
     lines = written[2].decode().splitlines()
     assert len(lines) == 2 + 3000
@@ -920,6 +923,67 @@ def test_pooled_predict_takes_the_per_cell_path_from_the_first_piece_numpy_canno
         assert "non-numeric value 'abc' at row 2702, column 'x3'" in captured.err
         assert sorted(tmp_path.iterdir()) == before
         assert multiprocessing.active_children() == []
+
+
+def test_a_quoted_header_keeps_the_numpy_path(tmp_path, monkeypatch):
+    # every header name quoted, as csv.QUOTE_NONNUMERIC and R's write.csv
+    # write them: csv.reader reads the header, and the 4 KiB pieces after
+    # it go through numpy's parser, in read_blocks and in predict, on two
+    # CPUs and on one; no data row goes through the per-cell path in this
+    # process, and the output has the bytes of the plain file's
+    _, model_path = _fit_small(tmp_path)
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    X = _covariate_csv(plain, 3000)
+    header, rest = plain.read_text().split("\n", 1)
+    quoted.write_text(",".join(f'"{name}"' for name in header.split(",")) + "\n" + rest)
+    monkeypatch.setattr(cli, "_PIECE", 4096)
+    monkeypatch.setattr(cli, "_CELL_ROWS", 100)
+    cells = []  # data rows per block of the per-cell path in this process
+    parse_cells = cli._parse_cells
+
+    def recorded_parse_cells(*args):
+        for block in parse_cells(*args):
+            cells.append(len(block[-2]))
+            yield block
+
+    monkeypatch.setattr(cli, "_parse_cells", recorded_parse_cells)
+    blocks = list(cli.read_blocks(str(quoted)))
+    # a 4 KiB piece holds about 43 rows; a per-cell block would hold 100
+    assert cells == [] and len(blocks) > 2 and all(len(data) < 100 for _, data, _ in blocks)
+    assert blocks[0][0] == header.split(",")
+    assert np.concatenate([data for _, data, _ in blocks]).tobytes() == X.tobytes()
+    predict = ["predict", "--model", str(model_path), "--input"]
+    assert cli.main(predict + [str(plain), "--output", str(tmp_path / "plain-pred.csv")]) == 0
+    for cpus in (2, 1):
+        _usable_cpus(monkeypatch, cpus)
+        out = tmp_path / f"quoted-pred{cpus}.csv"
+        assert cli.main(predict + [str(quoted), "--output", str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / "plain-pred.csv").read_bytes()
+        assert cells == []
+
+
+def test_predict_reads_its_own_output_back(tmp_path):
+    # a header name holding a "," and cells holding a line end, which
+    # float() accepts, are quoted in the output, their other bytes as
+    # read: predict reads its output back, row for row
+    X = np.random.default_rng(5).random((40, 2))
+    train = tmp_path / "train.csv"
+    train.write_text('"d,e",f,y\n' + "".join(f"{a!r},{b!r},{a + b!r}\n" for a, b in X.tolist()))
+    model_path = tmp_path / "model.json"
+    assert cli.main(["fit", "--input", str(train), "--target", "y",
+                     "--model-out", str(model_path)]) == 0
+    new, out, again = tmp_path / "new.csv", tmp_path / "pred.csv", tmp_path / "again.csv"
+    new.write_bytes(b'"d,e",f\n0.1,0.5\n"0.2\n",0.5\n"0.3\r", 0.5\n')
+    predict = ["predict", "--model", str(model_path), "--input"]
+    assert cli.main(predict + [str(new), "--output", str(out)]) == 0
+    scores = SdrnModel.load(model_path).predict(np.array([[0.1, 0.5], [0.2, 0.5], [0.3, 0.5]]))
+    s1, s2, s3 = map(repr, scores.tolist())
+    assert out.read_bytes().decode().split("\n", 1)[1] == (
+        f'"d,e",f,prediction\n0.1,0.5,{s1}\n"0.2\n",0.5,{s2}\n"0.3\r", 0.5,{s3}\n')
+    assert cli.main(predict + [str(out), "--output", str(again)]) == 0
+    header, data = cli.read_csv(str(again))
+    assert header == ["d,e", "f", "prediction", "prediction"]
+    assert data.tobytes() == np.column_stack([[0.1, 0.2, 0.3], [0.5] * 3, scores, scores]).tobytes()
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task") or not hasattr(os, "sched_getaffinity")

@@ -12,6 +12,7 @@ are refused before anything is counted or allocated.
 """
 
 import csv
+import io
 import math
 import tempfile
 from pathlib import Path
@@ -153,7 +154,8 @@ def test_simulate_options_end_in_an_exit_code(model, n, reps, kappas, cs, loss, 
 
 def _reference_read_csv(path):
     """The per-cell reader ``read_csv`` replaced: csv.reader over the file
-    stream and float() on every cell, with the same messages."""
+    stream and float() on every cell, with the same messages; a row's line
+    is its cells as ``csv.writer`` writes them."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             header, rows, lines = None, [], []
@@ -180,7 +182,10 @@ def _reference_read_csv(path):
                                             f"column {header[j]!r}")
                     values.append(value)
                 rows.append(values)
-                lines.append(",".join(row))
+                # csv.writer quotes a cell holding a character of its line end
+                record = io.StringIO()
+                csv.writer(record, lineterminator="\r\n").writerow(row)
+                lines.append(record.getvalue().removesuffix("\r\n"))
     except OSError as exc:
         raise cli.DataError(f"cannot open {path}: {exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
@@ -260,6 +265,10 @@ PIECES = (1, 7, 64, cli._PIECE)
 @example(text="a\n0." + "0" * csv.field_size_limit() + "1\n")  # past csv's field limit
 @example(text="a,b\n1,2\x0c3,4\n")  # one row with three fields, not two rows
 @example(text="a\n\x1c1\n")  # float() rejects \x1c
+@example(text='"a\nb",c\n1,2\n')  # a quoted line end in the header
+@example(text='#x\n"#q",1\n"a\r\nb",c\r\n1,2\n3,4')  # comments, then a header of two lines
+@example(text="a," * (csv.field_size_limit() // 2) + "a\n")  # a header past csv's field limit
+@example(text='"a,b",c\n"1\n",2\r\n"3\r",4\n')  # cells holding line ends are quoted
 def test_read_csv_matches_the_per_cell_reader(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "in.csv"

@@ -128,15 +128,26 @@ def test_feature_map_matches_graph_twins_across_row_blocks(monkeypatch):
             assert np.max(np.abs(Phi[:, col] - twin)) <= 1e-12
 
 
+def _objective(gamma, Phi, y, loss, lambda_star):
+    """Penalised empirical risk ``sum_i loss(Phi_i . gamma, y_i) +
+    lambda_star/2 |gamma|^2``, summed as the fit sums its final objective."""
+    gamma = np.asarray(gamma, dtype=float)
+    if Phi.shape[1] != gamma.shape[0] or Phi.shape[0] != np.shape(y)[0]:
+        raise ValueError(f"shape mismatch: Phi {Phi.shape}, gamma {gamma.shape}, y {np.shape(y)}")
+    if lambda_star < 0:
+        raise ValueError("lambda_star must be nonnegative")
+    return float(np.sum(loss_value(loss, Phi @ gamma, y))) + 0.5 * lambda_star * est._sq(gamma)
+
+
 def test_objective_examples():
     Phi = np.array([[1.0], [1.0]])
     y = np.array([1.0, 1.0])
-    assert est.objective(np.zeros(1), Phi, y, QUADRATIC, 0.0) == 2.0
-    assert est.objective(np.zeros(1), Phi, y, LossSpec("huber", delta=1.0), 5.0) == 1.0
+    assert _objective(np.zeros(1), Phi, y, QUADRATIC, 0.0) == 2.0
+    assert _objective(np.zeros(1), Phi, y, LossSpec("huber", delta=1.0), 5.0) == 1.0
     with pytest.raises(ValueError):
-        est.objective(np.zeros(2), Phi, y, QUADRATIC, 0.0)
+        _objective(np.zeros(2), Phi, y, QUADRATIC, 0.0)
     with pytest.raises(ValueError):
-        est.objective(np.zeros(1), Phi, y, QUADRATIC, -1.0)
+        _objective(np.zeros(1), Phi, y, QUADRATIC, -1.0)
 
 
 def test_objective_matches_bruteforce():
@@ -151,11 +162,11 @@ def test_objective_matches_bruteforce():
             pred = float(np.dot(Phi[i], gamma))
             total += float(loss_value(spec, pred, y[i]))
         total += 0.5 * lam * float(np.sum(gamma ** 2))
-        assert abs(est.objective(gamma, Phi, y, spec, lam) - total) <= 1e-10
+        assert abs(_objective(gamma, Phi, y, spec, lam) - total) <= 1e-10
 
 
 def _gradient(gamma, Phi, y, loss, lam):
-    """The gradient of :func:`est.objective` (a subgradient for the quantile loss)."""
+    """The gradient of :func:`_objective` (a subgradient for the quantile loss)."""
     return Phi.T @ loss_subgradient(loss, Phi @ gamma, y) + lam * gamma
 
 
@@ -181,8 +192,8 @@ def test_gradient_matches_finite_differences():
                 e = np.zeros(5)
                 e[k] = h
                 fd = (
-                    est.objective(gamma + e, Phi, y, spec, lam)
-                    - est.objective(gamma - e, Phi, y, spec, lam)
+                    _objective(gamma + e, Phi, y, spec, lam)
+                    - _objective(gamma - e, Phi, y, spec, lam)
                 ) / (2 * h)
                 scale = max(1.0, abs(fd))
                 assert abs(grad[k] - fd) / scale <= 1e-5
@@ -230,7 +241,7 @@ def _scipy_minimiser(Phi, y, loss, kappa):
         return Phi.T @ res.x / kappa, -res.fun
 
     def risk(g):
-        return (est.objective(g, Phi, y, loss, kappa),
+        return (_objective(g, Phi, y, loss, kappa),
                 _gradient(g, Phi, y, loss, kappa))
 
     res = minimize(risk, np.zeros(Phi.shape[1]), jac=True, method="BFGS",
@@ -249,7 +260,7 @@ def test_exact_fits_match_scipy_optimize(loss, n, p):
     reference, value = _scipy_minimiser(Phi, y, loss, kappa)
     assert np.max(np.abs(gamma - reference)) <= 1e-6
     assert abs(diag.final_objective - value) <= 1e-9 * value
-    assert diag.final_objective == est.objective(gamma, Phi, y, loss, kappa)
+    assert diag.final_objective == _objective(gamma, Phi, y, loss, kappa)
     assert diag.converged and 0.0 <= diag.certificate <= est.TOL
     assert 1 <= diag.epochs_run < est.MAX_ITERATIONS
 
@@ -275,7 +286,7 @@ def test_one_iteration_cap_stops_unconverged(loss, monkeypatch):
     assert diag.certificate > 1e-12
     if loss.kind != "quantile":
         # a damped Newton step descends; an interior-point iterate need not
-        assert diag.final_objective < est.objective(np.zeros(12), Phi, y, loss, 0.5)
+        assert diag.final_objective < _objective(np.zeros(12), Phi, y, loss, 0.5)
 
 
 @pytest.mark.parametrize("loss", [HUBER, LOGISTIC], ids=lambda loss: loss.kind)
@@ -299,7 +310,7 @@ def test_newton_returns_its_last_iterate_when_a_factorisation_fails(loss, monkey
     gamma, diag = est.adam_fit(Phi, y, cfg)
     assert len(calls) == 2 and diag.epochs_run == 1 and not diag.converged
     assert np.array_equal(gamma, one_step)
-    assert diag.final_objective < est.objective(np.zeros(12), Phi, y, loss, 0.5)
+    assert diag.final_objective < _objective(np.zeros(12), Phi, y, loss, 0.5)
 
 
 @pytest.mark.parametrize("loss", [HUBER, LOGISTIC], ids=lambda loss: loss.kind)
@@ -311,7 +322,7 @@ def test_newton_returns_its_last_iterate_when_the_line_search_stalls(loss, monke
     gamma, diag = est.adam_fit(Phi, y, est.FitConfig(loss=loss, kappa=0.5))
     assert diag.epochs_run == 0 and not diag.converged
     assert not np.any(gamma)
-    assert diag.final_objective == est.objective(np.zeros(12), Phi, y, loss, 0.5)
+    assert diag.final_objective == _objective(np.zeros(12), Phi, y, loss, 0.5)
 
 
 def test_quantile_finish_solves_at_most_p_rows(monkeypatch):
@@ -518,7 +529,7 @@ def test_adam_matches_ridge_closed_form():
             gamma, diag = est.adam_fit(Phi, y, est.FitConfig(loss=QUADRATIC, kappa=lam))
             assert np.max(np.abs(gamma - closed)) <= 1e-10
             assert diag.epochs_run == 0 and diag.converged
-            assert diag.final_objective == est.objective(gamma, Phi, y, QUADRATIC, lam)
+            assert diag.final_objective == _objective(gamma, Phi, y, QUADRATIC, lam)
 
 
 def test_quadratic_fit_at_kappa_zero_is_minimum_norm():

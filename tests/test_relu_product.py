@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import stacked_triple_plan
+from conftest import build_pair_network, build_square_network, stacked_triple_plan
 from sdrn import relu_product as rp
 from sdrn.sparse_grid import BasisId, enumerate_basis, hat_eval, tensor_hat_eval
 
@@ -255,17 +255,17 @@ def test_product_scores_across_row_blocks(monkeypatch):
 
 def test_square_network_complexity_formula():
     for R in range(1, 21):
-        c = rp.build_square_network(R).complexity()
+        c = build_square_network(R).complexity()
         assert c.depth == R + 2
         assert c.units == 3 * R + 1
         assert c.weights == 15 * R - 4
 
 
 def test_square_network_matches_recursion():
-    assert rp.build_square_network(1).eval(np.array([0.5])) == 0.25
+    assert build_square_network(1).eval(np.array([0.5])) == 0.25
     gen = np.random.default_rng(5)
     for R in (1, 4, 8):
-        net = rp.build_square_network(R)
+        net = build_square_network(R)
         xs = gen.random(1000)
         diff = np.abs(net.eval(xs[:, None]) - rp.square_approx(R, xs))
         assert np.max(diff) <= 1e-12
@@ -274,7 +274,7 @@ def test_square_network_matches_recursion():
 def test_pair_network_matches_recursion():
     gen = np.random.default_rng(6)
     for R in (1, 4, 6):
-        net = rp.build_pair_network(R)
+        net = build_pair_network(R)
         pts = gen.random((1000, 2))
         diff = np.abs(net.eval(pts) - rp.pair_product(R, pts[:, 0], pts[:, 1]))
         assert np.max(diff) <= 1e-12
@@ -283,7 +283,7 @@ def test_pair_network_matches_recursion():
 def test_pair_network_complexity_golden():
     # frozen from the implementation: three shared tooth stacks plus output
     for R in (1, 3, 6):
-        c = rp.build_pair_network(R).complexity()
+        c = build_pair_network(R).complexity()
         assert (c.depth, c.units, c.weights) == (R + 2, 9 * R + 1, 45 * R - 12)
 
 
@@ -356,7 +356,7 @@ def test_basis_network_complexity_is_id_independent():
 
 
 def test_square_network_layout():
-    net = rp.build_square_network(2)
+    net = build_square_network(2)
     assert net.input_arity == 1
     assert net.depth == 4 and net.unit_count == 7 and net.weight_count == 26
     assert len(net.layers) == 3
