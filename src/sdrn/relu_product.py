@@ -28,6 +28,7 @@ complexity reporting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -58,7 +59,7 @@ def tooth(x):
 MAX_R = 511
 
 
-def square_approx(R: int, x):
+def square_approx(R: int, x, out=None, work=None):
     """f_R(x), the linear interpolant of x**2 on the grid ``k * 2**-R``, for x in [0, 1].
 
     With ``h = 2**-R`` and ``k = min(floor(x / h), 2**R - 1)`` the cell
@@ -66,14 +67,18 @@ def square_approx(R: int, x):
     tooth chain ``x - sum_{r=1}^{R} g_r(x) / 4**r`` on [0, 1] (to
     rounding), is exact at every grid point, and its error against x**2
     peaks at cell midpoints with value exactly ``2**(-2R-2)``.
-    ``R`` ranges over ``1..MAX_R``.
+    ``R`` ranges over ``1..MAX_R``.  ``out``, if given, receives f_R(x)
+    and may be ``x`` itself; ``work``, if given, is two more arrays of
+    x's shape that hold k and ``2k + 1``.
     """
     if not 1 <= R <= MAX_R:
         raise ValueError(f"accuracy level R must be in 1..{MAX_R}, got {R}")
-    t = np.asarray(x, dtype=float) * 2.0 ** R  # x / h, exact
-    k = np.minimum(np.floor(t), 2.0 ** R - 1.0)
+    t = np.multiply(np.asarray(x, dtype=float), 2.0 ** R, out=out)  # x / h, exact
+    k, odd = (np.empty_like(t), np.empty_like(t)) if work is None else work
+    np.floor(t, out=k)
+    np.minimum(k, 2.0 ** R - 1.0, out=k)
     t -= k  # in place: h**2 (k**2 + (t - k)(2k + 1))
-    odd = k * 2.0
+    np.multiply(k, 2.0, out=odd)
     odd += 1.0
     t *= odd
     k *= k
@@ -94,11 +99,17 @@ def pair_product(R: int, x, y):
     return _polarise(R, x, y, square_approx(R, x), square_approx(R, y))
 
 
-def _polarise(R: int, x, y, fx, fy):
-    """The pair product from ``fx = f_R(x)`` and ``fy = f_R(y)``; overwrites fx."""
+def _polarise(R: int, x, y, fx, fy, out=None):
+    """The pair product from ``fx = f_R(x)`` and ``fy = f_R(y)``, into ``out`` if given.
+
+    It overwrites fx, and x with the midpoint; with ``out`` it also
+    overwrites y and fy, which hold the midpoint's f_R work.
+    """
     fx += fy
     fx *= 0.25
-    out = square_approx(R, 0.5 * (x + y))
+    x += y
+    x *= 0.5
+    out = square_approx(R, x, out, None if out is None else (y, fy))
     out -= fx
     out *= 2.0
     return out
@@ -155,30 +166,60 @@ def product_plan(levels, nodes) -> ProductPlan:
     return ProductPlan(leaves, pairs, idx[:, 0], max(1, _BLOCK_CELLS // widest))
 
 
-def _tree_level(R: int, vals, left, right, forwarded, clamp: bool):
-    """One tree level of the table ``vals``, one row per subtree: the pair
-    products of its ``left`` and ``right`` rows, clamped to [0, 1] when
-    ``clamp`` (below the root), then its ``forwarded`` rows."""
-    squares = square_approx(R, vals)
-    prods = _polarise(R, vals[left], vals[right], squares[left], squares[right])
+def _table(buf, slot: int, *shape):
+    """A table of ``shape``: the first cells of row ``slot`` of the workspace
+    ``buf``, which every row block reuses, or without a workspace a new array."""
+    return np.empty(shape) if buf is None else buf[slot, : math.prod(shape)].reshape(shape)
+
+
+def _tree_level(R: int, vals, left, right, forwarded, clamp: bool, out, buf=None):
+    """One tree level of the table ``vals``, one row per subtree, into ``out``:
+    the pair products of its ``left`` and ``right`` rows, clamped to [0, 1]
+    when ``clamp`` (below the root), then its ``forwarded`` rows.  Its
+    f_R values and gathered children are tables 0 to 3 of ``buf``."""
+    w, q, n = len(vals), len(left), vals.shape[1]
+    work = _table(buf, 1, w, n), _table(buf, 2, w, n)
+    squares = square_approx(R, vals, _table(buf, 0, w, n), work)
+    fx = squares.take(left, axis=0, out=_table(buf, 1, q, n), mode="clip")
+    fy = squares.take(right, axis=0, out=_table(buf, 2, q, n), mode="clip")
+    x = vals.take(left, axis=0, out=_table(buf, 0, q, n), mode="clip")
+    y = vals.take(right, axis=0, out=_table(buf, 3, q, n), mode="clip")
+    prods = _polarise(R, x, y, fx, fy, out[:q])
     if clamp:
         np.clip(prods, 0.0, 1.0, out=prods)
-    return np.concatenate([prods, vals[forwarded]])
+    vals.take(forwarded, axis=0, out=out[q:], mode="clip")
+    return out
 
 
-def _tree_blocks(R: int, plan: ProductPlan, X, levels: int):
+def _tree_blocks(R: int, plan: ProductPlan, X, levels: int, buf=None):
     """Run the first ``levels`` levels of the trees of ``plan``, per row block of ``X``.
 
     Yields ``(rows, table)`` per block: the row slice and the table the
     last level run gives (the leaf hats for ``levels == 0``), one row
-    per subtree and one column per point.
+    per subtree and one column per point.  When ``levels`` is the whole
+    tree, its last level is computed in id order: row i is id i.
+    ``buf``, if given, is a workspace of 6 rows of ``plan.rows`` (or
+    fewer, for fewer points) times the widest table's row count; every
+    block writes its tables to it, the levels alternating between rows
+    4 and 5.  Without it every table is a new array.
     """
-    leaves, last = plan.leaves, len(plan.pairs) - 1
+    leaves, pairs, top = plan.leaves, plan.pairs[:levels], plan.top
+    if levels == len(plan.pairs):
+        if pairs:
+            *pairs, (left, right, _) = pairs
+            pairs.append((left[top], right[top], top[:0]))
+        else:
+            leaves = leaves[top]
+    coords, last = np.ascontiguousarray(leaves[:, 0]), len(plan.pairs) - 1
     for lo in range(0, X.shape[0], plan.rows):
         rows = slice(lo, lo + plan.rows)
-        vals = hat_eval(leaves[:, 1:2], leaves[:, 2:3], X[rows, leaves[:, 0]].T)
-        for i, level in enumerate(plan.pairs[:levels]):
-            vals = _tree_level(R, vals, *level, clamp=i < last)
+        pts = X[rows].T
+        n = pts.shape[1]
+        vals = pts.take(coords, axis=0, out=_table(buf, 4, len(coords), n), mode="clip")
+        hat_eval(leaves[:, 1:2], leaves[:, 2:3], vals, out=vals)
+        for i, (left, right, forwarded) in enumerate(pairs):
+            out = _table(buf, 5 - i % 2, len(left) + len(forwarded), n)
+            vals = _tree_level(R, vals, left, right, forwarded, i < last, out, buf)
         yield rows, vals
 
 
@@ -192,15 +233,20 @@ def product_features(R: int, levels, nodes, X, plan: ProductPlan | None = None) 
     to [0, 1] (ReLU-expressible; it keeps each pair product on the
     domain of its bound).  The deviation from the exact product is at
     most ``3 * 2**(-2R-2) * (d - 1)``; for ``d == 1`` it is 0.  Rows go
-    in blocks, so the output is the only ``n x k`` array.  ``plan``, if
-    given, is ``product_plan(levels, nodes)``, built once by the caller.
+    in blocks, all run in one workspace allocated once per call, so the
+    output is the only ``n x k`` array and every block reuses the same
+    tables.  The root level computes its pairs in id order, straight into
+    the table copied to the output.  ``plan``, if given, is
+    ``product_plan(levels, nodes)``, built once by the caller.
     """
     X = np.asarray(X, dtype=float)
     if plan is None:
         plan = product_plan(levels, nodes)
     out = np.empty((X.shape[0], len(plan.top)))
-    for rows, vals in _tree_blocks(R, plan, X, len(plan.pairs)):
-        out[rows] = vals[plan.top].T
+    widest = max(len(plan.leaves), len(plan.top), *(len(l) + len(f) for l, _, f in plan.pairs))
+    buf = np.empty((6, min(plan.rows, X.shape[0]) * widest))
+    for rows, vals in _tree_blocks(R, plan, X, len(plan.pairs), buf):
+        out[rows] = vals.T
     return out
 
 
@@ -214,7 +260,8 @@ def product_pairs(R: int, levels, nodes, X) -> np.ndarray:
     vals = hat_eval(np.asarray(levels).T, np.asarray(nodes).T, np.asarray(X, dtype=float).T)
     while len(vals) > 1:
         q = len(vals)
-        vals = _tree_level(R, vals, slice(0, q - 1, 2), slice(1, q, 2), slice(q - q % 2, q), q > 2)
+        level = np.arange(0, q - 1, 2), np.arange(1, q, 2), np.arange(q - q % 2, q)
+        vals = _tree_level(R, vals, *level, q > 2, np.empty(((q + 1) // 2, vals.shape[1])))
     return vals[0]
 
 
@@ -243,7 +290,7 @@ def product_scores(R: int, levels, nodes, X, coef, plan: ProductPlan | None = No
     out = np.empty(X.shape[:1] + coef.shape[1:])
     if not plan.pairs:
         for rows, vals in _tree_blocks(R, plan, X, 0):
-            out[rows] = _contract(vals[top], coef)
+            out[rows] = _contract(vals, coef)
         return out
     *below, (left, right, _) = plan.pairs
     # the table below the root holds its level's pairs and forwarded rows

@@ -66,15 +66,20 @@ class BasisId:
         return len(self.level)
 
 
-def hat_eval(level: int, node: int, x):
+def hat_eval(level: int, node: int, x, out=None):
     """Evaluate the level-``level`` hat centred at ``node * 2**-level``.
 
     Accepts scalars or numpy arrays.  The formula
     ``max(0, 1 - |x * 2**level - node|)`` is returned for any real ``x``;
     outside the support (and in particular outside ``[0, 1]``) it is 0,
-    so boundary-clamped data points are safe.
+    so boundary-clamped data points are safe.  ``out``, if given, is the
+    array every step writes to; it may be ``x`` itself.
     """
-    return np.maximum(0.0, 1.0 - np.abs(np.asarray(x, dtype=float) * 2.0 ** level - node))
+    z = np.multiply(np.asarray(x, dtype=float), 2.0 ** level, out=out)
+    z = np.subtract(z, node, out=out)
+    z = np.abs(z, out=out)
+    z = np.subtract(1.0, z, out=out)
+    return np.maximum(0.0, z, out=out)
 
 
 def tensor_hat_eval(bid: BasisId, x) -> np.ndarray:

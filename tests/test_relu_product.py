@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +72,22 @@ def test_square_approx_matches_tooth_chain():
         # exact at every grid point k 2**-R, the endpoints included
         grid = np.arange(2 ** R + 1) * 2.0 ** -R
         assert np.array_equal(rp.square_approx(R, grid), grid ** 2)
+
+
+def test_square_approx_into_buffers():
+    # given out and work, every step writes to them, and out may be x itself;
+    # the bits are the plain call's, exact at 0, 1 and grid points up to MAX_R
+    gen = np.random.default_rng(9)
+    for R in (1, 6, 12, rp.MAX_R):
+        grid = np.array([0.0, 1.0, 2.0 ** -R, 0.5, 1.0 - 2.0 ** -R])
+        xs = np.concatenate([grid, gen.random(100)])
+        out, k, odd = np.full((3, len(xs)), np.nan)
+        assert rp.square_approx(R, xs, out, (k, odd)) is out
+        assert out.tobytes() == rp.square_approx(R, xs).tobytes()
+        assert np.array_equal(out[: len(grid)], grid ** 2)
+        inplace = xs.copy()
+        assert rp.square_approx(R, inplace, inplace, (k, odd)) is inplace
+        assert inplace.tobytes() == out.tobytes()
 
 
 def test_pair_product_examples():
@@ -251,6 +268,49 @@ def test_product_scores_across_row_blocks(monkeypatch):
         assert scores.shape == (n,)
         assert np.max(np.abs(scores - expected[:n]), initial=0.0) <= 1e-13 * np.sum(np.abs(coef))
         assert scores.tobytes() == whole[:n].tobytes()
+
+
+@pytest.mark.parametrize("cells", [rp._BLOCK_CELLS, 1000])
+def test_every_feature_column_is_its_one_hot_score(monkeypatch, cells):
+    # product_scores with a one-hot coef gives the feature column bitwise;
+    # at 1000 cells a level most of these bases end 257 rows on a partial block
+    monkeypatch.setattr(rp, "_BLOCK_CELLS", cells)
+    gen = np.random.default_rng(18)
+    for d, m in ((1, 5), (2, 3), (3, 2), (5, 2), (8, 1)):
+        basis = enumerate_basis(d, m)
+        plan = rp.product_plan(basis.levels, basis.nodes)
+        for R in (1, 6, 12):
+            for n in (0, 1, 257):
+                X = gen.random((n, d))
+                Phi = rp.product_features(R, basis.levels, basis.nodes, X, plan)
+                for k in gen.choice(len(basis), 16, replace=False):
+                    one_hot = np.zeros(len(basis))
+                    one_hot[k] = 1.0
+                    scores = rp.product_scores(R, basis.levels, basis.nodes, X, one_hot, plan)
+                    assert scores.tobytes() == Phi[:, k].tobytes()
+
+
+def test_product_features_workspace_does_not_grow_with_n():
+    # every row block runs in one workspace of six tables of the widest
+    # level: a call's peak above its output is the same at 2 blocks and at
+    # 40, to within the interpreter's own small objects (a block's start
+    # index is a new int object from 257 on)
+    basis = enumerate_basis(5, 2)
+    plan = rp.product_plan(basis.levels, basis.nodes)
+    widest = max(len(plan.leaves), len(plan.top), *(len(l) + len(f) for l, _, f in plan.pairs))
+    table = plan.rows * widest * 8
+    X = np.random.default_rng(19).random((40 * plan.rows, 5))
+    rp.product_features(6, basis.levels, basis.nodes, X[:1], plan)  # numpy's first-call caches
+    peaks = []
+    for blocks in (2, 40):
+        tracemalloc.start()
+        try:
+            out = rp.product_features(6, basis.levels, basis.nodes, X[: blocks * plan.rows], plan)
+            peaks.append(tracemalloc.get_traced_memory()[1] - out.nbytes)
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 1024
+    assert peaks[1] < 7 * table
 
 
 def test_square_network_complexity_formula():
