@@ -97,7 +97,7 @@ def read_blocks(path: str):
     yielded, with its row number counted from the file's start.
     """
     header, lineno, texts = _read_header(path, _pieces(path))
-    for data, lines in _stream(path, header, lineno, texts, _parse_plain, lambda *block: block):
+    for data, lines in _stream(path, header, lineno, texts, lambda *block: block):
         yield header, data, lines
 
 
@@ -230,21 +230,20 @@ def _record(cells: list[str]) -> str:
     return line
 
 
-def _stream(path: str, header: list[str], lineno: int, texts, piece, block, pool=None, workers=1):
-    """The results of ``piece(text, header)`` on the whole lines ``texts``
-    after the header's ``lineno`` records, in order (:func:`_in_order`).
-    ``piece`` gives a result and its count of lines, or None where numpy's
-    parser cannot take the lines; from that piece on, the pieces in flight
-    and the rest go through :func:`_parse_cells`, and the results of
-    ``block(data, lines)`` on its blocks follow."""
+def _stream(path: str, header: list[str], lineno: int, texts, block, pool=None, workers=1):
+    """The results of ``block(data, lines)`` on the blocks of the whole
+    lines ``texts`` after the header's ``lineno`` records, in order
+    (:func:`_in_order`).  Numpy's parser reads each piece it can take
+    (:func:`_piece`); from the first it cannot, the pieces in flight and
+    the rest go through :func:`_parse_cells`."""
     in_flight = deque()  # the pieces handed out and not yet yielded, in input order
 
     def pieces():
         for text in texts:
             in_flight.append(text)
-            yield text, header
+            yield block, text, header
 
-    for result in _in_order(pool, workers, piece, pieces()):
+    for result in _in_order(pool, workers, _piece, pieces()):
         if result is None:  # the per-cell path from this piece on
             cells = _parse_cells(path, header, lineno, chain(in_flight, texts))
             yield from _in_order(pool, workers, block, cells)
@@ -252,6 +251,13 @@ def _stream(path: str, header: list[str], lineno: int, texts, piece, block, pool
         in_flight.popleft()
         lineno += result[1]
         yield result[0]
+
+
+def _piece(block, text: str, header: list[str]):
+    """``block(data, lines)`` of the whole lines ``text`` and their count of
+    lines, or None where numpy's parser cannot take them (:func:`_parse_plain`)."""
+    parsed = _parse_plain(text, header)
+    return parsed and (block(*parsed[0]), parsed[1])
 
 
 def _in_order(pool, workers: int, fn, calls):
@@ -429,14 +435,6 @@ def _block_text(data: np.ndarray, lines: list[str], job=None) -> str:
     return "".join(f"{row},{s!r}\n" for row, s in zip(lines, scores.tolist()))
 
 
-def _piece_text(text: str, header: list[str], job=None):
-    """The output rows of the whole lines ``text`` and their count of
-    lines, as :func:`_block_text` writes them; None where numpy's parser
-    cannot take the lines (:func:`_parse_plain`)."""
-    block = _parse_plain(text, header)
-    return block and (_block_text(*block[0], job), block[1])
-
-
 _worker_job = None  # set as a pool worker starts, so that no block carries the model
 
 
@@ -462,7 +460,7 @@ def cmd_predict(args) -> int:
     rest through the per-cell path, and the workers score its blocks."""
     try:
         model = SdrnModel.load(args.model)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise DataError(f"cannot load model {args.model}: {exc}") from exc
     header, lineno, texts = _read_header(args.input, _pieces(args.input))
     ahead = list(islice(texts, 2))  # a second piece starts the workers
@@ -488,8 +486,7 @@ def cmd_predict(args) -> int:
     with _atomic_output(args.output) as out, ExitStack() as stack:
         out.write(f"# sdrn-predict model={args.model} schema_version={MODEL_SCHEMA_VERSION}\n")
         out.write(_record(out_header) + "\n")
-        pool, workers = None, 1
-        piece, block = partial(_piece_text, job=job), partial(_block_text, job=job)
+        pool, workers, block = None, 1, partial(_block_text, job=job)
         if several and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
             workers = len(os.sched_getaffinity(0))
             if os.path.isfile(args.input):
@@ -505,8 +502,8 @@ def cmd_predict(args) -> int:
                 with _sigterm_held():
                     pool = stack.enter_context(ProcessPoolExecutor(workers, ctx, _start_worker, (job,)))
                     pool.submit(int)
-                piece, block = _piece_text, _block_text  # the workers hold the job
-        out.writelines(_stream(args.input, header, lineno, texts, piece, block, pool, workers))
+                block = _block_text  # the workers hold the job
+        out.writelines(_stream(args.input, header, lineno, texts, block, pool, workers))
     return 0
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .losses import LossInputError, LossSpec, loss_curvature, loss_subgradient, loss_value
 from .relu_product import MAX_R, ProductPlan, product_features, product_plan, product_scores
-from .sparse_grid import SparseGridBasis, basis_size, enumerate_basis
+from .sparse_grid import SparseGridBasis, as_points, basis_size, enumerate_basis
 
 MODEL_SCHEMA_VERSION = 1
 # the FitDiagnostics fields a model file stores
@@ -36,7 +36,7 @@ SAVED_DIAGNOSTICS = ("final_objective", "epochs_run", "converged", "sup_norm")
 
 
 class ConstantColumnError(ValueError):
-    """A covariate column is constant and cannot be min-max scaled."""
+    """A covariate column is constant, or has no finite range, and cannot be min-max scaled."""
 
 
 class NonFiniteObjectiveError(RuntimeError):
@@ -61,24 +61,28 @@ def hyperparams_from_n(n: int, c: int = 0) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Scaler:
-    """Per-column min-max scaler onto [0, 1] with clamping at predict time."""
+    """Per-column min-max scaler onto [0, 1] with clamping at predict time; every
+    column needs a finite range ``max - min > 0``, fitted or loaded."""
 
     mins: np.ndarray
     maxs: np.ndarray
+
+    def __post_init__(self) -> None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = np.subtract(self.maxs, self.mins)
+        bad = np.flatnonzero(~(np.isfinite(span) & (span > 0)))
+        if bad.size:
+            raise ConstantColumnError(
+                f"scaler column(s) {bad.tolist()} are constant or have no finite range "
+                "max - min > 0; min-max scaling is undefined"
+            )
 
     @classmethod
     def fit(cls, X: np.ndarray) -> "Scaler":
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[0] < 2:
             raise ValueError("scaling needs a 2-d array with at least two rows")
-        mins = X.min(axis=0)
-        maxs = X.max(axis=0)
-        constant = np.nonzero(maxs == mins)[0]
-        if constant.size:
-            raise ConstantColumnError(
-                f"column(s) {constant.tolist()} are constant; min-max scaling is undefined"
-            )
-        return cls(mins=mins, maxs=maxs)
+        return cls(mins=X.min(axis=0), maxs=X.max(axis=0))
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -107,22 +111,11 @@ class FeatureMap:
         return product_plan(self.basis.levels, self.basis.nodes)
 
     def __call__(self, X01: np.ndarray) -> np.ndarray:
-        return product_features(
-            self.R, self.basis.levels, self.basis.nodes, self._points(X01), self.plan
-        )
+        return product_features(self.R, self.plan, as_points(X01, self.basis.dimension))
 
     def scores(self, X01: np.ndarray, coef: np.ndarray) -> np.ndarray:
         """``self(X01) @ coef``, evaluated per row block with no ``n x p`` array."""
-        return product_scores(
-            self.R, self.basis.levels, self.basis.nodes, self._points(X01), coef, self.plan
-        )
-
-    def _points(self, X01: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X01, dtype=float))
-        d = self.basis.dimension
-        if X.shape[1] != d:
-            raise ValueError(f"points have dimension {X.shape[1]}, basis has {d}")
-        return X
+        return product_scores(self.R, self.plan, as_points(X01, self.basis.dimension), coef)
 
 
 def _sq(a: np.ndarray) -> float:
@@ -580,10 +573,7 @@ class SdrnModel:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Scores ``features(x) . gamma`` for raw (unscaled) points, per row block."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.d:
-            raise ValueError(f"expected {self.d} covariates, got {X.shape[1]}")
-        return self.feature_map.scores(self.scaler.transform(X), self.gamma)
+        return self.feature_map.scores(self.scaler.transform(as_points(X, self.d)), self.gamma)
 
     def to_json(self) -> dict:
         return {
@@ -603,11 +593,12 @@ class SdrnModel:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SdrnModel":
+        """The model of a parsed model file; ``Scaler`` and ``FitConfig`` check it as they check a fit."""
         if not isinstance(doc, dict):
             raise ValueError("a model file holds one JSON object")
         version = doc.get("schema_version")
-        if version != MODEL_SCHEMA_VERSION:
-            raise ValueError(f"unsupported model schema version {version!r}")
+        if type(version) is not int or version != MODEL_SCHEMA_VERSION:  # not 1.0, nor true
+            raise ValueError(f"schema_version must be the integer {MODEL_SCHEMA_VERSION}, not {version!r}")
         loss = LossSpec(
             kind=doc["loss"]["kind"], delta=doc["loss"]["delta"], tau=doc["loss"]["tau"]
         )
@@ -620,9 +611,13 @@ class SdrnModel:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if m < 0 or not 1 <= R <= MAX_R:
             raise ValueError(f"need m >= 0 and 1 <= R <= {MAX_R}, got m={m!r}, R={R!r}")
-        gamma = np.array(doc["gamma"], dtype=float)
-        mins = np.array(doc["scaler"]["min"], dtype=float)
-        maxs = np.array(doc["scaler"]["max"], dtype=float)
+        kappa, gamma, mins, maxs = doc["kappa"], doc["gamma"], doc["scaler"]["min"], doc["scaler"]["max"]
+        for name, values in (("kappa", [kappa]), ("gamma", gamma), ("scaler min", mins), ("scaler max", maxs)):
+            # a JSON number is an int or a float: not a bool, a string or a list
+            if type(values) is not list or any(type(v) not in (int, float) for v in values):
+                raise ValueError(f"{name} holds a value that is not a JSON number")
+        FitConfig(loss=loss, kappa=kappa)  # refuses the kappa a fit would
+        gamma, mins, maxs = (np.array(v, dtype=float) for v in (gamma, mins, maxs))
         columns = tuple(doc["columns"]) if doc.get("columns") else None
         if mins.shape != (d,) or maxs.shape != (d,) or (columns and len(columns) != d):
             raise ValueError(f"scaler and columns must have d={d} entries")
@@ -631,17 +626,20 @@ class SdrnModel:
         # the basis has over 2**m ids, so a large m is refused without counting
         if m >= gamma.size.bit_length() or gamma.shape != (basis_size(d, m),):
             raise ValueError(f"gamma has {gamma.size} entries, not the size of the d={d}, m={m} basis")
-        if not all(np.all(np.isfinite(a)) for a in (gamma, mins, maxs)):
-            raise ValueError("gamma and scaler values must be finite")
-        if not np.all(maxs > mins):  # Scaler.fit refuses a constant column
-            raise ValueError("each scaler column needs max > min")
+        # each feature is at most 1 + eps, and product_scores' root terms
+        # carry 2 gamma, so with this bound finite no score overflows
+        eps = 3.0 * 2.0 ** (-2 * R - 2) * (d - 1)
+        with np.errstate(over="ignore"):
+            bound = 2.0 * np.sum(np.abs(gamma)) * (1.0 + eps)
+        if not np.isfinite(bound):
+            raise ValueError(f"gamma's score bound 2 sum|gamma| (1 + eps) is {float(bound)!r}, not finite")
         return cls(
             gamma=gamma,
             d=d,
             m=m,
             R=R,
             loss=loss,
-            kappa=doc["kappa"],
+            kappa=kappa,
             scaler=Scaler(mins=mins, maxs=maxs),
             column_names=columns,
             diagnostics=diag,

@@ -10,8 +10,8 @@ r"""ReLU approximation of products, from tooth functions to basis features.
 * ``product_features``, the product-tree evaluator: the d hat factors
   of many basis functions multiplied through binary trees of pair
   products, accurate to ``3 * 2**(-2R-2) * (d-1)``, with every distinct
-  subtree evaluated once; ``product_plan`` plans the trees once for any
-  number of points, and ``approx_basis_eval`` applies them to one id;
+  subtree evaluated once, from the trees that ``product_plan`` plans once
+  for any number of points; ``approx_basis_eval`` applies them to one id;
 * ``product_pairs``, the same trees for k (id, point) pairs, id i at
   point i only: the diagonal of ``product_features`` without the table;
 * ``product_scores``, the same trees contracted against coefficients
@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sparse_grid import BasisId, hat_eval
+from .sparse_grid import BasisId, as_points, hat_eval
 
 # cells of one tree-level table in a row block of _tree_blocks
 _BLOCK_CELLS = 1 << 16
@@ -124,13 +124,15 @@ class ProductPlan:
     its distinct pairs and its ``forwarded`` rows, as rows of the table
     of the level below; its last entry, for ``d >= 2``, is the root,
     which forwards nothing.  ``top[i]`` is the root pair of id i, or for
-    ``d == 1`` its leaf.  ``rows`` is the row-block size: a block holds
-    ``_BLOCK_CELLS`` cells of the widest level, the root's included.
+    ``d == 1`` its leaf.  ``widest`` is the row count of the widest
+    table, the leaves, a level or the ``len(top)`` rows in id order, and
+    ``rows`` the row-block size: a block holds ``_BLOCK_CELLS`` cells of it.
     """
 
     leaves: np.ndarray
     pairs: list
     top: np.ndarray
+    widest: int
     rows: int
 
 
@@ -152,7 +154,7 @@ def product_plan(levels, nodes) -> ProductPlan:
     coord_level, node = np.divmod(keys, N)
     leaves = np.column_stack([*np.divmod(coord_level, L), node])
     idx = idx.reshape(k, d)
-    pairs, width, widest = [], len(leaves), len(leaves)
+    pairs, width, widest = [], len(leaves), max(len(leaves), k)
     while idx.shape[1] > 1:
         q = idx.shape[1]
         forwarded, last = np.unique(idx[:, q - q % 2 :], return_inverse=True)
@@ -163,7 +165,7 @@ def product_plan(levels, nodes) -> ProductPlan:
         pairs.append((*np.divmod(distinct, width), forwarded))
         width = len(distinct) + len(forwarded)
         widest = max(widest, width)
-    return ProductPlan(leaves, pairs, idx[:, 0], max(1, _BLOCK_CELLS // widest))
+    return ProductPlan(leaves, pairs, idx[:, 0], widest, max(1, _BLOCK_CELLS // widest))
 
 
 def _table(buf, slot: int, *shape):
@@ -199,9 +201,9 @@ def _tree_blocks(R: int, plan: ProductPlan, X, levels: int, buf=None):
     per subtree and one column per point.  When ``levels`` is the whole
     tree, its last level is computed in id order: row i is id i.
     ``buf``, if given, is a workspace of 6 rows of ``plan.rows`` (or
-    fewer, for fewer points) times the widest table's row count; every
-    block writes its tables to it, the levels alternating between rows
-    4 and 5.  Without it every table is a new array.
+    fewer, for fewer points) times ``plan.widest``; every block writes
+    its tables to it, the levels alternating between rows 4 and 5.
+    Without it every table is a new array.
     """
     leaves, pairs, top = plan.leaves, plan.pairs[:levels], plan.top
     if levels == len(plan.pairs):
@@ -223,28 +225,24 @@ def _tree_blocks(R: int, plan: ProductPlan, X, levels: int, buf=None):
         yield rows, vals
 
 
-def product_features(R: int, levels, nodes, X, plan: ProductPlan | None = None) -> np.ndarray:
+def product_features(R: int, plan: ProductPlan, X) -> np.ndarray:
     """ReLU-product approximations of k tensor hat functions at n points.
 
-    ``levels`` and ``nodes`` are ``(k, d)`` integer arrays, one basis id
-    per row, and ``X`` is ``(n, d)``; the result is ``(n, k)``.  Column i
-    multiplies the d hat values of id i through the binary tree of
-    :func:`product_plan`, whose pair outputs below the root are clamped
-    to [0, 1] (ReLU-expressible; it keeps each pair product on the
-    domain of its bound).  The deviation from the exact product is at
-    most ``3 * 2**(-2R-2) * (d - 1)``; for ``d == 1`` it is 0.  Rows go
-    in blocks, all run in one workspace allocated once per call, so the
-    output is the only ``n x k`` array and every block reuses the same
-    tables.  The root level computes its pairs in id order, straight into
-    the table copied to the output.  ``plan``, if given, is
-    ``product_plan(levels, nodes)``, built once by the caller.
+    ``plan`` is :func:`product_plan` of the k basis ids and ``X`` is
+    ``(n, d)``; the result is ``(n, k)``.  Column i multiplies the d hat
+    values of id i through its binary tree, whose pair outputs below the
+    root are clamped to [0, 1] (ReLU-expressible; it keeps each pair
+    product on the domain of its bound).  The deviation from the exact
+    product is at most ``3 * 2**(-2R-2) * (d - 1)``; for ``d == 1`` it is
+    0.  Rows go in blocks, all run in one workspace of ``plan.widest``
+    rows per table, allocated once per call, so the output is the only
+    ``n x k`` array and every block reuses the same tables.  The root
+    level computes its pairs in id order, straight into the table copied
+    to the output.
     """
     X = np.asarray(X, dtype=float)
-    if plan is None:
-        plan = product_plan(levels, nodes)
     out = np.empty((X.shape[0], len(plan.top)))
-    widest = max(len(plan.leaves), len(plan.top), *(len(l) + len(f) for l, _, f in plan.pairs))
-    buf = np.empty((6, min(plan.rows, X.shape[0]) * widest))
+    buf = np.empty((6, min(plan.rows, X.shape[0]) * plan.widest))
     for rows, vals in _tree_blocks(R, plan, X, len(plan.pairs), buf):
         out[rows] = vals.T
     return out
@@ -265,8 +263,8 @@ def product_pairs(R: int, levels, nodes, X) -> np.ndarray:
     return vals[0]
 
 
-def product_scores(R: int, levels, nodes, X, coef, plan: ProductPlan | None = None) -> np.ndarray:
-    """``product_features(R, levels, nodes, X) @ coef`` without any ``n x k`` array.
+def product_scores(R: int, plan: ProductPlan, X, coef) -> np.ndarray:
+    """``product_features(R, plan, X) @ coef`` without any ``n x k`` array.
 
     ``coef`` is ``(k,)`` or ``(k, q)``; the result is ``(n,)`` or
     ``(n, q)``.  The root pair product ``2 f_R(mid) - (f_R(l) + f_R(r)) / 2``
@@ -277,13 +275,10 @@ def product_scores(R: int, levels, nodes, X, coef, plan: ProductPlan | None = No
     one-hot ``coef`` it is the feature column bitwise: every scaling is a
     power of two and every other term is an exact zero.  For a vector
     ``coef`` a row's score depends only on that row: any split, subset or
-    order of the rows gives the same bits (:func:`_contract`).  ``plan``
-    is as in :func:`product_features`.
+    order of the rows gives the same bits (:func:`_contract`).
     """
     X = np.asarray(X, dtype=float)
     coef = np.asarray(coef, dtype=float)
-    if plan is None:
-        plan = product_plan(levels, nodes)
     top = plan.top
     if coef.shape[:1] != top.shape:
         raise ValueError(f"coef has shape {coef.shape}, need {len(top)} rows")
@@ -327,10 +322,8 @@ def approx_basis_eval(R: int, bid: BasisId, x):
     ``d >= 2`` the deviation from the exact tensor product is at most
     ``3 * 2**(-2R-2) * (d - 1)``.
     """
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    if pts.shape[1] != bid.dimension:
-        raise ValueError(f"point dimension {pts.shape[1]} != basis dimension {bid.dimension}")
-    out = product_features(R, [bid.level], [bid.node], pts)[:, 0]
+    pts = as_points(x, bid.dimension)
+    out = product_features(R, product_plan([bid.level], [bid.node]), pts)[:, 0]
     return out if np.ndim(x) == 2 else out[0]
 
 

@@ -82,18 +82,26 @@ def hat_eval(level: int, node: int, x, out=None):
     return np.maximum(0.0, z, out=out)
 
 
-def tensor_hat_eval(bid: BasisId, x) -> np.ndarray:
-    """Product of the one-dimensional hat values of ``bid`` at ``x``.
-
-    ``x`` may be a single point of shape ``(d,)`` or a batch ``(n, d)``.
-    """
+def as_points(x, d: int) -> np.ndarray:
+    """``x``, a single point of shape ``(d,)`` or a batch ``(n, d)``, as an ``(n, d)`` float array."""
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    if pts.shape[1] != bid.dimension:
-        raise ValueError(f"point dimension {pts.shape[1]} != basis dimension {bid.dimension}")
-    out = np.ones(pts.shape[0])
-    for j, (l, s) in enumerate(zip(bid.level, bid.node)):
-        out *= hat_eval(l, s, pts[:, j])
+    if pts.shape[1] != d:
+        raise ValueError(f"points have dimension {pts.shape[1]}, need {d}")
+    return pts
+
+
+def tensor_hat_eval(bid: BasisId, x) -> np.ndarray:
+    """Product of the one-dimensional hat values of ``bid`` at the points ``x`` (:func:`as_points`)."""
+    out = _hat_product(bid.level, bid.node, as_points(x, bid.dimension))
     return out if np.ndim(x) == 2 else out[0]
+
+
+def _hat_product(level, node, pts: np.ndarray) -> np.ndarray:
+    """The product of one id's hat values at the ``(n, d)`` points, in coordinate order."""
+    out = hat_eval(level[0], node[0], pts[:, 0])
+    for j in range(1, len(level)):
+        out *= hat_eval(level[j], node[j], pts[:, j])
+    return out
 
 
 def _level_vectors(d: int, total: int) -> list[tuple[int, ...]]:
@@ -260,16 +268,11 @@ class SurplusSet:
 
     def __call__(self, x) -> np.ndarray:
         """The sum over ids with ``gamma != 0``, in id order, of ``gamma * tensor_hat_eval(id, x)``."""
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
+        pts = as_points(x, self.basis.dimension)
         levels, nodes = self.basis.levels, self.basis.nodes
-        if pts.shape[1] != levels.shape[1]:
-            raise ValueError(f"point dimension {pts.shape[1]} != basis dimension {levels.shape[1]}")
         out = np.zeros(pts.shape[0])
         for i in np.flatnonzero(self.coefficients):
-            hats = hat_eval(levels[i, 0], nodes[i, 0], pts[:, 0])
-            for j in range(1, levels.shape[1]):
-                hats *= hat_eval(levels[i, j], nodes[i, j], pts[:, j])
-            out += self.coefficients[i] * hats
+            out += self.coefficients[i] * _hat_product(levels[i], nodes[i], pts)
         return out if np.ndim(x) == 2 else out[0]
 
     def coefficient_bounds(self, norm_d2f: float) -> np.ndarray:

@@ -80,7 +80,9 @@ def stacked_triple_plan(levels, nodes) -> rp.ProductPlan:
         pairs.append((*np.divmod(distinct, width), forwarded))
         width = len(distinct) + len(forwarded)
         widest = max(widest, width)
-    return rp.ProductPlan(leaves, pairs, idx[:, 0], max(1, rp._BLOCK_CELLS // widest))
+    # the widest table counts the k root rows in id order; the rows per block
+    # come from the levels alone, which is the same for an enumerated basis
+    return rp.ProductPlan(leaves, pairs, idx[:, 0], max(widest, k), max(1, rp._BLOCK_CELLS // widest))
 
 
 class QuadratureError(RuntimeError):

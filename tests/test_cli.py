@@ -159,8 +159,19 @@ def test_predict_rejects_malformed_model_files(tmp_path, capsys):
         "huge-m": lambda doc: doc.update(m=10 ** 6),
         "repeated-columns": lambda doc: doc["columns"].__setitem__(1, doc["columns"][0]),
     }
+    # these loaded, and predict exited 0, with nan scores or fields no fit
+    # writes; each message names its field, the name up to a "-"
+    named = {
+        "kappa": lambda doc: doc.update(kappa=-1),
+        "scaler": lambda doc: (doc["scaler"]["min"].__setitem__(0, -1e308),
+                               doc["scaler"]["max"].__setitem__(0, 1e308)),
+        "gamma": lambda doc: doc["gamma"].__setitem__(slice(0, 2), [1e308, 1e308]),
+        "gamma-string": lambda doc: doc["gamma"].__setitem__(0, "1"),
+        "schema_version-true": lambda doc: doc.update(schema_version=True),
+        "schema_version-float": lambda doc: doc.update(schema_version=1.0),
+    }
     docs = {}
-    for name, edit in edits.items():
+    for name, edit in {**edits, **named}.items():
         docs[name] = json.loads(json.dumps(good))
         edit(docs[name])
     docs["top-level-list"] = [good]
@@ -170,7 +181,8 @@ def test_predict_rejects_malformed_model_files(tmp_path, capsys):
         out = tmp_path / f"{name}.csv"
         rc = cli.main(["predict", "--model", str(bad), "--input", str(train),
                        "--output", str(out)])
-        _assert_data_error(rc, capsys, "cannot load model")
+        fragments = [f".json: {name.split('-')[0]}"] if name in named else []
+        _assert_data_error(rc, capsys, "cannot load model", *fragments)
         assert not out.exists()
 
 
@@ -443,7 +455,7 @@ def test_predict_logistic_adds_probability(tmp_path, monkeypatch):
     original = estimator.product_scores
 
     def counting(*args):
-        calls.append(len(args[3]))
+        calls.append(len(args[2]))
         return original(*args)
 
     monkeypatch.setattr(estimator, "product_scores", counting)

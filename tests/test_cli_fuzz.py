@@ -11,10 +11,14 @@ Gram-matrix item).  Budgets far above the cap are fuzzed, because they
 are refused before anything is counted or allocated.
 """
 
+import contextlib
 import csv
+import functools
 import io
+import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -23,6 +27,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sdrn import cli
+from sdrn import evalsuite as ev
+from sdrn.estimator import SAVED_DIAGNOSTICS, FitConfig, fit_sdrn
+from sdrn.losses import LossSpec
 
 FUZZ = settings(
     max_examples=40,
@@ -150,6 +157,69 @@ def test_simulate_options_end_in_an_exit_code(model, n, reps, kappas, cs, loss, 
                 f"--kappas={kappas}", f"--cs={cs}",
                 "--loss", loss, "--noise", noise, "--out-csv", str(Path(tmp) / "sim.csv")]
         assert _exit_code(argv) in (0, 1, 2)
+
+
+@functools.cache
+def _valid_model():
+    """A fitted model's JSON text (d = 5, m = 1, 112 ids) and a five-row input for it."""
+    X, y = ev.generate(ev.SimModelSpec(model_id=1, n=80, seed=0))
+    names = [f"x{j}" for j in range(1, 6)]
+    model = fit_sdrn(X, y, FitConfig(loss=LossSpec("quadratic")), column_names=names)
+    rows = [",".join(map(repr, row)) for row in X[:5].tolist()]
+    return json.dumps(model.to_json()), "\n".join([",".join(names), *rows]) + "\n"
+
+
+DROP, RETYPE = "<drop the field>", "<the field's JSON text, as a string>"
+# every field of a model file, and the first entries of its lists; a
+# renamed column is left out, as it makes a valid model for other inputs
+MODEL_FIELDS = [
+    ("schema_version",), ("d",), ("m",), ("R",), ("kappa",), ("loss",), ("loss", "kind"),
+    ("loss", "delta"), ("loss", "tau"), ("scaler",), ("scaler", "min"), ("scaler", "max"),
+    ("scaler", "min", 0), ("scaler", "max", 0), ("columns",), ("gamma",), ("gamma", 0),
+    ("gamma", 1), ("diagnostics",), *(("diagnostics", name) for name in SAVED_DIAGNOSTICS),
+]
+FIELD_VALUES = [DROP, RETYPE, 0, -1, 1e308, "nan", True, [], {}]
+
+
+@settings(FUZZ, max_examples=100)
+@given(edits=st.tuples(st.sampled_from(MODEL_FIELDS), st.sampled_from(FIELD_VALUES)).map(
+    lambda edit: [edit]))
+@example(edits=[(("kappa",), -1)])
+@example(edits=[(("scaler", "min", 0), -1e308), (("scaler", "max", 0), 1e308)])
+@example(edits=[(("gamma", 0), 1e308), (("gamma", 1), 1e308)])
+@example(edits=[(("gamma", 0), "1")])
+@example(edits=[(("schema_version",), True)])
+@example(edits=[(("schema_version",), 1.0)])
+def test_a_model_file_that_loads_predicts_finite_scores(edits):
+    # a changed model file either predicts finite scores with nothing on
+    # stderr and no warning, or is refused on load with one line and no output
+    text, rows = _valid_model()
+    doc = json.loads(text)
+    for path, value in edits:
+        *outer, last = path
+        field = functools.reduce(lambda node, key: node[key], outer, doc)
+        if value == DROP:
+            del field[last]
+        else:
+            field[last] = json.dumps(field[last]) if value == RETYPE else value
+    with tempfile.TemporaryDirectory() as tmp:
+        model, five, out = Path(tmp) / "m.json", Path(tmp) / "five.csv", Path(tmp) / "out.csv"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        five.write_text(rows, encoding="utf-8")
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            rc = cli.main(["predict", "--model", str(model), "--input", str(five),
+                           "--output", str(out)])
+        assert not caught
+        if rc == 0:
+            assert err.getvalue() == ""
+            scores = [float(line.split(",")[-1]) for line in out.read_text().splitlines()[2:]]
+            assert len(scores) == 5 and all(map(math.isfinite, scores))
+        else:
+            assert rc == 2 and not out.exists()
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("sdrn: data error: cannot load model")
 
 
 def _reference_read_csv(path):

@@ -105,9 +105,10 @@ def test_feature_map_plans_its_trees_once(monkeypatch):
     Phi, scores = fmap(X), fmap.scores(X, coef)
     assert fmap(X[:7]).tobytes() == Phi[:7].tobytes()
     assert calls == [len(basis)]
-    # the planned and the unplanned calls agree bitwise
-    assert Phi.tobytes() == rp.product_features(5, basis.levels, basis.nodes, X).tobytes()
-    assert scores.tobytes() == rp.product_scores(5, basis.levels, basis.nodes, X, coef).tobytes()
+    # the cached plan and a fresh one agree bitwise
+    plan = rp.product_plan(basis.levels, basis.nodes)
+    assert Phi.tobytes() == rp.product_features(5, plan, X).tobytes()
+    assert scores.tobytes() == rp.product_scores(5, plan, X, coef).tobytes()
 
 
 def test_feature_map_matches_graph_twins_across_row_blocks(monkeypatch):

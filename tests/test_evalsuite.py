@@ -313,7 +313,7 @@ def test_run_replications_matches_an_independent_recomputation(model_id, loss, c
 
     from sdrn.estimator import hyperparams_from_n
     from sdrn.losses import sigmoid
-    from sdrn.relu_product import product_features
+    from sdrn.relu_product import product_features, product_plan
     from sdrn.sparse_grid import enumerate_basis
 
     spec = ev.SimModelSpec(model_id=model_id, n=150, seed=6)
@@ -321,14 +321,15 @@ def test_run_replications_matches_an_independent_recomputation(model_id, loss, c
     report = ev.run_replications(spec, LossSpec.parse(loss), reps=reps, kappas=kappas, cs=(c,))
     m, R = hyperparams_from_n(spec.n, c)
     basis = enumerate_basis(spec.dimension, m)
+    plan = product_plan(basis.levels, basis.nodes)
     points, truth = ev.design(spec)
     samples = [ev.generate(spec, rep) for rep in range(reps)]
     for kappa in kappas:
         scores = []
         for X, y in samples:
-            Phi = product_features(R, basis.levels, basis.nodes, X)
+            Phi = product_features(R, plan, X)
             gamma, _ = ev.adam_fit(Phi, y, FitConfig(loss=LossSpec.parse(loss), kappa=kappa))
-            scores.append(product_features(R, basis.levels, basis.nodes, points) @ gamma)
+            scores.append(product_features(R, plan, points) @ gamma)
         P = np.array(scores)
         metrics = astuple(report.cell(kappa, c).metrics)
         if model_id != 4:

@@ -197,7 +197,7 @@ def test_product_plan_matches_the_stacked_triple_plan(d, m):
     for array, expected in arrays:
         assert array.dtype == expected.dtype and array.shape == expected.shape
         assert np.array_equal(array, expected)
-    assert plan.rows == reference.rows
+    assert plan.rows == reference.rows and plan.widest == reference.widest
 
 
 def test_product_plan_of_the_d10_m3_basis():
@@ -212,7 +212,7 @@ def test_product_plan_of_the_d10_m3_basis():
     assert len(plan.pairs[-1][0]) == len(basis)  # one root pair per id
     X = np.random.default_rng(17).random((3, 10))
     exact = np.prod(hat_eval(basis.levels[None], basis.nodes[None], X[:, None, :]), axis=2)
-    deviation = rp.product_features(6, basis.levels, basis.nodes, X, plan) - exact
+    deviation = rp.product_features(6, plan, X) - exact
     assert np.max(np.abs(deviation)) <= 3.0 * 2.0 ** -14 * 9
 
 
@@ -223,7 +223,7 @@ def test_product_pairs_is_the_feature_diagonal():
         levels, nodes, X = _random_pairs(gen, d, 3, 200)
         for R in (1, 6, 12):
             pairs = rp.product_pairs(R, levels, nodes, X)
-            diagonal = np.diagonal(rp.product_features(R, levels, nodes, X))
+            diagonal = np.diagonal(rp.product_features(R, rp.product_plan(levels, nodes), X))
             assert pairs.shape == (200,) and pairs.tobytes() == diagonal.tobytes()
 
 
@@ -241,14 +241,15 @@ def test_product_scores_match_features_times_coefficients():
     for d, m in ((1, 3), (2, 3), (3, 2), (5, 2), (8, 1)):
         basis = enumerate_basis(d, m)
         X = gen.random((300, d))
-        Phi = rp.product_features(5, basis.levels, basis.nodes, X)
+        plan = rp.product_plan(basis.levels, basis.nodes)
+        Phi = rp.product_features(5, plan, X)
         for coef in (gen.standard_normal(len(basis)), gen.standard_normal((len(basis), 3))):
-            scores = rp.product_scores(5, basis.levels, basis.nodes, X, coef)
+            scores = rp.product_scores(5, plan, X, coef)
             assert scores.shape == (300,) + coef.shape[1:]
             tol = 1e-13 * np.sum(np.abs(coef), axis=0)
             assert np.all(np.max(np.abs(scores - Phi @ coef), axis=0) <= tol)
         with pytest.raises(ValueError):
-            rp.product_scores(5, basis.levels, basis.nodes, X, np.ones(len(basis) + 1))
+            rp.product_scores(5, plan, X, np.ones(len(basis) + 1))
 
 
 def test_product_scores_across_row_blocks(monkeypatch):
@@ -259,12 +260,14 @@ def test_product_scores_across_row_blocks(monkeypatch):
     basis = enumerate_basis(3, 2)
     coef = gen.standard_normal(len(basis))
     X = gen.random((257, 3))
-    expected = rp.product_features(4, basis.levels, basis.nodes, X) @ coef
-    whole = rp.product_scores(4, basis.levels, basis.nodes, X, coef)
+    plan = rp.product_plan(basis.levels, basis.nodes)
+    expected = rp.product_features(4, plan, X) @ coef
+    whole = rp.product_scores(4, plan, X, coef)
     monkeypatch.setattr(rp, "_BLOCK_CELLS", 1000)
+    plan = rp.product_plan(basis.levels, basis.nodes)  # planned at 1000 cells
     step = 1000 // len(basis)
     for n in (0, 1, step - 1, step, step + 1, 3 * step, 257):
-        scores = rp.product_scores(4, basis.levels, basis.nodes, X[:n], coef)
+        scores = rp.product_scores(4, plan, X[:n], coef)
         assert scores.shape == (n,)
         assert np.max(np.abs(scores - expected[:n]), initial=0.0) <= 1e-13 * np.sum(np.abs(coef))
         assert scores.tobytes() == whole[:n].tobytes()
@@ -282,11 +285,11 @@ def test_every_feature_column_is_its_one_hot_score(monkeypatch, cells):
         for R in (1, 6, 12):
             for n in (0, 1, 257):
                 X = gen.random((n, d))
-                Phi = rp.product_features(R, basis.levels, basis.nodes, X, plan)
+                Phi = rp.product_features(R, plan, X)
                 for k in gen.choice(len(basis), 16, replace=False):
                     one_hot = np.zeros(len(basis))
                     one_hot[k] = 1.0
-                    scores = rp.product_scores(R, basis.levels, basis.nodes, X, one_hot, plan)
+                    scores = rp.product_scores(R, plan, X, one_hot)
                     assert scores.tobytes() == Phi[:, k].tobytes()
 
 
@@ -298,14 +301,15 @@ def test_product_features_workspace_does_not_grow_with_n():
     basis = enumerate_basis(5, 2)
     plan = rp.product_plan(basis.levels, basis.nodes)
     widest = max(len(plan.leaves), len(plan.top), *(len(l) + len(f) for l, _, f in plan.pairs))
+    assert plan.widest == widest
     table = plan.rows * widest * 8
     X = np.random.default_rng(19).random((40 * plan.rows, 5))
-    rp.product_features(6, basis.levels, basis.nodes, X[:1], plan)  # numpy's first-call caches
+    rp.product_features(6, plan, X[:1])  # numpy's first-call caches
     peaks = []
     for blocks in (2, 40):
         tracemalloc.start()
         try:
-            out = rp.product_features(6, basis.levels, basis.nodes, X[: blocks * plan.rows], plan)
+            out = rp.product_features(6, plan, X[: blocks * plan.rows])
             peaks.append(tracemalloc.get_traced_memory()[1] - out.nbytes)
         finally:
             tracemalloc.stop()
