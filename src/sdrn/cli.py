@@ -3,9 +3,9 @@
 CSV dialect: comma separated, first row is the header, UTF-8, ``.``
 decimal point, as ``csv.reader`` reads it.  Lines starting with ``#``
 before the header are configuration echoes and are skipped on read, so
-no column name may start with ``#``.  Exit codes: 0 success,
-1 usage error, 2 data error, 3 bound violation (verify-bounds only),
-143 terminated by SIGTERM (with no partial output left behind).
+no column name may start with ``#``.  Exit codes: 0 success, 1 usage
+error, 2 data error (any :class:`sdrn.DataError`), 3 bound violation
+(verify-bounds only), 143 terminated by SIGTERM (no partial output left).
 """
 
 from __future__ import annotations
@@ -28,12 +28,11 @@ from itertools import chain, islice, starmap
 
 import numpy as np
 
+from . import DataError
 from .estimator import (
     MODEL_SCHEMA_VERSION,
-    ConstantColumnError,
     FitConfig,
     FitDiagnostics,
-    NonFiniteObjectiveError,
     SdrnModel,
     fit_sdrn,
     hyperparams_from_n,
@@ -45,18 +44,14 @@ from .evalsuite import (
     run_replications,
     verify_bounds,
 )
-from .losses import LossInputError, LossSpec, sigmoid
+from .losses import LossSpec, sigmoid
 from .relu_product import MAX_R, ComplexityReport, basis_network_complexity
-from .sparse_grid import BasisSizeError, basis_size, cardinality_bounds, cardinality_log_bounds
+from .sparse_grid import basis_size, cardinality_bounds, cardinality_log_bounds
 
 # a cap on the exact counting work of basis-info; at it, basis_size and
 # the network count take well under a second (basis-info --d 100000 --m 0
 # --r 511 prints in 0.42 s on a 2-core machine)
 MAX_COUNT_TERMS = 100_000
-
-
-class DataError(Exception):
-    """Bad input data: missing columns, non-numeric or non-finite cells, schema mismatch."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -322,19 +317,13 @@ def implied_network_complexity(d: int, p: int, R: int) -> ComplexityReport:
 
 
 def cmd_fit(args) -> int:
-    try:
-        loss = LossSpec.parse(args.loss)
-    except (LossInputError, ValueError) as exc:
-        raise DataError(str(exc)) from exc
+    loss = LossSpec.parse(args.loss)
     if args.m is not None and args.c is not None:
         raise DataError("--m overrides the schedule; passing --c as well is contradictory")
     if args.m is not None and args.m < 0 or args.r is not None and not 1 <= args.r <= MAX_R:
         raise DataError(f"need --m >= 0 and 1 <= --r <= {MAX_R}")
     c_offset = 0 if args.c is None else args.c
-    try:
-        config = FitConfig(loss=loss, kappa=args.kappa, c_offset=c_offset)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    config = FitConfig(loss=loss, kappa=args.kappa, c_offset=c_offset)
     header, data = read_csv(args.input)
     if repeated := sorted({h for h in header if header.count(h) > 1}):
         raise DataError(f"{args.input}: column names {repeated} appear more than once")
@@ -348,10 +337,7 @@ def cmd_fit(args) -> int:
     y = data[:, t_idx]
     X = np.delete(data, t_idx, axis=1)
     columns = [h for i, h in enumerate(header) if i != t_idx]
-    try:
-        model = fit_sdrn(X, y, config, m=args.m, R=args.r, column_names=columns)
-    except ConstantColumnError as exc:
-        raise DataError(str(exc)) from exc
+    model = fit_sdrn(X, y, config, m=args.m, R=args.r, column_names=columns)
     _write(args.model_out, json.dumps(model.to_json(), indent=2, sort_keys=True) + "\n")
     diag: FitDiagnostics = model.diagnostics
     net = implied_network_complexity(model.d, len(model.gamma), model.R)
@@ -460,7 +446,7 @@ def cmd_predict(args) -> int:
     rest through the per-cell path, and the workers score its blocks."""
     try:
         model = SdrnModel.load(args.model)
-    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"cannot load model {args.model}: {exc}") from exc
     header, lineno, texts = _read_header(args.input, _pieces(args.input))
     ahead = list(islice(texts, 2))  # a second piece starts the workers
@@ -525,19 +511,9 @@ def cmd_simulate(args) -> int:
         raise DataError(f"need --reps >= 1, got {args.reps}")
     kappas = _parse_grid("--kappas", args.kappas, float)
     cs = _parse_grid("--cs", args.cs, int)
-    try:
-        loss = LossSpec.parse(args.loss)
-        spec = SimModelSpec(model_id=args.model, n=args.n, noise=args.noise, seed=args.seed)
-        for kappa in kappas:  # the config of each grid point, checked before any fit
-            FitConfig(loss=loss, kappa=kappa)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
-    try:
-        report = run_replications(spec, loss, reps=args.reps, kappas=kappas, cs=cs)
-    except RuntimeError as exc:  # a failed fit, named by its cell
-        if isinstance(exc.__cause__, (LossInputError, NonFiniteObjectiveError)):
-            raise DataError(str(exc)) from exc
-        raise
+    loss = LossSpec.parse(args.loss)
+    spec = SimModelSpec(model_id=args.model, n=args.n, noise=args.noise, seed=args.seed)
+    report = run_replications(spec, loss, reps=args.reps, kappas=kappas, cs=cs)
     _write(args.out_csv or None, report.to_csv())
     if args.out_json:
         _write(args.out_json, json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
@@ -675,7 +651,7 @@ def main(argv=None) -> int:
     try:
         with _sigterm_unwinds():
             return args.func(args)
-    except (DataError, LossInputError, BasisSizeError, NonFiniteObjectiveError) as exc:
+    except DataError as exc:
         print(f"sdrn: data error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,26 +20,29 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
 
 import numpy as np
 
+from . import DataError
 from .losses import LossInputError, LossSpec, loss_curvature, loss_subgradient, loss_value
 from .relu_product import MAX_R, ProductPlan, product_features, product_plan, product_scores
 from .sparse_grid import SparseGridBasis, as_points, basis_size, enumerate_basis
 
 MODEL_SCHEMA_VERSION = 1
-# the FitDiagnostics fields a model file stores
-SAVED_DIAGNOSTICS = ("final_objective", "epochs_run", "converged", "sup_norm")
+# the FitDiagnostics fields a model file stores, and the JSON types of each
+SAVED_DIAGNOSTICS = {"final_objective": (int, float), "epochs_run": (int,),
+                     "converged": (bool,), "sup_norm": (int, float)}
 
 
-class ConstantColumnError(ValueError):
+class ConstantColumnError(DataError):
     """A covariate column is constant, or has no finite range, and cannot be min-max scaled."""
 
 
-class NonFiniteObjectiveError(RuntimeError):
+class NonFiniteObjectiveError(DataError, RuntimeError):
     """The optimiser produced a non-finite objective or gradient."""
 
 
@@ -142,7 +145,7 @@ class FitConfig:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.kappa) and self.kappa >= 0):
-            raise ValueError(f"kappa must be finite and nonnegative, got {self.kappa!r}")
+            raise DataError(f"kappa must be finite and nonnegative, got {self.kappa!r}")
         if self.kappa == 0 and self.loss.kind != "quadratic":
             raise LossInputError(
                 f"the {self.loss.kind} loss needs kappa > 0: without the ridge term "
@@ -605,6 +608,9 @@ class SdrnModel:
         diag = None
         if doc.get("diagnostics"):
             diag = FitDiagnostics(**{name: doc["diagnostics"][name] for name in SAVED_DIAGNOSTICS})
+            for name, kinds in SAVED_DIAGNOSTICS.items():
+                if type(getattr(diag, name)) not in kinds:  # a bool is no number here
+                    raise ValueError(f"diagnostics {name} has the wrong JSON type: {getattr(diag, name)!r}")
         d, m, R = doc["d"], doc["m"], doc["R"]
         for name, value in (("d", d), ("m", m), ("R", R)):
             if type(value) is not int:  # not a float, nor a bool
@@ -613,12 +619,16 @@ class SdrnModel:
             raise ValueError(f"need m >= 0 and 1 <= R <= {MAX_R}, got m={m!r}, R={R!r}")
         kappa, gamma, mins, maxs = doc["kappa"], doc["gamma"], doc["scaler"]["min"], doc["scaler"]["max"]
         for name, values in (("kappa", [kappa]), ("gamma", gamma), ("scaler min", mins), ("scaler max", maxs)):
-            # a JSON number is an int or a float: not a bool, a string or a list
-            if type(values) is not list or any(type(v) not in (int, float) for v in values):
-                raise ValueError(f"{name} holds a value that is not a JSON number")
+            # a JSON number in the float range: not a bool, a string, a list or 10**400
+            if type(values) is not list or any(type(v) not in (int, float) or abs(v) > sys.float_info.max
+                                               for v in values):
+                raise ValueError(f"{name} holds a value that is not a JSON number in the float range")
         FitConfig(loss=loss, kappa=kappa)  # refuses the kappa a fit would
         gamma, mins, maxs = (np.array(v, dtype=float) for v in (gamma, mins, maxs))
-        columns = tuple(doc["columns"]) if doc.get("columns") else None
+        columns = doc.get("columns")
+        if columns is not None and (type(columns) is not list or any(type(c) is not str for c in columns)):
+            raise ValueError("columns must be a list of strings, or null")
+        columns = tuple(columns) if columns else None
         if mins.shape != (d,) or maxs.shape != (d,) or (columns and len(columns) != d):
             raise ValueError(f"scaler and columns must have d={d} entries")
         if columns and len(set(columns)) != len(columns):

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import rng
+from . import DataError, rng
 from .estimator import FeatureMap, FitConfig, adam_fit, hyperparams_from_n
 from .losses import LossSpec, sigmoid
 from .relu_product import pair_product, product_pairs, square_approx
@@ -113,11 +113,11 @@ class SimModelSpec:
 
     def __post_init__(self) -> None:
         if self.model_id not in MODEL_DIMS:
-            raise ValueError(f"unknown model id {self.model_id}; expected 1..4")
+            raise DataError(f"unknown model id {self.model_id}; expected 1..4")
         if self.noise not in NOISE_KINDS:
-            raise ValueError(f"noise must be one of {NOISE_KINDS}, got {self.noise!r}")
+            raise DataError(f"noise must be one of {NOISE_KINDS}, got {self.noise!r}")
         if self.n < 2:
-            raise ValueError("n must be >= 2")
+            raise DataError("n must be >= 2")
 
     @property
     def dimension(self) -> int:
@@ -306,9 +306,8 @@ def _fit_replication(
         try:
             out[:, k] = adam_fit(phi, y, config)[0]
         except Exception as exc:
-            raise RuntimeError(
-                f"fit failed at kappa={config.kappa}, c={config.c_offset}, rep={rep}: {exc}"
-            ) from exc
+            kind = DataError if isinstance(exc, DataError) else RuntimeError
+            raise kind(f"fit failed at kappa={config.kappa}, c={config.c_offset}, rep={rep}: {exc}") from exc
 
 
 def _defined_mean(values) -> float:
@@ -351,6 +350,9 @@ def run_replications(
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    # every config is checked before the first draw; c_offset only labels
+    # it for wrappers of adam_fit that record fits per schedule cell
+    configs = {c: [FitConfig(loss=loss, kappa=kappa, c_offset=c) for kappa in kappas] for c in cs}
     report = SimulationReport(spec=spec, loss_selector=loss.selector(), reps=reps)
     points, truth = design(spec)
     truth_class = (truth >= 0.5).astype(int)
@@ -362,13 +364,10 @@ def run_replications(
     for c in sorted(rows, key=lambda c: -schedule[c][0]):
         m, R = schedule[c]
         fmap = FeatureMap(basis=enumerate_basis(spec.dimension, m), R=R)
-        # c_offset does not change the fit; it labels the config for
-        # wrappers of adam_fit that record fits per schedule cell
-        configs = [FitConfig(loss=loss, kappa=kappa, c_offset=c) for kappa in kappas]
         coefs = np.empty((len(fmap.basis), len(kappas) * reps))
         for rep in range(reps):
             X, y = generate(spec, rep)
-            _fit_replication(fmap(X), y, configs, rep, coefs[:, rep::reps])
+            _fit_replication(fmap(X), y, configs[c], rep, coefs[:, rep::reps])
         # block k of the cube holds the evaluation scores of kappas[k], one row per rep
         cube = fmap.scores(points, coefs).T.reshape(len(kappas), reps, -1)
         for kappa, scores in zip(kappas, cube):

@@ -15,10 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import DataError
+
 KINDS = ("quadratic", "huber", "quantile", "logistic")
 
 
-class LossInputError(ValueError):
+class LossInputError(DataError):
     """Invalid loss parameters or responses."""
 
 
@@ -33,6 +35,9 @@ class LossSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise LossInputError(f"unknown loss kind {self.kind!r}; expected one of {KINDS}")
+        for name, value in (("delta", self.delta), ("tau", self.tau)):
+            if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+                raise LossInputError(f"{name} must be a number, got {value!r}")
         if self.kind == "huber":
             if self.delta is None or not 0.0 < self.delta < math.inf:
                 raise LossInputError(f"huber loss needs a finite delta > 0, got {self.delta!r}")
@@ -49,14 +54,15 @@ class LossSpec:
         """Parse a CLI-style selector: quadratic | huber:<delta> | quantile:<tau> | logistic."""
         name, _, arg = text.partition(":")
         name = name.strip().lower()
-        if name == "huber":
+        if name in ("huber", "quantile"):
+            param, example = ("delta", "huber:1.0") if name == "huber" else ("tau", "quantile:0.5")
             if not arg:
-                raise LossInputError("huber loss selector needs a delta, e.g. huber:1.0")
-            return cls("huber", delta=float(arg))
-        if name == "quantile":
-            if not arg:
-                raise LossInputError("quantile loss selector needs a tau, e.g. quantile:0.5")
-            return cls("quantile", tau=float(arg))
+                raise LossInputError(f"{name} loss selector needs a {param}, e.g. {example}")
+            try:
+                value = float(arg)
+            except ValueError as exc:
+                raise LossInputError(str(exc)) from exc
+            return cls(name, **{param: value})
         if arg:
             raise LossInputError(f"loss {name!r} takes no parameter")
         return cls(name)

@@ -32,10 +32,12 @@ from typing import Callable
 
 import numpy as np
 
+from . import DataError
+
 DEFAULT_ID_CAP = 10_000_000
 
 
-class BasisSizeError(ValueError):
+class BasisSizeError(DataError):
     """Requested enumeration would exceed the id cap, ``DEFAULT_ID_CAP``."""
 
 

@@ -15,11 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sdrn import cli
+from sdrn import DataError, cli
 from sdrn import evalsuite as ev
 from sdrn import relu_product as rp
-from sdrn.estimator import SdrnModel
-from sdrn.sparse_grid import basis_size
+from sdrn.estimator import ConstantColumnError, NonFiniteObjectiveError, SdrnModel
+from sdrn.losses import LossInputError
+from sdrn.sparse_grid import BasisSizeError, basis_size
 
 
 def _write_training_csv(path, n=200, seed=0):
@@ -169,6 +170,12 @@ def test_predict_rejects_malformed_model_files(tmp_path, capsys):
         "gamma-string": lambda doc: doc["gamma"].__setitem__(0, "1"),
         "schema_version-true": lambda doc: doc.update(schema_version=True),
         "schema_version-float": lambda doc: doc.update(schema_version=1.0),
+        "delta-true": lambda doc: doc["loss"].update(kind="huber", delta=True),
+        "diagnostics-epochs_run": lambda doc: doc["diagnostics"].update(epochs_run="nan"),
+        # loaded as five one-letter columns, which an a,b,c,d,e input matched
+        "columns-string": lambda doc: doc.update(columns="abcde"),
+        # refused as "int too large to convert to float", naming no field
+        "kappa-digits": lambda doc: doc.update(kappa=10 ** 400),
     }
     docs = {}
     for name, edit in {**edits, **named}.items():
@@ -184,6 +191,43 @@ def test_predict_rejects_malformed_model_files(tmp_path, capsys):
         fragments = [f".json: {name.split('-')[0]}"] if name in named else []
         _assert_data_error(rc, capsys, "cannot load model", *fragments)
         assert not out.exists()
+
+
+@pytest.mark.parametrize("error", [DataError, LossInputError, BasisSizeError, ConstantColumnError,
+                                   NonFiniteObjectiveError, ValueError], ids=lambda e: e.__name__)
+@pytest.mark.parametrize("command", ["fit", "predict", "simulate"])
+def test_main_owns_the_data_error_exit(tmp_path, capsys, monkeypatch, command, error):
+    # a library call that raises any DataError ends in exit 2, one message
+    # line and no output, with no translation in the command; any other
+    # ValueError is a fault of the program and escapes main
+    assert cli.DataError is DataError
+    train, model_path = _fit_small(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out.csv"
+
+    def planted(*args, **kwargs):
+        raise error("planted")
+
+    if command == "fit":
+        monkeypatch.setattr(cli, "fit_sdrn", planted)
+        argv = ["fit", "--input", str(train), "--target", "y", "--model-out", str(out)]
+    elif command == "predict":
+        monkeypatch.setattr(SdrnModel, "predict", planted)
+        argv = ["predict", "--model", str(model_path), "--input", str(train), "--output", str(out)]
+    else:  # run_replications labels the failed fit by its cell
+        monkeypatch.setattr(ev, "adam_fit", planted)
+        argv = ["simulate", "--model", "1", "--n", "40", "--reps", "1", "--kappas", "1.0",
+                "--cs", "0", "--out-csv", str(out)]
+    if error is ValueError:
+        with pytest.raises(Exception, match="planted") as caught:
+            cli.main(argv)
+        assert not isinstance(caught.value, DataError)
+    else:
+        assert cli.main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("sdrn: data error: ")
+        assert lines[0].endswith("planted")
+    assert not out.exists()
 
 
 def _run_with_scipy_blocked(*argvs):

@@ -178,7 +178,7 @@ MODEL_FIELDS = [
     ("scaler", "min", 0), ("scaler", "max", 0), ("columns",), ("gamma",), ("gamma", 0),
     ("gamma", 1), ("diagnostics",), *(("diagnostics", name) for name in SAVED_DIAGNOSTICS),
 ]
-FIELD_VALUES = [DROP, RETYPE, 0, -1, 1e308, "nan", True, [], {}]
+FIELD_VALUES = [DROP, RETYPE, 0, -1, 1e308, 10 ** 400, "nan", True, [], {}]
 
 
 @settings(FUZZ, max_examples=100)

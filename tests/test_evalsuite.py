@@ -8,8 +8,8 @@ from scipy.special import expit, ndtri
 from scipy.stats import chisquare
 
 from conftest import index_set
+from sdrn import DataError, rng
 from sdrn import evalsuite as ev
-from sdrn import rng
 from sdrn.estimator import FitConfig
 from sdrn.losses import LossSpec
 
@@ -287,7 +287,7 @@ def test_run_replications_classification_columns():
 def test_run_replications_error_identifies_cell():
     spec = ev.SimModelSpec(model_id=1, n=50, noise="normal", seed=3)
     logistic = LossSpec("logistic")  # continuous y: invalid
-    with pytest.raises(RuntimeError, match=r"kappa=1.0, c=-2, rep=0"):
+    with pytest.raises(DataError, match=r"kappa=1.0, c=-2, rep=0"):
         ev.run_replications(spec, logistic, reps=1, kappas=(1.0,), cs=(-2,))
 
 

@@ -33,6 +33,11 @@ def test_spec_validation():
         LossSpec("quantile", tau=1.0)
     with pytest.raises(LossInputError):
         LossSpec("quadratic", delta=1.0)
+    # a loaded model's parameters are JSON values: a bool or a string is no number
+    for name, value in (("delta", True), ("delta", "1.0"), ("tau", False), ("tau", "0.5")):
+        kind = "huber" if name == "delta" else "quantile"
+        with pytest.raises(LossInputError, match=f"{name} must be a number"):
+            LossSpec(kind, **{name: value})
 
 
 def test_spec_parse_round_trip():
@@ -43,6 +48,8 @@ def test_spec_parse_round_trip():
         LossSpec.parse("huber")
     with pytest.raises(LossInputError):
         LossSpec.parse("quadratic:3")
+    with pytest.raises(LossInputError, match="could not convert string to float: 'x'"):
+        LossSpec.parse("quantile:x")
 
 
 def test_lipschitz_constants():
