@@ -1,11 +1,12 @@
 """Command-line front end: fit, predict, simulate, basis-info, verify-bounds.
 
-CSV dialect: comma separated, first row is the header, UTF-8, ``.``
-decimal point, as ``csv.reader`` reads it.  Lines starting with ``#``
-before the header are configuration echoes and are skipped on read, so
-no column name may start with ``#``.  Exit codes: 0 success, 1 usage
-error, 2 data error (any :class:`sdrn.DataError`), 3 bound violation
-(verify-bounds only), 143 terminated by SIGTERM (no partial output left).
+CSV dialect: comma separated, first row is the header, UTF-8 with or
+without a byte-order mark, ``.`` decimal point, as ``csv.reader`` reads
+it.  Lines starting with ``#`` before the header are configuration
+echoes and are skipped on read, so no column name may start with ``#``.
+Exit codes: 0 success, 1 usage error, 2 data error (any
+:class:`sdrn.DataError`), 3 bound violation (verify-bounds only), 143
+terminated by SIGTERM (no partial output left).
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ from .estimator import (
 from .evalsuite import (
     DEFAULT_CS,
     DEFAULT_KAPPAS,
+    MODEL_DIMS,
+    NOISE_KINDS,
     SimModelSpec,
     run_replications,
     verify_bounds,
@@ -101,7 +104,7 @@ def _pieces(path: str):
     rest of its last line from ``fh.readline()``.  A file that cannot be
     opened, read or decoded is a :class:`DataError`."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             try:
                 yield from iter(lambda: fh.read(_PIECE) + fh.readline(), "")
             except UnicodeDecodeError:
@@ -320,8 +323,8 @@ def cmd_fit(args) -> int:
     loss = LossSpec.parse(args.loss)
     if args.m is not None and args.c is not None:
         raise DataError("--m overrides the schedule; passing --c as well is contradictory")
-    if args.m is not None and args.m < 0 or args.r is not None and not 1 <= args.r <= MAX_R:
-        raise DataError(f"need --m >= 0 and 1 <= --r <= {MAX_R}")
+    if args.r is not None and not 1 <= args.r <= MAX_R:
+        raise DataError(f"need 1 <= --r <= {MAX_R}")
     c_offset = 0 if args.c is None else args.c
     config = FitConfig(loss=loss, kappa=args.kappa, c_offset=c_offset)
     header, data = read_csv(args.input)
@@ -331,8 +334,6 @@ def cmd_fit(args) -> int:
         raise DataError(f"target column {args.target!r} not found in {args.input}")
     if len(header) < 2:
         raise DataError(f"{args.input}: need at least one covariate column besides the target")
-    if len(data) < 2:
-        raise DataError(f"{args.input}: need at least two data rows to fit")
     t_idx = header.index(args.target)
     y = data[:, t_idx]
     X = np.delete(data, t_idx, axis=1)
@@ -439,9 +440,9 @@ def _start_worker(job) -> None:
 def cmd_predict(args) -> int:
     """Score the input one piece at a time, so memory stays flat as the
     row count grows.  This process reads the header (:func:`_read_header`)
-    and the pieces; from two pieces on, forked workers parse, score and
-    format them, one per usable CPU and at most one per 1 MiB piece, and
-    their text is written in input order (:func:`_stream`).  From the
+    and one piece ahead per usable CPU; where it reads more than one, a
+    forked worker per piece read ahead parses, scores and formats them,
+    and their text is written in input order (:func:`_stream`).  From the
     first piece that numpy's parser cannot take, this process reads the
     rest through the per-cell path, and the workers score its blocks."""
     try:
@@ -449,8 +450,9 @@ def cmd_predict(args) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"cannot load model {args.model}: {exc}") from exc
     header, lineno, texts = _read_header(args.input, _pieces(args.input))
-    ahead = list(islice(texts, 2))  # a second piece starts the workers
-    several, texts = len(ahead) > 1, chain(iter(ahead), texts)
+    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    ahead = list(islice(texts, len(os.sched_getaffinity(0)) if forks else 1))
+    workers, texts = len(ahead), chain(iter(ahead), texts)
     del ahead  # as in _read_header, a piece is freed once it is read
     if model.column_names:
         missing = [c for c in model.column_names if c not in header]
@@ -472,23 +474,19 @@ def cmd_predict(args) -> int:
     with _atomic_output(args.output) as out, ExitStack() as stack:
         out.write(f"# sdrn-predict model={args.model} schema_version={MODEL_SCHEMA_VERSION}\n")
         out.write(_record(out_header) + "\n")
-        pool, workers, block = None, 1, partial(_block_text, job=job)
-        if several and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-            workers = len(os.sched_getaffinity(0))
-            if os.path.isfile(args.input):
-                workers = min(workers, -(-os.path.getsize(args.input) // _PIECE))
-            if workers > 1:  # imported here, so that import sdrn.cli does not pay for them
-                import multiprocessing
-                from concurrent.futures import ProcessPoolExecutor
-                model.feature_map.plan  # planned once, before the fork, for every worker
-                ctx = multiprocessing.get_context("fork")  # spawn, forkserver re-import sdrn
-                # the workers fork at the first submit; SIGTERM is held until
-                # they have, because an exception its handler raises inside an
-                # at-fork hook (logging registers some) is dropped
-                with _sigterm_held():
-                    pool = stack.enter_context(ProcessPoolExecutor(workers, ctx, _start_worker, (job,)))
-                    pool.submit(int)
-                block = _block_text  # the workers hold the job
+        pool, block = None, partial(_block_text, job=job)
+        if workers > 1:  # imported here, so that import sdrn.cli does not pay for them
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            model.feature_map.plan  # planned once, before the fork, for every worker
+            ctx = multiprocessing.get_context("fork")  # spawn, forkserver re-import sdrn
+            # the workers fork at the first submit; SIGTERM is held until
+            # they have, because an exception its handler raises inside an
+            # at-fork hook (logging registers some) is dropped
+            with _sigterm_held():
+                pool = stack.enter_context(ProcessPoolExecutor(workers, ctx, _start_worker, (job,)))
+                pool.submit(int)
+            block = _block_text  # the workers hold the job
         out.writelines(_stream(args.input, header, lineno, texts, block, pool, workers))
     return 0
 
@@ -507,8 +505,6 @@ def _parse_grid(flag: str, text: str, cast) -> tuple:
 
 
 def cmd_simulate(args) -> int:
-    if args.reps < 1:
-        raise DataError(f"need --reps >= 1, got {args.reps}")
     kappas = _parse_grid("--kappas", args.kappas, float)
     cs = _parse_grid("--cs", args.cs, int)
     loss = LossSpec.parse(args.loss)
@@ -590,10 +586,10 @@ def build_parser() -> _Parser:
     p_pred.set_defaults(func=cmd_predict)
 
     p_sim = sub.add_parser("simulate", help="replication study on a synthetic model")
-    p_sim.add_argument("--model", type=int, required=True, choices=[1, 2, 3, 4], help="model id 1..4")
+    p_sim.add_argument("--model", type=int, required=True, choices=list(MODEL_DIMS), help="model id 1..4")
     p_sim.add_argument("--n", type=int, default=2000)
     p_sim.add_argument("--reps", type=int, default=100)
-    p_sim.add_argument("--noise", default="normal", choices=["normal", "laplace", "none"])
+    p_sim.add_argument("--noise", default="normal", choices=NOISE_KINDS)
     p_sim.add_argument("--loss", default="quadratic")
     p_sim.add_argument("--kappas", default=",".join(str(k) for k in DEFAULT_KAPPAS))
     p_sim.add_argument("--cs", default=",".join(str(c) for c in DEFAULT_CS))

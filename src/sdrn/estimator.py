@@ -55,7 +55,7 @@ def hyperparams_from_n(n: int, c: int = 0) -> tuple[int, int]:
     below 32 samples, where the schedule's base level is 0.
     """
     if n < 2:
-        raise ValueError(f"sample size must be >= 2, got {n}")
+        raise DataError(f"sample size must be >= 2, got {n}")
     base = math.floor(0.2 * math.log2(n))
     m = max(base + c, 0)
     R = 3 * max(base, m, 1)
@@ -83,8 +83,8 @@ class Scaler:
     @classmethod
     def fit(cls, X: np.ndarray) -> "Scaler":
         X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[0] < 2:
-            raise ValueError("scaling needs a 2-d array with at least two rows")
+        if X.ndim != 2:  # one row is a constant column, which __post_init__ refuses
+            raise ValueError("scaling needs a 2-d array")
         return cls(mins=X.min(axis=0), maxs=X.max(axis=0))
 
     def transform(self, X: np.ndarray) -> np.ndarray:
@@ -596,7 +596,7 @@ class SdrnModel:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SdrnModel":
-        """The model of a parsed model file; ``Scaler`` and ``FitConfig`` check it as they check a fit."""
+        """A parsed model file's model; ``Scaler``, ``FitConfig`` and ``basis_size`` check it as a fit."""
         if not isinstance(doc, dict):
             raise ValueError("a model file holds one JSON object")
         version = doc.get("schema_version")
@@ -615,8 +615,8 @@ class SdrnModel:
         for name, value in (("d", d), ("m", m), ("R", R)):
             if type(value) is not int:  # not a float, nor a bool
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if m < 0 or not 1 <= R <= MAX_R:
-            raise ValueError(f"need m >= 0 and 1 <= R <= {MAX_R}, got m={m!r}, R={R!r}")
+        if not 1 <= R <= MAX_R:
+            raise ValueError(f"need 1 <= R <= {MAX_R}, got R={R!r}")
         kappa, gamma, mins, maxs = doc["kappa"], doc["gamma"], doc["scaler"]["min"], doc["scaler"]["max"]
         for name, values in (("kappa", [kappa]), ("gamma", gamma), ("scaler min", mins), ("scaler max", maxs)):
             # a JSON number in the float range: not a bool, a string, a list or 10**400
@@ -673,7 +673,7 @@ def fit_sdrn(
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n = X.shape[0]
-    m_sched, R_sched = hyperparams_from_n(n, config.c_offset)
+    m_sched, R_sched = hyperparams_from_n(n, config.c_offset)  # first: it refuses n < 2
     m = m_sched if m is None else m
     R = R_sched if R is None else R
     scaler = Scaler.fit(X)

@@ -349,7 +349,7 @@ def run_replications(
     is keyed by ``(seed, rep)``, so the order changes no value.
     """
     if reps < 1:
-        raise ValueError("reps must be >= 1")
+        raise DataError(f"reps must be >= 1, got {reps}")
     # every config is checked before the first draw; c_offset only labels
     # it for wrappers of adam_fit that record fits per schedule cell
     configs = {c: [FitConfig(loss=loss, kappa=kappa, c_offset=c) for kappa in kappas] for c in cs}

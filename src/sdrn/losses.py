@@ -11,6 +11,7 @@ arrays.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,8 @@ class LossSpec:
         for name, value in (("delta", self.delta), ("tau", self.tau)):
             if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
                 raise LossInputError(f"{name} must be a number, got {value!r}")
+            if isinstance(value, int) and abs(value) > sys.float_info.max:  # 10**400 in a model file
+                raise LossInputError(f"{name} must be a number in the float range, not an integer that large")
         if self.kind == "huber":
             if self.delta is None or not 0.0 < self.delta < math.inf:
                 raise LossInputError(f"huber loss needs a finite delta > 0, got {self.delta!r}")

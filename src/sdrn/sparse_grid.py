@@ -145,9 +145,9 @@ def basis_size(d: int, m: int) -> int:
     ``O(m**2 log d)`` products).
     """
     if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+        raise DataError(f"dimension must be >= 1, got {d}")
     if m < 0:
-        raise ValueError(f"max level sum must be >= 0, got {m}")
+        raise DataError(f"max level sum must be >= 0, got {m}")
 
     def convolve(a: list[int], b: list[int]) -> list[int]:
         return [sum(a[k - l] * b[l] for l in range(k + 1)) for k in range(m + 1)]

@@ -176,6 +176,8 @@ def test_predict_rejects_malformed_model_files(tmp_path, capsys):
         "columns-string": lambda doc: doc.update(columns="abcde"),
         # refused as "int too large to convert to float", naming no field
         "kappa-digits": lambda doc: doc.update(kappa=10 ** 400),
+        # loaded, and lipschitz_constant() raised OverflowError
+        "delta-digits": lambda doc: doc["loss"].update(kind="huber", delta=10 ** 400),
     }
     docs = {}
     for name, edit in {**edits, **named}.items():
@@ -765,6 +767,8 @@ def _csv_bytes(tmp_path, data):
 BAD_INPUTS = {
     "fit-kappa=-1": lambda tmp: _fit_argv(tmp, "--kappa", "-1"),
     "fit-r=2000": lambda tmp: _fit_argv(tmp, "--r", "2000"),
+    "fit-m=-1": lambda tmp: _fit_argv(tmp, "--m", "-1"),
+    "fit-one-row": lambda tmp: _fit_argv(tmp, train=_csv_bytes(tmp, b"a,y\n1.0,2.0\n")),
     "fit-target-only": lambda tmp: _fit_argv(
         tmp, train=_csv_bytes(tmp, b"y\n1.0\n2.0\n3.0\n")),
     "fit-not-utf8": lambda tmp: _fit_argv(
@@ -791,6 +795,8 @@ BAD_INPUTS = {
 }
 # the field that a case's message names
 BAD_FIELDS = {
+    "fit-m=-1": "max level sum must be >= 0, got -1",
+    "fit-one-row": "sample size must be >= 2, got 1",
     "fit-repeated-column-name": "column names ['a']",
     "fit-huber:nan": "delta",
     "fit-huber:inf": "delta",
@@ -940,6 +946,40 @@ def test_pooled_predict_writes_the_bytes_of_one_cpu(tmp_path, capsys, monkeypatc
     assert lines[1].endswith("prediction,probability" if loss == "logistic" else ",prediction")
 
 
+@pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"),
+                    reason="needs fork and CPU affinity")
+def test_predict_starts_one_worker_per_piece_read_ahead(tmp_path, capsys, monkeypatch):
+    # 138 rows of 90 characters make three 4 KiB pieces, each ending at a
+    # line end, but more than three pieces' worth of bytes: on four usable
+    # CPUs, predict reads the three pieces ahead and starts three workers
+    import concurrent.futures
+
+    _, model_path = _fit_small(tmp_path)
+    new = tmp_path / "new.csv"
+    X = np.random.default_rng(1).random((138, 5))
+    new.write_text("x1,x2,x3,x4,x5\n" + "".join(",".join(f"{v:.15f}" for v in row) + "\n" for row in X),
+                   encoding="utf-8")
+    monkeypatch.setattr(cli, "_PIECE", 4096)
+    assert len(list(cli._pieces(str(new)))) == 3 and new.stat().st_size > 3 * cli._PIECE
+    pools = []  # the max_workers of each pool predict starts
+
+    class RecordedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, *args):
+            pools.append(max_workers)
+            super().__init__(max_workers, *args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
+    written = {}
+    for cpus in (4, 1):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        out = tmp_path / f"pred{cpus}.csv"
+        assert cli.main(["predict", "--model", str(model_path), "--input", str(new),
+                         "--output", str(out)]) == 0
+        written[cpus] = out.read_bytes()
+    assert pools == [3]
+    assert written[4] == written[1] and len(written[1].splitlines()) == 2 + 138
+
+
 def test_pooled_predict_takes_the_per_cell_path_from_the_first_piece_numpy_cannot(
         tmp_path, capsys, monkeypatch):
     # 4 KiB pieces hold about 43 rows each; data row 2,001 quotes its cells,
@@ -979,6 +1019,33 @@ def test_pooled_predict_takes_the_per_cell_path_from_the_first_piece_numpy_canno
         assert "non-numeric value 'abc' at row 2702, column 'x3'" in captured.err
         assert sorted(tmp_path.iterdir()) == before
         assert multiprocessing.active_children() == []
+
+
+def test_a_byte_order_mark_is_not_part_of_the_first_column_name(tmp_path, capsys):
+    # Excel's "CSV UTF-8" files start with one; it is dropped on read
+    train, model_path = _fit_small(tmp_path)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + train.read_bytes())
+    bom_model = tmp_path / "bom.json"
+    assert cli.main(["fit", "--input", str(bom), "--target", "y", "--model-out", str(bom_model)]) == 0
+    assert bom_model.read_bytes() == model_path.read_bytes()
+    predictions = []
+    for model, data in ((model_path, train), (bom_model, train), (model_path, bom)):
+        capsys.readouterr()
+        assert cli.main(["predict", "--model", str(model), "--input", str(data)]) == 0
+        predictions.append(capsys.readouterr().out.split("\n", 1)[1])  # after the model echo
+    assert predictions[0] == predictions[1] == predictions[2]
+    # the target as the first column, and a comment line before the header
+    rows = b"1.0,0.1\n2.0,0.5\n0.5,0.9\n"
+    for text in (b"y,a\n" + rows, b"# echo\ny,a\n" + rows):
+        first = _csv_bytes(tmp_path, b"\xef\xbb\xbf" + text)
+        assert cli.main(_fit_argv(tmp_path, train=first)) == 0
+        assert SdrnModel.load(tmp_path / "m.json").column_names == ("a",)
+    # a bad cell before undecodable bytes past the first 8 KiB is named,
+    # by its column, in the rescan that the bytes start
+    bad = _csv_bytes(tmp_path, b"\xef\xbb\xbfa,y\n1.0,2.0\nx,1.0\n" + b"0.5,0.25\n" * 2000 + b"\xff,3.0\n")
+    _assert_data_error(cli.main(_fit_argv(tmp_path, train=bad)), capsys,
+                       "non-numeric value 'x' at row 3, column 'a'")
 
 
 def test_a_quoted_header_keeps_the_numpy_path(tmp_path, monkeypatch):

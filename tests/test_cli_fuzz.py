@@ -224,10 +224,11 @@ def test_a_model_file_that_loads_predicts_finite_scores(edits):
 
 def _reference_read_csv(path):
     """The per-cell reader ``read_csv`` replaced: csv.reader over the file
-    stream and float() on every cell, with the same messages; a row's line
-    is its cells as ``csv.writer`` writes them."""
+    stream, without a leading byte-order mark, and float() on every cell,
+    with the same messages; a row's line is its cells as ``csv.writer``
+    writes them."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             header, rows, lines = None, [], []
             for lineno, row in enumerate(csv.reader(fh), start=1):
                 if not row or (row[0].startswith("#") and header is None):
@@ -339,6 +340,7 @@ PIECES = (1, 7, 64, cli._PIECE)
 @example(text='#x\n"#q",1\n"a\r\nb",c\r\n1,2\n3,4')  # comments, then a header of two lines
 @example(text="a," * (csv.field_size_limit() // 2) + "a\n")  # a header past csv's field limit
 @example(text='"a,b",c\n"1\n",2\r\n"3\r",4\n')  # cells holding line ends are quoted
+@example(text="\ufeffa,b\n1,2\n")  # a byte-order mark, which is no part of the name
 def test_read_csv_matches_the_per_cell_reader(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "in.csv"

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from sdrn import DataError
 from sdrn import estimator as est
 from sdrn.losses import LossInputError, LossSpec, loss_subgradient, loss_value, sigmoid
 from sdrn import relu_product as rp
@@ -38,6 +39,14 @@ def test_hyperparams_schedule():
     assert est.hyperparams_from_n(32, 0) == (1, 3)
     with pytest.raises(ValueError):
         est.hyperparams_from_n(1, 0)
+
+
+def test_hyperparams_own_the_sample_size_limit():
+    # fit_sdrn asks the schedule first, so a fit of one row is refused here
+    with pytest.raises(DataError, match="sample size must be >= 2, got 1"):
+        est.hyperparams_from_n(1)
+    with pytest.raises(DataError, match="sample size must be >= 2, got 1"):
+        est.fit_sdrn(np.array([[0.5]]), np.array([1.0]), est.FitConfig(loss=LossSpec("quadratic")))
 
 
 def test_scale_covariates():

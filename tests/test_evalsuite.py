@@ -291,6 +291,12 @@ def test_run_replications_error_identifies_cell():
         ev.run_replications(spec, logistic, reps=1, kappas=(1.0,), cs=(-2,))
 
 
+def test_run_replications_owns_the_reps_limit():
+    spec = ev.SimModelSpec(model_id=1, n=50, noise="normal", seed=3)
+    with pytest.raises(DataError, match="reps must be >= 1, got 0"):
+        ev.run_replications(spec, LossSpec("quadratic"), reps=0, kappas=(1.0,), cs=(-2,))
+
+
 def _class_rates(calls, truth_class, scores):
     """(accuracy, sensitivity, specificity, precision, recall, f1, AUC) of one
     replication, counted from the confusion matrix and the Mann-Whitney pairs."""

@@ -38,6 +38,10 @@ def test_spec_validation():
         kind = "huber" if name == "delta" else "quantile"
         with pytest.raises(LossInputError, match=f"{name} must be a number"):
             LossSpec(kind, **{name: value})
+    # an integer past the float range, which only a model file can hold
+    for delta in (10 ** 400, -(10 ** 400)):
+        with pytest.raises(LossInputError, match="delta must be a number in the float range"):
+            LossSpec("huber", delta=delta)
 
 
 def test_spec_parse_round_trip():

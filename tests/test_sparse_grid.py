@@ -14,6 +14,7 @@ from conftest import (
     random_product_function,
     surplus_oracle,
 )
+from sdrn import DataError
 from sdrn import sparse_grid as sg
 
 
@@ -96,6 +97,14 @@ def test_enumerate_basis_arrays_match_brute_force(monkeypatch):
     basis = sg.enumerate_basis(5, 4)
     assert made == []
     assert basis[-1] == made[0]
+
+
+def test_basis_size_owns_the_dimension_and_budget_limits():
+    with pytest.raises(DataError, match="dimension must be >= 1, got 0"):
+        sg.basis_size(0, 1)
+    for call in (sg.basis_size, sg.enumerate_basis):
+        with pytest.raises(DataError, match="max level sum must be >= 0, got -1"):
+            call(2, -1)
 
 
 def test_enumerate_basis_int32_holds_every_enumerable_id(monkeypatch):
