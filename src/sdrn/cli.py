@@ -586,7 +586,7 @@ def build_parser() -> _Parser:
     p_pred.set_defaults(func=cmd_predict)
 
     p_sim = sub.add_parser("simulate", help="replication study on a synthetic model")
-    p_sim.add_argument("--model", type=int, required=True, choices=list(MODEL_DIMS), help="model id 1..4")
+    p_sim.add_argument("--model", type=int, required=True, choices=list(MODEL_DIMS), help="model id")
     p_sim.add_argument("--n", type=int, default=2000)
     p_sim.add_argument("--reps", type=int, default=100)
     p_sim.add_argument("--noise", default="normal", choices=NOISE_KINDS)

@@ -83,8 +83,8 @@ class Scaler:
     @classmethod
     def fit(cls, X: np.ndarray) -> "Scaler":
         X = np.asarray(X, dtype=float)
-        if X.ndim != 2:  # one row is a constant column, which __post_init__ refuses
-            raise ValueError("scaling needs a 2-d array")
+        if X.ndim != 2 or not len(X):  # one row is a constant column, which __post_init__ refuses
+            raise DataError(f"scaling needs a 2-d array of at least one row, got shape {X.shape}")
         return cls(mins=X.min(axis=0), maxs=X.max(axis=0))
 
     def transform(self, X: np.ndarray) -> np.ndarray:
@@ -290,7 +290,7 @@ TOL = 1e-12
 
 
 def _newton(
-    Phi: np.ndarray, y: np.ndarray, loss: LossSpec, kappa: float
+    Phi: np.ndarray, y: np.ndarray, loss: LossSpec, kappa: float, K: np.ndarray | None
 ) -> tuple[np.ndarray, int]:
     """Newton's method with Armijo backtracking from ``gamma = 0``, for
     the Huber and logistic risks.
@@ -299,14 +299,13 @@ def _newton(
     curvature at the current scores ``f``, so the Newton point is the
     weighted ridge fit of the working response: the ``x`` of
     :func:`_weighted_ridge` at ``u = W f - loss'``, and the step is
-    ``gamma - x``.  When ``p > n`` the Gram ``K`` is formed once.  It
+    ``gamma - x``.  Every step shares ``K``, which is ``_gram(Phi)``.  It
     stops when ``|gradient|^2 / (2 kappa)``, which bounds the distance to
     the minimum by kappa-strong convexity, is at most ``TOL`` times the
     objective, after ``MAX_ITERATIONS`` steps, after ``PATIENCE`` steps
     that do not lower the objective, or when the line search stalls.
     Returns the iterate and the number of steps taken.
     """
-    K = _gram(Phi)
     gamma = np.zeros(Phi.shape[1])
     f = np.zeros(len(y))
     value = float(np.sum(loss_value(loss, f, y)))
@@ -358,7 +357,7 @@ def _max_step(*pairs: tuple[np.ndarray, np.ndarray]) -> float:
 
 
 def _quantile_ipm(
-    Phi: np.ndarray, y: np.ndarray, loss: LossSpec, kappa: float
+    Phi: np.ndarray, y: np.ndarray, loss: LossSpec, kappa: float, K: np.ndarray | None
 ) -> tuple[np.ndarray, int, float]:
     """Primal-dual interior-point method (Mehrotra predictor-corrector)
     on the Fenchel dual of the quantile risk,
@@ -442,7 +441,6 @@ def _quantile_ipm(
             free, upper = new_free, new_upper
         return found
 
-    K = _gram(Phi)
     alpha = np.full(n, tau - 0.5)
     s = np.full(n, 0.5)
     t = np.full(n, 0.5)
@@ -496,7 +494,9 @@ def _quantile_ipm(
     return best_gamma, it, best_gap
 
 
-def adam_fit(Phi: np.ndarray, y: np.ndarray, config: FitConfig) -> tuple[np.ndarray, FitDiagnostics]:
+def adam_fit(
+    Phi: np.ndarray, y: np.ndarray, config: FitConfig, *, gram: np.ndarray | None = None
+) -> tuple[np.ndarray, FitDiagnostics]:
     """Minimise the penalised empirical risk to a certified optimum.
 
     The quadratic loss is minimised exactly, as the weighted ridge
@@ -510,9 +510,10 @@ def adam_fit(Phi: np.ndarray, y: np.ndarray, config: FitConfig) -> tuple[np.ndar
     ``(objective - minimum) / objective``: ``|gradient|^2 / (2 kappa)``
     for the smooth losses (NaN for the quadratic loss at
     ``kappa = 0``), the duality gap for the quantile loss; those losses
-    are ``converged`` when it is at most ``TOL``.  The name
-    predates the exact solvers and stays because the benchmark harness
-    looks the solver up by it.  Deterministic given (data, config).
+    are ``converged`` when it is at most ``TOL``.  ``gram``, if given, is
+    ``_gram(Phi)`` from a caller that fits Phi at several configs.  The
+    name predates the exact solvers and stays because the benchmark
+    harness looks the solver up by it.  Deterministic given (data, config).
     """
     Phi = np.asarray(Phi, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -526,7 +527,7 @@ def adam_fit(Phi: np.ndarray, y: np.ndarray, config: FitConfig) -> tuple[np.ndar
             if kappa == 0:
                 gamma = np.linalg.lstsq(Phi, y, rcond=None)[0]
             else:
-                gamma = _weighted_ridge(Phi, 2.0, kappa)(2.0 * y)[0]
+                gamma = _weighted_ridge(Phi, 2.0, kappa, gram)(2.0 * y)[0]
         except np.linalg.LinAlgError as exc:
             # kappa I keeps every Cholesky pivot positive unless rounding
             # swamps it; the least-squares SVD of finite data succeeds
@@ -535,10 +536,11 @@ def adam_fit(Phi: np.ndarray, y: np.ndarray, config: FitConfig) -> tuple[np.ndar
         start = float(np.sum(loss_value(loss, np.zeros(len(y)), y)))
         if not np.isfinite(start):
             raise NonFiniteObjectiveError(f"non-finite objective {start!r} at gamma = 0")
+        K = _gram(Phi) if gram is None else gram
         if loss.kind == "quantile":
-            gamma, iterations, certificate = _quantile_ipm(Phi, y, loss, kappa)
+            gamma, iterations, certificate = _quantile_ipm(Phi, y, loss, kappa, K)
         else:
-            gamma, iterations = _newton(Phi, y, loss, kappa)
+            gamma, iterations = _newton(Phi, y, loss, kappa, K)
     scores = Phi @ gamma  # one pass over Phi for the objective and its gradient
     final = float(np.sum(loss_value(loss, scores, y))) + 0.5 * kappa * _sq(gamma)
     if not (np.all(np.isfinite(gamma)) and np.isfinite(final)):

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import DataError, rng
-from .estimator import FeatureMap, FitConfig, adam_fit, hyperparams_from_n
+from .estimator import FeatureMap, FitConfig, _gram, adam_fit, hyperparams_from_n
 from .losses import LossSpec, sigmoid
 from .relu_product import pair_product, product_pairs, square_approx
 from .sparse_grid import (
@@ -71,8 +71,15 @@ def model4_logodds(X: np.ndarray) -> np.ndarray:
     )
 
 
+def check_model_id(model_id: int) -> None:
+    """Refuse a model id that ``MODEL_DIMS`` does not list."""
+    if model_id not in MODEL_DIMS:
+        raise DataError(f"unknown model id {model_id}; expected {min(MODEL_DIMS)}..{max(MODEL_DIMS)}")
+
+
 def true_regression(model_id: int, X: np.ndarray) -> np.ndarray:
     """Conditional mean E(Y|X); for model 4 this is P(Y = 1 | X)."""
+    check_model_id(model_id)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if model_id == 1:
         x1, x2, x3 = X[:, 0], X[:, 1], X[:, 2]
@@ -97,9 +104,7 @@ def true_regression(model_id: int, X: np.ndarray) -> np.ndarray:
             + 2.0 * X[:, 6] / (2.0 + X[:, 4] ** 2 + X[:, 9] ** 4)
             + 1.0
         )
-    if model_id == 4:
-        return sigmoid(model4_logodds(X))
-    raise ValueError(f"unknown model id {model_id}; expected 1..4")
+    return sigmoid(model4_logodds(X))
 
 
 @dataclass(frozen=True)
@@ -112,8 +117,7 @@ class SimModelSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.model_id not in MODEL_DIMS:
-            raise DataError(f"unknown model id {self.model_id}; expected 1..4")
+        check_model_id(self.model_id)
         if self.noise not in NOISE_KINDS:
             raise DataError(f"noise must be one of {NOISE_KINDS}, got {self.noise!r}")
         if self.n < 2:
@@ -302,9 +306,11 @@ def _fit_replication(
     phi: np.ndarray, y: np.ndarray, configs: list[FitConfig], rep: int, out: np.ndarray
 ) -> None:
     """Fit each ``configs[k]`` into ``out[:, k]``; ``phi`` is freed on return."""
+    # a lone config forms its own Gram: the quadratic solve copies a shared one
+    gram = _gram(phi) if len(configs) > 1 else None
     for k, config in enumerate(configs):
         try:
-            out[:, k] = adam_fit(phi, y, config)[0]
+            out[:, k] = adam_fit(phi, y, config, gram=gram)[0]
         except Exception as exc:
             kind = DataError if isinstance(exc, DataError) else RuntimeError
             raise kind(f"fit failed at kappa={config.kappa}, c={config.c_offset}, rep={rep}: {exc}") from exc

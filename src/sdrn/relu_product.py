@@ -5,7 +5,7 @@ r"""ReLU approximation of products, from tooth functions to basis features.
   grid ``k * 2**-R``, with ``|f_R(x) - x**2| <= 2**(-2R-2)`` on [0, 1].
   It is evaluated in closed form; Yarotsky's network computes it as the
   tooth chain ``x - sum_r g_r(x)/4**r``, which the graphs below build;
-* ``pair_product``, the polarisation identity
+* ``pair_product``, one tree level: the polarisation identity
   xy = ((x+y)**2 - x**2 - y**2)/2 applied to f_R, accurate to ``3 * 2**(-2R-2)``;
 * ``product_features``, the product-tree evaluator: the d hat factors
   of many basis functions multiplied through binary trees of pair
@@ -55,15 +55,15 @@ def tooth(x):
 
 
 # the largest R at which square_approx stays finite: the cell index k
-# reaches 2**R - 1, and k * k overflows a float from R = 512 on
+# reaches 2**R at x = 1, and k * k = 4**R overflows a float from R = 512 on
 MAX_R = 511
 
 
 def square_approx(R: int, x, out=None, work=None):
     """f_R(x), the linear interpolant of x**2 on the grid ``k * 2**-R``, for x in [0, 1].
 
-    With ``h = 2**-R`` and ``k = min(floor(x / h), 2**R - 1)`` the cell
-    index, ``f_R(x) = (k h)**2 + (x - k h)(2k + 1) h``.  This equals the
+    With ``h = 2**-R`` and ``k = floor(x / h)`` the cell index (2**R at x = 1),
+    ``f_R(x) = (k h)**2 + (x - k h)(2k + 1) h``.  This equals the
     tooth chain ``x - sum_{r=1}^{R} g_r(x) / 4**r`` on [0, 1] (to
     rounding), is exact at every grid point, and its error against x**2
     peaks at cell midpoints with value exactly ``2**(-2R-2)``.
@@ -76,7 +76,6 @@ def square_approx(R: int, x, out=None, work=None):
     t = np.multiply(np.asarray(x, dtype=float), 2.0 ** R, out=out)  # x / h, exact
     k, odd = (np.empty_like(t), np.empty_like(t)) if work is None else work
     np.floor(t, out=k)
-    np.minimum(k, 2.0 ** R - 1.0, out=k)
     t -= k  # in place: h**2 (k**2 + (t - k)(2k + 1))
     np.multiply(k, 2.0, out=odd)
     odd += 1.0
@@ -90,29 +89,15 @@ def square_approx(R: int, x, out=None, work=None):
 def pair_product(R: int, x, y):
     """Approximate ``x * y`` as 2*(f_R((x+y)/2) - f_R(x)/4 - f_R(y)/4).
 
-    Inputs are clamped to [0, 1] first, the domain on which the error
-    bound ``3 * 2**(-2R-2)`` holds.  Exactly symmetric in its arguments
-    (the two single-argument terms are added before subtracting).
+    Inputs are clamped to [0, 1], where the bound ``3 * 2**(-2R-2)`` holds,
+    and broadcast; their pairs are one tree level.  Exactly symmetric in its
+    arguments (the two single-argument terms are added before subtracting).
     """
-    x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-    y = np.clip(np.asarray(y, dtype=float), 0.0, 1.0)
-    return _polarise(R, x, y, square_approx(R, x), square_approx(R, y))
-
-
-def _polarise(R: int, x, y, fx, fy, out=None):
-    """The pair product from ``fx = f_R(x)`` and ``fy = f_R(y)``, into ``out`` if given.
-
-    It overwrites fx, and x with the midpoint; with ``out`` it also
-    overwrites y and fy, which hold the midpoint's f_R work.
-    """
-    fx += fy
-    fx *= 0.25
-    x += y
-    x *= 0.5
-    out = square_approx(R, x, out, None if out is None else (y, fy))
-    out -= fx
-    out *= 2.0
-    return out
+    xy = np.array(np.broadcast_arrays(x, y), dtype=float)
+    pairs = np.clip(xy, 0.0, 1.0, out=xy).reshape(2, -1)
+    out, buf = np.empty_like(pairs[:1]), np.empty((4, pairs.size))
+    out = _tree_level(R, pairs, np.arange(1), np.arange(1, 2), np.arange(0), False, out, buf)
+    return out.reshape(xy.shape[1:])[()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,41 +154,43 @@ def product_plan(levels, nodes) -> ProductPlan:
 
 
 def _table(buf, slot: int, *shape):
-    """A table of ``shape``: the first cells of row ``slot`` of the workspace
-    ``buf``, which every row block reuses, or without a workspace a new array."""
-    return np.empty(shape) if buf is None else buf[slot, : math.prod(shape)].reshape(shape)
+    """A table of ``shape``: the first cells of row ``slot`` of the workspace ``buf``."""
+    return buf[slot, : math.prod(shape)].reshape(shape)
 
 
-def _tree_level(R: int, vals, left, right, forwarded, clamp: bool, out, buf=None):
+def _tree_level(R: int, vals, left, right, forwarded, clamp: bool, out, buf):
     """One tree level of the table ``vals``, one row per subtree, into ``out``:
     the pair products of its ``left`` and ``right`` rows, clamped to [0, 1]
-    when ``clamp`` (below the root), then its ``forwarded`` rows.  Its
-    f_R values and gathered children are tables 0 to 3 of ``buf``."""
+    when ``clamp`` (below the root), then its ``forwarded`` rows, with tables
+    0 to 3 of ``buf`` as work.  Each row is halved, and its f_R quartered,
+    once; a power of two scales exactly, so that equals scaling each pair sum."""
     w, q, n = len(vals), len(left), vals.shape[1]
-    work = _table(buf, 1, w, n), _table(buf, 2, w, n)
-    squares = square_approx(R, vals, _table(buf, 0, w, n), work)
-    fx = squares.take(left, axis=0, out=_table(buf, 1, q, n), mode="clip")
-    fy = squares.take(right, axis=0, out=_table(buf, 2, q, n), mode="clip")
-    x = vals.take(left, axis=0, out=_table(buf, 0, q, n), mode="clip")
-    y = vals.take(right, axis=0, out=_table(buf, 3, q, n), mode="clip")
-    prods = _polarise(R, x, y, fx, fy, out[:q])
+    halves = np.multiply(vals, 0.5, out=_table(buf, 0, w, n))
+    mids = halves.take(left, axis=0, out=_table(buf, 1, q, n), mode="clip")
+    mids += halves.take(right, axis=0, out=_table(buf, 2, q, n), mode="clip")
+    quarters = square_approx(R, vals, _table(buf, 0, w, n), (_table(buf, 2, w, n), _table(buf, 3, w, n)))
+    quarters *= 0.25
+    fxy = quarters.take(left, axis=0, out=_table(buf, 2, q, n), mode="clip")
+    fxy += quarters.take(right, axis=0, out=_table(buf, 3, q, n), mode="clip")
+    prods = square_approx(R, mids, out[:q], (_table(buf, 0, q, n), _table(buf, 3, q, n)))
+    prods -= fxy
+    prods *= 2.0
     if clamp:
         np.clip(prods, 0.0, 1.0, out=prods)
     vals.take(forwarded, axis=0, out=out[q:], mode="clip")
     return out
 
 
-def _tree_blocks(R: int, plan: ProductPlan, X, levels: int, buf=None):
+def _tree_blocks(R: int, plan: ProductPlan, X, levels: int, buf):
     """Run the first ``levels`` levels of the trees of ``plan``, per row block of ``X``.
 
     Yields ``(rows, table)`` per block: the row slice and the table the
     last level run gives (the leaf hats for ``levels == 0``), one row
     per subtree and one column per point.  When ``levels`` is the whole
     tree, its last level is computed in id order: row i is id i.
-    ``buf``, if given, is a workspace of 6 rows of ``plan.rows`` (or
-    fewer, for fewer points) times ``plan.widest``; every block writes
-    its tables to it, the levels alternating between rows 4 and 5.
-    Without it every table is a new array.
+    ``buf`` is a workspace of 6 rows of ``plan.rows`` (or fewer, for
+    fewer points) times ``plan.widest``; every block writes its tables
+    to it, the levels alternating between rows 4 and 5.
     """
     leaves, pairs, top = plan.leaves, plan.pairs[:levels], plan.top
     if levels == len(plan.pairs):
@@ -256,10 +243,11 @@ def product_pairs(R: int, levels, nodes, X) -> np.ndarray:
     :func:`product_features`, pairing adjacent rows left to right.
     """
     vals = hat_eval(np.asarray(levels).T, np.asarray(nodes).T, np.asarray(X, dtype=float).T)
+    buf = np.empty((4, vals.size))
     while len(vals) > 1:
         q = len(vals)
         level = np.arange(0, q - 1, 2), np.arange(1, q, 2), np.arange(q - q % 2, q)
-        vals = _tree_level(R, vals, *level, q > 2, np.empty(((q + 1) // 2, vals.shape[1])))
+        vals = _tree_level(R, vals, *level, q > 2, np.empty(((q + 1) // 2, vals.shape[1])), buf)
     return vals[0]
 
 
@@ -270,10 +258,11 @@ def product_scores(R: int, plan: ProductPlan, X, coef) -> np.ndarray:
     ``(n, q)``.  The root pair product ``2 f_R(mid) - (f_R(l) + f_R(r)) / 2``
     is linear in the children's f_R values, so the coefficients are
     summed onto the children, rows of the narrower table below the root,
-    and each row block forms only the k midpoint f_R values and that
-    table.  The result agrees with the product to rounding, and for a
-    one-hot ``coef`` it is the feature column bitwise: every scaling is a
-    power of two and every other term is an exact zero.  For a vector
+    and each row block forms only the root's midpoint f_R values and that
+    table, in the workspace of :func:`product_features`.  The result
+    agrees with the product to rounding, and for a one-hot ``coef`` it is
+    the feature column bitwise: every scaling is a power of two and every
+    other term is an exact zero.  For a vector
     ``coef`` a row's score depends only on that row: any split, subset or
     order of the rows gives the same bits (:func:`_contract`).
     """
@@ -283,8 +272,9 @@ def product_scores(R: int, plan: ProductPlan, X, coef) -> np.ndarray:
     if coef.shape[:1] != top.shape:
         raise ValueError(f"coef has shape {coef.shape}, need {len(top)} rows")
     out = np.empty(X.shape[:1] + coef.shape[1:])
+    buf = np.empty((6, min(plan.rows, X.shape[0]) * plan.widest))
     if not plan.pairs:
-        for rows, vals in _tree_blocks(R, plan, X, 0):
+        for rows, vals in _tree_blocks(R, plan, X, 0, buf):
             out[rows] = _contract(vals, coef)
         return out
     *below, (left, right, _) = plan.pairs
@@ -295,12 +285,14 @@ def product_scores(R: int, plan: ProductPlan, X, coef) -> np.ndarray:
     at_children = np.zeros((width,) + coef.shape[1:])
     np.add.at(at_children, left, 0.25 * at_root)
     np.add.at(at_children, right, 0.25 * at_root)
-    for rows, vals in _tree_blocks(R, plan, X, len(below)):
-        mids = vals[left]
-        mids += vals[right]
-        mids *= 0.5
-        out[rows] = _contract(square_approx(R, mids), at_root)
-        out[rows] -= _contract(square_approx(R, vals), at_children)
+    for rows, vals in _tree_blocks(R, plan, X, len(below), buf):
+        q, n = len(left), vals.shape[1]
+        halves = np.multiply(vals, 0.5, out=_table(buf, 0, width, n))
+        mids = halves.take(left, axis=0, out=_table(buf, 1, q, n), mode="clip")
+        mids += halves.take(right, axis=0, out=_table(buf, 2, q, n), mode="clip")
+        work = _table(buf, 0, q, n), _table(buf, 2, q, n)
+        out[rows] = _contract(square_approx(R, mids, mids, work), at_root)
+        out[rows] -= _contract(square_approx(R, vals, vals, (halves, _table(buf, 2, width, n))), at_children)
     return out
 
 

@@ -3,9 +3,10 @@ the derivative-integral route to hierarchical surpluses, the independent
 oracle for :func:`sdrn.sparse_grid.surpluses`, the one-id-at-a-time
 references (``index_set``, ``surplus_oracle``) for the array code in
 ``sdrn.sparse_grid``, the stacked-triple reference for the keyed
-leaves of :func:`sdrn.relu_product.product_plan`, and the ReLU-graph
+leaves of :func:`sdrn.relu_product.product_plan`, the ReLU-graph
 twins of :func:`sdrn.relu_product.square_approx` and
-:func:`sdrn.relu_product.pair_product`."""
+:func:`sdrn.relu_product.pair_product`, and the closed form of f_R with
+its cell index capped at ``2**R - 1``."""
 
 from __future__ import annotations
 
@@ -268,6 +269,14 @@ def random_product_function(gen, d: int, boundary_vanishing: bool = False) -> Pr
     makers = (_bump, _interior_sine) if boundary_vanishing else (_sine, _cubic, _bump)
     comps = [makers[int(gen.integers(0, len(makers)))](gen) for _ in range(d)]
     return ProductFunction(comps)
+
+
+def capped_square_approx(R: int, x) -> np.ndarray:
+    """f_R in closed form with the cell index ``k = min(floor(x 2**R), 2**R - 1)``,
+    rounding each step as :func:`sdrn.relu_product.square_approx` does."""
+    t = np.asarray(x, dtype=float) * 2.0 ** R
+    k = np.minimum(np.floor(t), 2.0 ** R - 1.0)
+    return ((t - k) * (2.0 * k + 1.0) + k * k) * 4.0 ** -R
 
 
 def build_square_network(R: int) -> rp.ReluGraph:

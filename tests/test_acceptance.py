@@ -333,8 +333,8 @@ def _record_fits(patch) -> list:
     """Record the config and diagnostics of every fit run_replications makes."""
     fits = []
 
-    def recording_fit(Phi, y, config):
-        gamma, diag = adam_fit(Phi, y, config)
+    def recording_fit(Phi, y, config, **kw):
+        gamma, diag = adam_fit(Phi, y, config, **kw)
         fits.append((config, diag))
         return gamma, diag
 

@@ -64,6 +64,9 @@ def test_scale_covariates():
     assert scaler.transform(np.array([[9.0, 0.5]]))[0, 0] == 1.0
     with pytest.raises(est.ConstantColumnError):
         est.Scaler.fit(np.array([[1.0, 2.0], [1.0, 3.0]]))
+    # no rows: sdrn's refusal naming the row count, not numpy's empty reduction
+    with pytest.raises(DataError, match=r"at least one row, got shape \(0, 3\)"):
+        est.Scaler.fit(np.empty((0, 3)))
 
 
 def test_feature_matrix_corner_row():

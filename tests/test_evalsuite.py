@@ -21,9 +21,10 @@ def test_model_dimensions_and_values():
     X4 = np.zeros((1, 10))
     # mu at the origin: sqrt(0.1) term vanishes with x3=0; mu = 0*cos(0) + 0 + 0 - 0 + 1
     assert ev.model4_logodds(X4)[0] == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ValueError):
+    # one owner refuses an unknown model id, with the ids MODEL_DIMS lists
+    with pytest.raises(DataError, match=r"unknown model id 5; expected 1\.\.4$"):
         ev.true_regression(5, X)
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match=r"unknown model id 7; expected 1\.\.4$"):
         ev.SimModelSpec(model_id=7, n=100)
     with pytest.raises(ValueError):
         ev.SimModelSpec(model_id=1, n=100, noise="cauchy")
@@ -223,9 +224,9 @@ def test_run_replications_labels_each_fit_with_its_cell(monkeypatch):
     seen = []
     fit = ev.adam_fit
 
-    def recording_fit(Phi, y, config):
+    def recording_fit(Phi, y, config, **kw):
         seen.append((config.kappa, config.c_offset, Phi.shape[1]))
-        return fit(Phi, y, config)
+        return fit(Phi, y, config, **kw)
 
     monkeypatch.setattr(ev, "adam_fit", recording_fit)
     spec = ev.SimModelSpec(model_id=1, n=60, noise="normal", seed=3)
@@ -240,8 +241,8 @@ def test_run_replications_reports_in_cs_order_whatever_the_fit_order(monkeypatch
     # the one a simulation of its c alone reports
     fitted = []
     fit = ev.adam_fit
-    monkeypatch.setattr(ev, "adam_fit", lambda Phi, y, config: fitted.append(config.c_offset)
-                        or fit(Phi, y, config))
+    monkeypatch.setattr(ev, "adam_fit", lambda Phi, y, config, **kw: fitted.append(config.c_offset)
+                        or fit(Phi, y, config, **kw))
     spec = ev.SimModelSpec(model_id=1, n=80, noise="normal", seed=5)
     loss = LossSpec("huber", delta=1.0)
     kappas, cs = (0.5, 1.0), (0, -2, -1)

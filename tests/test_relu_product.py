@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import build_pair_network, build_square_network, stacked_triple_plan
+from conftest import build_pair_network, build_square_network, capped_square_approx, stacked_triple_plan
 from sdrn import relu_product as rp
 from sdrn.sparse_grid import BasisId, enumerate_basis, hat_eval, tensor_hat_eval
 
@@ -74,6 +74,15 @@ def test_square_approx_matches_tooth_chain():
         assert np.array_equal(rp.square_approx(R, grid), grid ** 2)
 
 
+def test_square_approx_is_the_capped_closed_form_at_every_r():
+    # x 2**R is exact, so floor(x 2**R) is at most 2**R - 1 below x = 1, and
+    # at x = 1 the uncapped index 2**R gives 1 as the capped one does
+    gen = np.random.default_rng(20)
+    for R in range(1, rp.MAX_R + 1):
+        xs = np.concatenate([[0.0, 1.0, 1.0 - 2.0 ** -R], gen.random(64)])
+        assert rp.square_approx(R, xs).tobytes() == capped_square_approx(R, xs).tobytes()
+
+
 def test_square_approx_into_buffers():
     # given out and work, every step writes to them, and out may be x itself;
     # the bits are the plain call's, exact at 0, 1 and grid points up to MAX_R
@@ -106,6 +115,8 @@ def test_pair_bound_grid():
     for R in range(1, 7):
         err = np.max(np.abs(rp.pair_product(R, GX, GY) - GX * GY))
         assert err <= 3.0 * 2.0 ** (-2 * R - 2)
+        # the inputs broadcast as numpy's do
+        assert rp.pair_product(R, g, g[:, None]).tobytes() == rp.pair_product(R, GX, GY).tobytes()
     # R=1: the bound is not vacuous
     err1 = np.max(np.abs(rp.pair_product(1, GX, GY) - GX * GY))
     assert err1 <= 3.0 / 16.0
