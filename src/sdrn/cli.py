@@ -48,7 +48,7 @@ from .evalsuite import (
     verify_bounds,
 )
 from .losses import LossSpec, sigmoid
-from .relu_product import MAX_R, ComplexityReport, basis_network_complexity
+from .relu_product import ComplexityReport, basis_network_complexity
 from .sparse_grid import basis_size, cardinality_bounds, cardinality_log_bounds
 
 # a cap on the exact counting work of basis-info; at it, basis_size and
@@ -73,30 +73,14 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray]:
     """Read a numeric CSV with a header row; report bad cells by row/column.
 
     Returns the header and the ``(rows, columns)`` float array, the
-    blocks of :func:`read_blocks` concatenated; their row texts are
-    dropped block by block, so only the array is held.
-    """
-    parts = []
-    for header, data, _ in read_blocks(path):
-        parts.append(data)
-    return header, np.concatenate(parts)
-
-
-def read_blocks(path: str):
-    """Read a numeric CSV as :func:`read_csv` does, one block at a time.
-
-    Yields ``(header, data, lines)`` per block, at least one block once
-    the header is read; ``lines`` holds each data row's cells as read, as
-    a CSV line (:func:`_record`): where the text has no quotes, that is
-    the data line itself.  The blocks are those of :func:`_stream`, run
-    in this process: numpy's C parser reads each piece it can, and from
-    the first it cannot, the per-cell ``csv.reader`` path reads the rest.
-    A data error in a late block is raised after the earlier blocks were
-    yielded, with its row number counted from the file's start.
+    blocks of :func:`_stream` concatenated, run in this process: numpy's
+    C parser reads each piece it can, and from the first it cannot, the
+    per-cell ``csv.reader`` path reads the rest.  Each block's row texts
+    are dropped as it is read, so only the array is held.  A data error
+    in a late block names its row counted from the file's start.
     """
     header, lineno, texts = _read_header(path, _pieces(path))
-    for data, lines in _stream(path, header, lineno, texts, lambda *block: block):
-        yield header, data, lines
+    return header, np.concatenate(list(_stream(path, header, lineno, texts, lambda data, _: data)))
 
 
 def _pieces(path: str):
@@ -180,9 +164,11 @@ def _parse_plain(text: str, header: list[str]):
 
 
 def _parse_cells(path: str, header: list[str], lineno: int, texts):
-    """The ``data`` and ``lines`` of :func:`read_blocks`' blocks from the
-    whole lines ``texts`` after the header, whose first line is row
-    ``lineno + 1``, by ``csv.reader``, float() on every cell."""
+    """The blocks ``(data, lines)`` of the whole lines ``texts`` after the
+    header, whose first line is row ``lineno + 1``, by ``csv.reader``,
+    float() on every cell; ``lines`` holds each data row's cells as read,
+    as a CSV line (:func:`_record`): where the text has no quotes, that
+    is the data line itself."""
     rows: list[list[float]] = []
     lines: list[str] = []
     reader = csv.reader(line for text in texts for line in io.StringIO(text, newline=""))
@@ -323,8 +309,6 @@ def cmd_fit(args) -> int:
     loss = LossSpec.parse(args.loss)
     if args.m is not None and args.c is not None:
         raise DataError("--m overrides the schedule; passing --c as well is contradictory")
-    if args.r is not None and not 1 <= args.r <= MAX_R:
-        raise DataError(f"need 1 <= --r <= {MAX_R}")
     c_offset = 0 if args.c is None else args.c
     config = FitConfig(loss=loss, kappa=args.kappa, c_offset=c_offset)
     header, data = read_csv(args.input)
@@ -517,13 +501,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_basis_info(args) -> int:
-    if args.d < 1 or args.m < 0 or args.r is not None and not 1 <= args.r <= MAX_R:
-        raise DataError(f"need --d >= 1, --m >= 0 and 1 <= --r <= {MAX_R}")
+    if args.d < 1 or args.m < 0:
+        raise DataError("need --d >= 1 and --m >= 0")
     if args.d * (args.m + 1) ** 2 > MAX_COUNT_TERMS:
         raise DataError(
             f"basis-info counts bases with d*(m+1)**2 <= {MAX_COUNT_TERMS}, "
             f"got d={args.d}, m={args.m}"
         )
+    # the network count refuses a bad --r before the first line prints
+    per = None if args.r is None else basis_network_complexity(args.d, args.r)
     size = basis_size(args.d, args.m)
     print(f"d={args.d} m={args.m}")
     print(f"basis size={_format_count(size)}")
@@ -536,7 +522,6 @@ def cmd_basis_info(args) -> int:
         )
         print(f"cardinality bounds: lower={lower} upper={upper}")
     if args.r is not None:
-        per = basis_network_complexity(args.d, args.r)
         net = implied_network_complexity(args.d, size, args.r)
         print(f"per-feature network (R={args.r}): depth={per.depth} units={per.units} weights={per.weights}")
         print(

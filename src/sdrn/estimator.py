@@ -29,7 +29,7 @@ import numpy as np
 
 from . import DataError
 from .losses import LossInputError, LossSpec, loss_curvature, loss_subgradient, loss_value
-from .relu_product import MAX_R, ProductPlan, product_features, product_plan, product_scores
+from .relu_product import ProductPlan, check_accuracy_level, product_features, product_plan, product_scores
 from .sparse_grid import SparseGridBasis, as_points, basis_size, enumerate_basis
 
 MODEL_SCHEMA_VERSION = 1
@@ -108,6 +108,9 @@ class FeatureMap:
 
     basis: SparseGridBasis
     R: int
+
+    def __post_init__(self) -> None:
+        check_accuracy_level(self.R)
 
     @cached_property
     def plan(self) -> ProductPlan:
@@ -617,8 +620,7 @@ class SdrnModel:
         for name, value in (("d", d), ("m", m), ("R", R)):
             if type(value) is not int:  # not a float, nor a bool
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not 1 <= R <= MAX_R:
-            raise ValueError(f"need 1 <= R <= {MAX_R}, got R={R!r}")
+        check_accuracy_level(R)
         kappa, gamma, mins, maxs = doc["kappa"], doc["gamma"], doc["scaler"]["min"], doc["scaler"]["max"]
         for name, values in (("kappa", [kappa]), ("gamma", gamma), ("scaler min", mins), ("scaler max", maxs)):
             # a JSON number in the float range: not a bool, a string, a list or 10**400
@@ -674,8 +676,7 @@ def fit_sdrn(
     """Scale, featurise and fit; ``m``/``R`` override the n-schedule."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = X.shape[0]
-    m_sched, R_sched = hyperparams_from_n(n, config.c_offset)  # first: it refuses n < 2
+    m_sched, R_sched = hyperparams_from_n(X.shape[0], config.c_offset)  # first: it refuses n < 2
     m = m_sched if m is None else m
     R = R_sched if R is None else R
     scaler = Scaler.fit(X)
@@ -684,8 +685,8 @@ def fit_sdrn(
     gamma, diag = adam_fit(fmap(X01), y, config)
     # scored as predict scores, so both diagnostics are what predict gives
     train_scores = fmap.scores(X01, gamma)
-    diag.sup_norm = float(np.max(np.abs(train_scores))) if n else float("nan")
-    diag.max_residual = float(np.max(np.abs(train_scores - y))) if n else float("nan")
+    diag.sup_norm = float(np.max(np.abs(train_scores)))
+    diag.max_residual = float(np.max(np.abs(train_scores - y)))
     return SdrnModel(
         gamma=gamma,
         d=X.shape[1],

@@ -34,6 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import DataError
 from .sparse_grid import BasisId, as_points, hat_eval
 
 # cells of one tree-level table in a row block of _tree_blocks
@@ -59,6 +60,12 @@ def tooth(x):
 MAX_R = 511
 
 
+def check_accuracy_level(R: int) -> None:
+    """Refuse an accuracy level outside ``1..MAX_R``."""
+    if not 1 <= R <= MAX_R:
+        raise DataError(f"accuracy level R must be in 1..{MAX_R}, got {R}")
+
+
 def square_approx(R: int, x, out=None, work=None):
     """f_R(x), the linear interpolant of x**2 on the grid ``k * 2**-R``, for x in [0, 1].
 
@@ -71,8 +78,7 @@ def square_approx(R: int, x, out=None, work=None):
     and may be ``x`` itself; ``work``, if given, is two more arrays of
     x's shape that hold k and ``2k + 1``.
     """
-    if not 1 <= R <= MAX_R:
-        raise ValueError(f"accuracy level R must be in 1..{MAX_R}, got {R}")
+    check_accuracy_level(R)
     t = np.multiply(np.asarray(x, dtype=float), 2.0 ** R, out=out)  # x / h, exact
     k, odd = (np.empty_like(t), np.empty_like(t)) if work is None else work
     np.floor(t, out=k)
@@ -509,8 +515,7 @@ def build_basis_network(R: int, bid: BasisId) -> ReluGraph:
     :func:`approx_basis_eval`.  Depth is ``R * ceil(log2 d)`` up to an
     additive O(log d) term.
     """
-    if R < 1:
-        raise ValueError(f"accuracy level R must be >= 1, got {R}")
+    check_accuracy_level(R)
     b = _GraphBuilder(input_arity=bid.dimension)
     specs: list[tuple[Expr, bool]] = []
     for j, (l, s) in enumerate(zip(bid.level, bid.node)):
@@ -539,8 +544,7 @@ def basis_network_complexity(d: int, R: int) -> ComplexityReport:
     their midpoint (3 pieces each), its later ``R - 1`` layers read 3
     units per piece, and its clamp reads the product twice.
     """
-    if R < 1:
-        raise ValueError(f"accuracy level R must be >= 1, got {R}")
+    check_accuracy_level(R)
     layers, units, connections = 1, 3 * d, 3 * d
     refs = [3] * d
     while len(refs) > 1:

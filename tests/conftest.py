@@ -5,8 +5,9 @@ references (``index_set``, ``surplus_oracle``) for the array code in
 ``sdrn.sparse_grid``, the stacked-triple reference for the keyed
 leaves of :func:`sdrn.relu_product.product_plan`, the ReLU-graph
 twins of :func:`sdrn.relu_product.square_approx` and
-:func:`sdrn.relu_product.pair_product`, and the closed form of f_R with
-its cell index capped at ``2**R - 1``."""
+:func:`sdrn.relu_product.pair_product`, the closed form of f_R with
+its cell index capped at ``2**R - 1``, and the blocks that
+:func:`sdrn.cli.read_csv` reads, with their row texts."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from sdrn import cli
 from sdrn import relu_product as rp
 from sdrn.sparse_grid import BasisId, hat_eval
 
@@ -296,3 +298,12 @@ def build_pair_network(R: int) -> rp.ReluGraph:
     """
     b = rp._GraphBuilder(input_arity=2)
     return b.finish(b.pair_exprs([(b.input_expr(0), b.input_expr(1))], R)[0])
+
+
+def csv_blocks(path):
+    """The ``(header, data, lines)`` blocks of a numeric CSV, as
+    :func:`sdrn.cli.read_csv` streams them in this process: ``lines``
+    holds each data row's cells as read, as a CSV line."""
+    header, lineno, texts = cli._read_header(path, cli._pieces(path))
+    for data, lines in cli._stream(path, header, lineno, texts, lambda *block: block):
+        yield header, data, lines

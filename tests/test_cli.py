@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import csv_blocks
 from sdrn import DataError, cli
 from sdrn import evalsuite as ev
 from sdrn import relu_product as rp
@@ -643,7 +644,8 @@ def test_basis_info_counts_a_wide_network_without_building_it(monkeypatch, capsy
 )
 def test_basis_info_rejects_bad_values(flags, capsys):
     assert cli.main(["basis-info"] + flags) == 2
-    assert capsys.readouterr().err.startswith("sdrn: data error: ")
+    out, err = capsys.readouterr()
+    assert err.startswith("sdrn: data error: ") and out == ""
 
 
 def test_predict_echo_of_repr_cells_is_repr_of_every_value(tmp_path):
@@ -795,6 +797,7 @@ BAD_INPUTS = {
 }
 # the field that a case's message names
 BAD_FIELDS = {
+    "fit-r=2000": "accuracy level R must be in 1..511, got 2000",
     "fit-m=-1": "max level sum must be >= 0, got -1",
     "fit-one-row": "sample size must be >= 2, got 1",
     "fit-repeated-column-name": "column names ['a']",
@@ -1051,9 +1054,9 @@ def test_a_byte_order_mark_is_not_part_of_the_first_column_name(tmp_path, capsys
 def test_a_quoted_header_keeps_the_numpy_path(tmp_path, monkeypatch):
     # every header name quoted, as csv.QUOTE_NONNUMERIC and R's write.csv
     # write them: csv.reader reads the header, and the 4 KiB pieces after
-    # it go through numpy's parser, in read_blocks and in predict, on two
-    # CPUs and on one; no data row goes through the per-cell path in this
-    # process, and the output has the bytes of the plain file's
+    # it go through numpy's parser, in read_csv's blocks and in predict, on
+    # two CPUs and on one; no data row goes through the per-cell path in
+    # this process, and the output has the bytes of the plain file's
     _, model_path = _fit_small(tmp_path)
     plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
     X = _covariate_csv(plain, 3000)
@@ -1070,7 +1073,7 @@ def test_a_quoted_header_keeps_the_numpy_path(tmp_path, monkeypatch):
             yield block
 
     monkeypatch.setattr(cli, "_parse_cells", recorded_parse_cells)
-    blocks = list(cli.read_blocks(str(quoted)))
+    blocks = list(csv_blocks(str(quoted)))
     # a 4 KiB piece holds about 43 rows; a per-cell block would hold 100
     assert cells == [] and len(blocks) > 2 and all(len(data) < 100 for _, data, _ in blocks)
     assert blocks[0][0] == header.split(",")

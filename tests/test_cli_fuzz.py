@@ -1,6 +1,6 @@
 """Property tests: every CSV and every numeric option ends in a documented
 exit code (0 ok, 1 usage, 2 data), never in an uncaught exception, and
-``read_csv`` and ``read_blocks`` read every CSV as the per-cell
+``read_csv`` and the blocks it streams read every CSV as the per-cell
 ``csv.reader`` parser does, also when the block reader splits the text
 into many small pieces.
 
@@ -26,6 +26,7 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import csv_blocks
 from sdrn import cli
 from sdrn import evalsuite as ev
 from sdrn.estimator import SAVED_DIAGNOSTICS, FitConfig, fit_sdrn
@@ -302,17 +303,17 @@ def csv_texts(draw):
 
 
 def _read_blocks_joined(path):
-    """The header, the data and the row lines of ``read_blocks``,
-    concatenated over its blocks."""
+    """The header, the data and the row lines of ``read_csv``'s blocks
+    (``conftest.csv_blocks``), concatenated over the blocks."""
     parts, lines = [], []
-    for header, data, block_lines in cli.read_blocks(path):
+    for header, data, block_lines in csv_blocks(path):
         parts.append(data)
         lines += block_lines
     return header, np.concatenate(parts), lines
 
 
 def _read_in_pieces(path, piece):
-    """``read_blocks`` reading ``piece`` characters (and the rest of the
+    """The blocks reading ``piece`` characters (and the rest of the
     last line) at a time, the per-cell path yielding a block every two rows."""
     with mock.patch.object(cli, "_PIECE", piece), mock.patch.object(cli, "_CELL_ROWS", 2):
         return _read_either(_read_blocks_joined, path)
@@ -372,7 +373,7 @@ def test_read_blocks_streams_the_rows(tmp_path):
     lines[1500] = '"0.5",0.25'
     path.write_text("a,b\n" + "\n".join(lines) + "\n", encoding="utf-8")
     with mock.patch.object(cli, "_PIECE", 1024), mock.patch.object(cli, "_CELL_ROWS", 100):
-        sizes = [len(data) for _, data, _ in cli.read_blocks(str(path))]
+        sizes = [len(data) for _, data, _ in csv_blocks(str(path))]
     # a 1024-character piece holds 113 or 114 lines of 9 characters
     switch = sizes.index(100)
     assert set(sizes[:switch]) <= {113, 114} and sum(sizes[:switch]) <= 1500

@@ -692,6 +692,20 @@ def test_model_json_round_trip_bitwise():
     gen = np.random.default_rng(12)
     pts = gen.uniform(-0.5, 2.5, (1000, 2))
     assert np.all(model.predict(pts) == clone.predict(pts))
+    # every model fit_sdrn returns loads, at one covariate too, where no
+    # pair product evaluates f_R; an R outside 1..MAX_R is refused at any d
+    # before anything is featurised
+    cfg = est.FitConfig(loss=QUADRATIC)
+    for d in (1, 2):
+        X, y = gen.random((40, d)), gen.random(40)
+        for R in (1, rp.MAX_R):
+            model = est.fit_sdrn(X, y, cfg, R=R)
+            clone = est.SdrnModel.from_json(json.loads(json.dumps(model.to_json())))
+            assert clone.predict(X).tobytes() == model.predict(X).tobytes()
+        with mock.patch.object(est, "product_features", None):
+            for R in (-3, 0, rp.MAX_R + 1, 600):
+                with pytest.raises(DataError, match=f"^accuracy level R must be in 1..511, got {R}$"):
+                    est.fit_sdrn(X, y, cfg, R=R)
 
 
 def test_model_schema_version_guard():

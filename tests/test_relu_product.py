@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import build_pair_network, build_square_network, capped_square_approx, stacked_triple_plan
+from sdrn import DataError
 from sdrn import relu_product as rp
 from sdrn.sparse_grid import BasisId, enumerate_basis, hat_eval, tensor_hat_eval
 
@@ -403,6 +404,12 @@ def test_basis_network_complexity_counts_what_the_graph_builds():
         bid = BasisId((0,) * d, (0,) * d)
         for R in range(1, 7):
             assert rp.basis_network_complexity(d, R) == rp.build_basis_network(R, bid).complexity()
+    # both refuse the R that square_approx refuses
+    for R in (0, rp.MAX_R + 1):
+        with pytest.raises(DataError, match=f"^accuracy level R must be in 1..511, got {R}$"):
+            rp.basis_network_complexity(2, R)
+        with pytest.raises(DataError, match=f"^accuracy level R must be in 1..511, got {R}$"):
+            rp.build_basis_network(R, BasisId((0, 0), (0, 0)))
 
 
 def test_basis_network_complexity_builds_no_graph(monkeypatch):
