@@ -22,7 +22,7 @@ import signal
 import sys
 import tempfile
 import threading
-from collections import deque
+from collections import Counter, deque
 from contextlib import ExitStack, contextmanager
 from functools import partial
 from itertools import chain, islice, starmap
@@ -312,7 +312,7 @@ def cmd_fit(args) -> int:
     c_offset = 0 if args.c is None else args.c
     config = FitConfig(loss=loss, kappa=args.kappa, c_offset=c_offset)
     header, data = read_csv(args.input)
-    if repeated := sorted({h for h in header if header.count(h) > 1}):
+    if repeated := sorted(h for h, k in Counter(header).items() if k > 1):
         raise DataError(f"{args.input}: column names {repeated} appear more than once")
     if args.target not in header:
         raise DataError(f"target column {args.target!r} not found in {args.input}")
@@ -429,10 +429,7 @@ def cmd_predict(args) -> int:
     and their text is written in input order (:func:`_stream`).  From the
     first piece that numpy's parser cannot take, this process reads the
     rest through the per-cell path, and the workers score its blocks."""
-    try:
-        model = SdrnModel.load(args.model)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise DataError(f"cannot load model {args.model}: {exc}") from exc
+    model = SdrnModel.load(args.model)
     header, lineno, texts = _read_header(args.input, _pieces(args.input))
     forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     ahead = list(islice(texts, len(os.sched_getaffinity(0)) if forks else 1))

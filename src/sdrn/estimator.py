@@ -33,9 +33,9 @@ from .relu_product import ProductPlan, check_accuracy_level, product_features, p
 from .sparse_grid import SparseGridBasis, as_points, basis_size, enumerate_basis
 
 MODEL_SCHEMA_VERSION = 1
-# the FitDiagnostics fields a model file stores, and the JSON types of each
-SAVED_DIAGNOSTICS = {"final_objective": (int, float), "epochs_run": (int,),
-                     "converged": (bool,), "sup_norm": (int, float)}
+# the FitDiagnostics fields a model file stores, and the type of each; a
+# float is any JSON number in the float range
+SAVED_DIAGNOSTICS = {"final_objective": float, "epochs_run": int, "converged": bool, "sup_norm": float}
 
 
 class ConstantColumnError(DataError):
@@ -601,52 +601,54 @@ class SdrnModel:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SdrnModel":
-        """A parsed model file's model; ``Scaler``, ``FitConfig`` and ``basis_size`` check it as a fit."""
+        """A parsed model file's model.  This holds every rule of the file's
+        JSON; ``LossSpec``, ``Scaler``, ``FitConfig`` and ``basis_size`` check it as a fit."""
         if not isinstance(doc, dict):
-            raise ValueError("a model file holds one JSON object")
+            raise DataError("a model file holds one JSON object")
         version = doc.get("schema_version")
         if type(version) is not int or version != MODEL_SCHEMA_VERSION:  # not 1.0, nor true
-            raise ValueError(f"schema_version must be the integer {MODEL_SCHEMA_VERSION}, not {version!r}")
-        loss = LossSpec(
-            kind=doc["loss"]["kind"], delta=doc["loss"]["delta"], tau=doc["loss"]["tau"]
-        )
-        diag = None
-        if doc.get("diagnostics"):
-            diag = FitDiagnostics(**{name: doc["diagnostics"][name] for name in SAVED_DIAGNOSTICS})
-            for name, kinds in SAVED_DIAGNOSTICS.items():
-                if type(getattr(diag, name)) not in kinds:  # a bool is no number here
-                    raise ValueError(f"diagnostics {name} has the wrong JSON type: {getattr(diag, name)!r}")
-        d, m, R = doc["d"], doc["m"], doc["R"]
-        for name, value in (("d", d), ("m", m), ("R", R)):
-            if type(value) is not int:  # not a float, nor a bool
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        check_accuracy_level(R)
+            raise DataError(f"schema_version must be the integer {MODEL_SCHEMA_VERSION}, not {version!r}")
+        loss, saved = doc["loss"], doc.get("diagnostics")
         kappa, gamma, mins, maxs = doc["kappa"], doc["gamma"], doc["scaler"]["min"], doc["scaler"]["max"]
-        for name, values in (("kappa", [kappa]), ("gamma", gamma), ("scaler min", mins), ("scaler max", maxs)):
+        numbers = {"kappa": [kappa], "gamma": gamma, "scaler min": mins, "scaler max": maxs}
+        numbers.update((name, [loss[name]]) for name in ("delta", "tau") if loss[name] is not None)
+        for name, kind in SAVED_DIAGNOSTICS.items() if saved else ():
+            if kind is float:
+                numbers[f"diagnostics {name}"] = [saved[name]]
+            elif type(saved[name]) is not kind:  # a bool is no integer here
+                raise DataError(f"diagnostics {name} has the wrong JSON type: {saved[name]!r}")
+        for name, values in numbers.items():
             # a JSON number in the float range: not a bool, a string, a list or 10**400
             if type(values) is not list or any(type(v) not in (int, float) or abs(v) > sys.float_info.max
                                                for v in values):
-                raise ValueError(f"{name} holds a value that is not a JSON number in the float range")
+                raise DataError(f"{name} holds a value that is not a JSON number in the float range")
+        loss = LossSpec(kind=loss["kind"], delta=loss["delta"], tau=loss["tau"])
+        diag = FitDiagnostics(**{name: saved[name] for name in SAVED_DIAGNOSTICS}) if saved else None
+        d, m, R = doc["d"], doc["m"], doc["R"]
+        for name, value in (("d", d), ("m", m), ("R", R)):
+            if type(value) is not int:  # not a float, nor a bool
+                raise DataError(f"{name} must be an integer, got {value!r}")
+        check_accuracy_level(R)
         FitConfig(loss=loss, kappa=kappa)  # refuses the kappa a fit would
         gamma, mins, maxs = (np.array(v, dtype=float) for v in (gamma, mins, maxs))
         columns = doc.get("columns")
         if columns is not None and (type(columns) is not list or any(type(c) is not str for c in columns)):
-            raise ValueError("columns must be a list of strings, or null")
+            raise DataError("columns must be a list of strings, or null")
         columns = tuple(columns) if columns else None
         if mins.shape != (d,) or maxs.shape != (d,) or (columns and len(columns) != d):
-            raise ValueError(f"scaler and columns must have d={d} entries")
+            raise DataError(f"scaler and columns must have d={d} entries")
         if columns and len(set(columns)) != len(columns):
-            raise ValueError(f"columns must be distinct, got {list(columns)}")
+            raise DataError(f"columns must be distinct, got {list(columns)}")
         # the basis has over 2**m ids, so a large m is refused without counting
         if m >= gamma.size.bit_length() or gamma.shape != (basis_size(d, m),):
-            raise ValueError(f"gamma has {gamma.size} entries, not the size of the d={d}, m={m} basis")
+            raise DataError(f"gamma has {gamma.size} entries, not the size of the d={d}, m={m} basis")
         # each feature is at most 1 + eps, and product_scores' root terms
         # carry 2 gamma, so with this bound finite no score overflows
         eps = 3.0 * 2.0 ** (-2 * R - 2) * (d - 1)
         with np.errstate(over="ignore"):
             bound = 2.0 * np.sum(np.abs(gamma)) * (1.0 + eps)
         if not np.isfinite(bound):
-            raise ValueError(f"gamma's score bound 2 sum|gamma| (1 + eps) is {float(bound)!r}, not finite")
+            raise DataError(f"gamma's score bound 2 sum|gamma| (1 + eps) is {float(bound)!r}, not finite")
         return cls(
             gamma=gamma,
             d=d,
@@ -661,8 +663,12 @@ class SdrnModel:
 
     @classmethod
     def load(cls, path) -> "SdrnModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        """The model in the file at ``path``: every file that holds none is one ``DataError``."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                return cls.from_json(json.load(fh))
+        except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+            raise DataError(f"cannot load model {path}: {exc}") from exc
 
 
 def fit_sdrn(

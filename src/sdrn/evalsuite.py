@@ -120,8 +120,6 @@ class SimModelSpec:
         check_model_id(self.model_id)
         if self.noise not in NOISE_KINDS:
             raise DataError(f"noise must be one of {NOISE_KINDS}, got {self.noise!r}")
-        if self.n < 2:
-            raise DataError("n must be >= 2")
 
     @property
     def dimension(self) -> int:
@@ -359,10 +357,10 @@ def run_replications(
     # every config is checked before the first draw; c_offset only labels
     # it for wrappers of adam_fit that record fits per schedule cell
     configs = {c: [FitConfig(loss=loss, kappa=kappa, c_offset=c) for kappa in kappas] for c in cs}
+    schedule = {c: hyperparams_from_n(spec.n, c) for c in cs}  # it refuses n < 2
     report = SimulationReport(spec=spec, loss_selector=loss.selector(), reps=reps)
     points, truth = design(spec)
     truth_class = (truth >= 0.5).astype(int)
-    schedule = {c: hyperparams_from_n(spec.n, c) for c in cs}
     rows = {c: [] for c in cs}
     # the basis grows with m, which is cheaper to sort on than its size:
     # a c past the id cap must reach enumerate_basis, which refuses it

@@ -171,8 +171,9 @@ def enumerate_basis(d: int, m: int) -> SparseGridBasis:
     level 0 and the odd numbers below ``2**l`` at level ``l >= 1``.
     """
     cap = DEFAULT_ID_CAP
-    if m >= cap.bit_length():  # more than 2**m ids, so no exact count is needed
-        raise BasisSizeError(f"basis for d={d}, m={m} has over 2**{m} ids, exceeding cap {cap}")
+    if m >= 0 and max(d, m) >= cap.bit_length():  # before counting: 2**15000 has too many digits to print
+        raise BasisSizeError(f"basis for d={d}, m={m} has at least 2**{d} (its level-0 corners) "
+                             f"and over 2**{m} ids, exceeding cap {cap}")
     size = basis_size(d, m)
     if size > cap:
         raise BasisSizeError(f"basis for d={d}, m={m} has {size} ids, exceeding cap {cap}")

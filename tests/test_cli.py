@@ -179,15 +179,20 @@ def test_predict_rejects_malformed_model_files(tmp_path, capsys):
         "kappa-digits": lambda doc: doc.update(kappa=10 ** 400),
         # loaded, and lipschitz_constant() raised OverflowError
         "delta-digits": lambda doc: doc["loss"].update(kind="huber", delta=10 ** 400),
+        # loaded as an integer past the float range, and predict exited 0
+        "diagnostics-final_objective-digits":
+            lambda doc: doc["diagnostics"].update(final_objective=10 ** 400),
     }
-    docs = {}
+    texts = {"top-level-list": json.dumps([good]),
+             # json.load's recursion ended predict with a traceback and exit 1
+             "nested": "[" * 100_000}
     for name, edit in {**edits, **named}.items():
-        docs[name] = json.loads(json.dumps(good))
-        edit(docs[name])
-    docs["top-level-list"] = [good]
-    for name, doc in docs.items():
+        doc = json.loads(json.dumps(good))
+        edit(doc)
+        texts[name] = json.dumps(doc)
+    for name, text in texts.items():
         bad = tmp_path / f"{name}.json"
-        bad.write_text(json.dumps(doc), encoding="utf-8")
+        bad.write_text(text, encoding="utf-8")
         out = tmp_path / f"{name}.csv"
         rc = cli.main(["predict", "--model", str(bad), "--input", str(train),
                        "--output", str(out)])
@@ -784,6 +789,10 @@ BAD_INPUTS = {
         tmp, train=_csv_bytes(tmp, b"a,a,y\n1.0,2.0,0.5\n2.0,1.0,1.5\n3.0,0.0,1.0\n")),
     "fit-huber:nan": lambda tmp: _fit_argv(tmp, "--loss", "huber:nan"),
     "fit-huber:inf": lambda tmp: _fit_argv(tmp, "--loss", "huber:inf"),
+    # the basis has 2**15000 level-0 corners, a count with too many digits to print
+    "fit-15000-columns": lambda tmp: _fit_argv(tmp, train=_csv_bytes(tmp, "\n".join(
+        [",".join([f"x{j}" for j in range(15000)] + ["y"])]
+        + [",".join(str(i + j % 7) for j in range(15001)) for i in range(3)]).encode())),
     "simulate-reps=0": lambda tmp: _simulate_argv(tmp, "--reps", "0"),
     "simulate-kappas=-1": lambda tmp: _simulate_argv(tmp, "--kappas=-1"),
     "simulate-kappas=nan": lambda tmp: _simulate_argv(tmp, "--kappas", "nan"),
@@ -801,6 +810,7 @@ BAD_FIELDS = {
     "fit-m=-1": "max level sum must be >= 0, got -1",
     "fit-one-row": "sample size must be >= 2, got 1",
     "fit-repeated-column-name": "column names ['a']",
+    "fit-15000-columns": "at least 2**15000",
     "fit-huber:nan": "delta",
     "fit-huber:inf": "delta",
     "simulate-huber:nan": "delta",
@@ -844,6 +854,14 @@ def test_fit_predict_round_trip_below_32_rows(tmp_path, columns):
 def test_simulate_below_32_rows(tmp_path):
     assert cli.main(_simulate_argv(tmp_path, "--n", "20")) == 0
     assert ",0,3," in (tmp_path / "sim.csv").read_text().splitlines()[2]
+
+
+def test_simulate_refuses_one_row_before_any_draw(tmp_path, capsys, monkeypatch):
+    # hyperparams_from_n owns n >= 2, and run_replications asks it first
+    monkeypatch.setattr(ev, "design", lambda spec: pytest.fail("design drew before the schedule"))
+    _assert_data_error(cli.main(_simulate_argv(tmp_path, "--n", "1")), capsys,
+                       "sample size must be >= 2, got 1")
+    assert not (tmp_path / "sim.csv").exists()
 
 
 def test_simulate_logistic_on_a_regression_model_is_data_error(tmp_path, capsys):

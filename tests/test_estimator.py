@@ -712,7 +712,7 @@ def test_model_schema_version_guard():
     model, _ = _small_model()
     doc = model.to_json()
     doc["schema_version"] = 99
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         est.SdrnModel.from_json(doc)
 
 
@@ -742,12 +742,21 @@ def test_model_from_json_rejects_inconsistent_files():
     for edit in edits:
         doc = json.loads(json.dumps(good))
         edit(doc)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             est.SdrnModel.from_json(doc)
     for field in ("d", "m", "R"):
         doc = json.loads(json.dumps(good))
         doc[field] = float(doc[field])
-        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        with pytest.raises(DataError, match=f"^{field} must be an integer"):
+            est.SdrnModel.from_json(doc)
+    # a loss parameter is a JSON number in the float range: a bool or a
+    # string is no number, nor is an integer past the float range
+    for name, value in (("delta", True), ("delta", "1.0"), ("tau", False), ("tau", "0.5"),
+                        ("delta", 10 ** 400), ("delta", -(10 ** 400))):
+        doc = json.loads(json.dumps(good))
+        doc["loss"] = {"kind": "huber" if name == "delta" else "quantile", "delta": None, "tau": None,
+                       name: value}
+        with pytest.raises(DataError, match=f"^{name} holds a value that is not a JSON number"):
             est.SdrnModel.from_json(doc)
 
 

@@ -144,6 +144,11 @@ def test_enumerate_basis_rejections(monkeypatch):
     with pytest.raises(sg.BasisSizeError, match="over 2\\*\\*10"):
         sg.enumerate_basis(2, 10)
     monkeypatch.undo()
+    # and from the 2**d level-0 corners, whose exact count has too many digits to print
+    with pytest.raises(sg.BasisSizeError, match="at least 2\\*\\*15000"):
+        sg.enumerate_basis(15000, 0)
+    with pytest.raises(DataError, match="max level sum must be >= 0, got -1"):
+        sg.enumerate_basis(15000, -1)
     with pytest.raises(sg.BasisSizeError):
         sg.enumerate_basis(5, 10 ** 6)
 
