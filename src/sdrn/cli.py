@@ -295,14 +295,9 @@ def _format_count(n: int) -> str:
     return _e_notation(mantissa, exponent)
 
 
-def implied_network_complexity(d: int, p: int, R: int) -> ComplexityReport:
-    """Complexity of the full estimator network: p basis nets + combiner."""
-    per = basis_network_complexity(d, R)
-    return ComplexityReport(
-        depth=per.depth + 1,
-        units=per.units * p + 1,
-        weights=per.weights * p + p + 1,
-    )
+def implied_network_complexity(per: ComplexityReport, p: int) -> ComplexityReport:
+    """Complexity of the full estimator network: p basis nets ``per`` + combiner."""
+    return ComplexityReport(depth=per.depth + 1, units=per.units * p + 1, weights=per.weights * p + p + 1)
 
 
 def cmd_fit(args) -> int:
@@ -316,8 +311,6 @@ def cmd_fit(args) -> int:
         raise DataError(f"{args.input}: column names {repeated} appear more than once")
     if args.target not in header:
         raise DataError(f"target column {args.target!r} not found in {args.input}")
-    if len(header) < 2:
-        raise DataError(f"{args.input}: need at least one covariate column besides the target")
     t_idx = header.index(args.target)
     y = data[:, t_idx]
     X = np.delete(data, t_idx, axis=1)
@@ -325,7 +318,7 @@ def cmd_fit(args) -> int:
     model = fit_sdrn(X, y, config, m=args.m, R=args.r, column_names=columns)
     _write(args.model_out, json.dumps(model.to_json(), indent=2, sort_keys=True) + "\n")
     diag: FitDiagnostics = model.diagnostics
-    net = implied_network_complexity(model.d, len(model.gamma), model.R)
+    net = implied_network_complexity(basis_network_complexity(model.d, model.R), len(model.gamma))
     sched_m, sched_R = hyperparams_from_n(len(y), c_offset)
     print(f"fitted {args.input}: n={len(y)} d={model.d} target={args.target}")
     print(f"loss={loss.selector()} kappa={_format(model.kappa)} c={c_offset}")
@@ -474,15 +467,9 @@ def cmd_predict(args) -> int:
 
 def _parse_grid(flag: str, text: str, cast) -> tuple:
     try:
-        values = tuple(cast(part) for part in text.split(",") if part.strip() != "")
+        return tuple(cast(part) for part in text.split(",") if part.strip() != "")
     except ValueError as exc:
         raise DataError(f"bad {flag} value in {text!r}: {exc}") from exc
-    if not values:
-        raise DataError(f"empty {flag} grid {text!r}")
-    for i, value in enumerate(values):  # a repeat would fit and report its cells twice
-        if value in values[:i]:
-            raise DataError(f"{flag} {text!r} repeats the value {value!r}")
-    return values
 
 
 def cmd_simulate(args) -> int:
@@ -498,16 +485,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_basis_info(args) -> int:
-    if args.d < 1 or args.m < 0:
-        raise DataError("need --d >= 1 and --m >= 0")
     if args.d * (args.m + 1) ** 2 > MAX_COUNT_TERMS:
         raise DataError(
             f"basis-info counts bases with d*(m+1)**2 <= {MAX_COUNT_TERMS}, "
             f"got d={args.d}, m={args.m}"
         )
-    # the network count refuses a bad --r before the first line prints
-    per = None if args.r is None else basis_network_complexity(args.d, args.r)
+    # both refuse a bad --d, --m or --r before the first line prints
     size = basis_size(args.d, args.m)
+    per = None if args.r is None else basis_network_complexity(args.d, args.r)
     print(f"d={args.d} m={args.m}")
     print(f"basis size={_format_count(size)}")
     if args.d >= 2:
@@ -519,7 +504,7 @@ def cmd_basis_info(args) -> int:
         )
         print(f"cardinality bounds: lower={lower} upper={upper}")
     if args.r is not None:
-        net = implied_network_complexity(args.d, size, args.r)
+        net = implied_network_complexity(per, size)
         print(f"per-feature network (R={args.r}): depth={per.depth} units={per.units} weights={per.weights}")
         print(
             f"full network: depth={net.depth} units={_format_count(net.units)} "
@@ -627,7 +612,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with _sigterm_unwinds():
+        # non-finite fits are refused and scores bounded: overflow warnings are noise
+        with _sigterm_unwinds(), np.errstate(over="ignore"):
             return args.func(args)
     except DataError as exc:
         print(f"sdrn: data error: {exc}", file=sys.stderr)

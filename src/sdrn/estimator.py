@@ -575,6 +575,11 @@ class SdrnModel:
     column_names: tuple[str, ...] | None = None
     diagnostics: FitDiagnostics | None = None
 
+    def __post_init__(self) -> None:
+        names = self.column_names
+        if names is not None and not len(names) == len(set(names)) == self.d:
+            raise DataError(f"need d={self.d} distinct column names, got {list(names)}")
+
     @cached_property
     def feature_map(self) -> FeatureMap:
         return FeatureMap(basis=enumerate_basis(self.d, self.m), R=self.R)
@@ -602,7 +607,7 @@ class SdrnModel:
     @classmethod
     def from_json(cls, doc: dict) -> "SdrnModel":
         """A parsed model file's model.  This holds every rule of the file's
-        JSON; ``LossSpec``, ``Scaler``, ``FitConfig`` and ``basis_size`` check it as a fit."""
+        JSON; ``LossSpec``, ``Scaler``, ``FitConfig``, ``basis_size`` and the model check it as a fit."""
         if not isinstance(doc, dict):
             raise DataError("a model file holds one JSON object")
         version = doc.get("schema_version")
@@ -634,11 +639,8 @@ class SdrnModel:
         columns = doc.get("columns")
         if columns is not None and (type(columns) is not list or any(type(c) is not str for c in columns)):
             raise DataError("columns must be a list of strings, or null")
-        columns = tuple(columns) if columns else None
-        if mins.shape != (d,) or maxs.shape != (d,) or (columns and len(columns) != d):
-            raise DataError(f"scaler and columns must have d={d} entries")
-        if columns and len(set(columns)) != len(columns):
-            raise DataError(f"columns must be distinct, got {list(columns)}")
+        if mins.shape != (d,) or maxs.shape != (d,):
+            raise DataError(f"scaler must have d={d} entries")
         # the basis has over 2**m ids, so a large m is refused without counting
         if m >= gamma.size.bit_length() or gamma.shape != (basis_size(d, m),):
             raise DataError(f"gamma has {gamma.size} entries, not the size of the d={d}, m={m} basis")
@@ -657,7 +659,7 @@ class SdrnModel:
             loss=loss,
             kappa=kappa,
             scaler=Scaler(mins=mins, maxs=maxs),
-            column_names=columns,
+            column_names=tuple(columns) if columns else None,
             diagnostics=diag,
         )
 

@@ -354,6 +354,12 @@ def run_replications(
     """
     if reps < 1:
         raise DataError(f"reps must be >= 1, got {reps}")
+    for name, grid in (("kappas", kappas), ("cs", cs)):
+        if not grid:
+            raise DataError(f"empty {name} grid")
+        for i, value in enumerate(grid):  # a repeat would fit and report its cells twice
+            if value in grid[:i]:
+                raise DataError(f"{name} grid repeats the value {value!r}")
     # every config is checked before the first draw; c_offset only labels
     # it for wrappers of adam_fit that record fits per schedule cell
     configs = {c: [FitConfig(loss=loss, kappa=kappa, c_offset=c) for kappa in kappas] for c in cs}

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from . import DataError
-from .sparse_grid import BasisId, as_points, hat_eval
+from .sparse_grid import BasisId, as_points, basis_size, hat_eval
 
 # cells of one tree-level table in a row block of _tree_blocks
 _BLOCK_CELLS = 1 << 16
@@ -545,6 +545,7 @@ def basis_network_complexity(d: int, R: int) -> ComplexityReport:
     units per piece, and its clamp reads the product twice.
     """
     check_accuracy_level(R)
+    basis_size(d, 0)  # refuses d < 1
     layers, units, connections = 1, 3 * d, 3 * d
     refs = [3] * d
     while len(refs) > 1:

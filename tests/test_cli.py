@@ -133,6 +133,7 @@ def _write_with_targets(path, targets):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+@pytest.mark.filterwarnings("error")
 def test_fit_with_non_finite_objective_is_data_error(tmp_path, capsys):
     # finite cells whose loss overflows: the squared residual of 1e200, and
     # two Huber losses of about 1e308 each, whose sum does
@@ -143,6 +144,17 @@ def test_fit_with_non_finite_objective_is_data_error(tmp_path, capsys):
                        "--model-out", str(tmp_path / "m.json")])
         _assert_data_error(rc, capsys, "non-finite objective")
         assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_huber_fit_whose_loss_overflows_prints_no_warning(tmp_path, capsys):
+    # targets of +-1e200 overflow the quadratic branch, which np.where
+    # evaluates on every residual, though the fit's objective is finite
+    train = tmp_path / "big.csv"
+    _write_with_targets(train, [1e200, -1e200] * 20)
+    assert cli.main(["fit", "--input", str(train), "--target", "y", "--loss", "huber:1.0",
+                     "--model-out", str(tmp_path / "m.json")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_predict_rejects_malformed_model_files(tmp_path, capsys):
@@ -642,15 +654,20 @@ def test_basis_info_counts_a_wide_network_without_building_it(monkeypatch, capsy
 
 
 @pytest.mark.parametrize(
-    "flags",
-    [["--d", "0", "--m", "2"], ["--d", "2", "--m", "-1"], ["--d", "2", "--m", "2", "--r", "0"],
-     ["--d", "2", "--m", "2", "--r", "512"]],
-    ids=["d=0", "m=-1", "r=0", "r=512"],
+    "flags, message",
+    [(["--d", "0", "--m", "2"], "dimension must be >= 1, got 0"),
+     (["--d", "2", "--m", "-1"], "max level sum must be >= 0, got -1"),
+     (["--d", "2", "--m", "2", "--r", "0"], "accuracy level R must be in 1..511, got 0"),
+     (["--d", "2", "--m", "2", "--r", "512"], "accuracy level R must be in 1..511, got 512"),
+     # basis_size, which owns d >= 1, runs before the network count of --r
+     (["--d", "0", "--m", "1", "--r", "6"], "dimension must be >= 1, got 0")],
+    ids=["d=0", "m=-1", "r=0", "r=512", "d=0-r=6"],
 )
-def test_basis_info_rejects_bad_values(flags, capsys):
+def test_basis_info_rejects_bad_values(flags, message, capsys):
     assert cli.main(["basis-info"] + flags) == 2
     out, err = capsys.readouterr()
     assert err.startswith("sdrn: data error: ") and out == ""
+    assert err == f"sdrn: data error: {message}\n"
 
 
 def test_predict_echo_of_repr_cells_is_repr_of_every_value(tmp_path):
@@ -809,14 +826,15 @@ BAD_FIELDS = {
     "fit-r=2000": "accuracy level R must be in 1..511, got 2000",
     "fit-m=-1": "max level sum must be >= 0, got -1",
     "fit-one-row": "sample size must be >= 2, got 1",
+    "fit-target-only": "dimension must be >= 1, got 0",
     "fit-repeated-column-name": "column names ['a']",
     "fit-15000-columns": "at least 2**15000",
     "fit-huber:nan": "delta",
     "fit-huber:inf": "delta",
     "simulate-huber:nan": "delta",
-    "simulate-kappas=1,1": "--kappas '1,1' repeats the value 1.0",
-    "simulate-kappas=1,1.0": "--kappas '0.5,1,1.0' repeats the value 1.0",
-    "simulate-cs=0,0": "--cs '0,-1,0' repeats the value 0",
+    "simulate-kappas=1,1": "kappas grid repeats the value 1.0",
+    "simulate-kappas=1,1.0": "kappas grid repeats the value 1.0",
+    "simulate-cs=0,0": "cs grid repeats the value 0",
 }
 
 

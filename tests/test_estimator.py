@@ -708,6 +708,19 @@ def test_model_json_round_trip_bitwise():
                     est.fit_sdrn(X, y, cfg, R=R)
 
 
+def test_a_model_holds_d_distinct_column_names_or_none():
+    # such a model once fitted, and its own file then failed to load
+    gen = np.random.default_rng(5)
+    X, y = gen.random((40, 2)), gen.random(40)
+    cfg = est.FitConfig(loss=QUADRATIC)
+    for names in (["a", "a"], ["a"], ["a", "b", "c"]):
+        with pytest.raises(DataError, match=r"^need d=2 distinct column names, got \["):
+            est.fit_sdrn(X, y, cfg, column_names=names)
+    for names in (["a", "b"], None):
+        model = est.fit_sdrn(X, y, cfg, column_names=names)
+        assert est.SdrnModel.from_json(model.to_json()).column_names == model.column_names
+
+
 def test_model_schema_version_guard():
     model, _ = _small_model()
     doc = model.to_json()

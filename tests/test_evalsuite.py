@@ -298,6 +298,26 @@ def test_run_replications_owns_the_reps_limit():
         ev.run_replications(spec, LossSpec("quadratic"), reps=0, kappas=(1.0,), cs=(-2,))
 
 
+def test_run_replications_owns_its_grid(monkeypatch):
+    # an empty grid once failed after every draw (kappas) or returned a
+    # report without rows (cs); a repeat fitted and reported its cells twice
+    def no_draw(*args):
+        raise AssertionError("drew before refusing the grid")
+
+    monkeypatch.setattr(ev, "design", no_draw)
+    monkeypatch.setattr(ev, "generate", no_draw)
+    spec = ev.SimModelSpec(model_id=1, n=50, noise="normal", seed=3)
+    cases = {
+        "empty kappas grid": ((), (0,)),
+        "empty cs grid": ((1.0,), ()),
+        "kappas grid repeats the value 1.0": ((0.5, 1.0, 1.0), (0,)),
+        "cs grid repeats the value 0": ((1.0,), (0, -1, 0)),
+    }
+    for message, (kappas, cs) in cases.items():
+        with pytest.raises(DataError, match=f"^{message}$"):
+            ev.run_replications(spec, LossSpec("quadratic"), reps=1, kappas=kappas, cs=cs)
+
+
 def _class_rates(calls, truth_class, scores):
     """(accuracy, sensitivity, specificity, precision, recall, f1, AUC) of one
     replication, counted from the confusion matrix and the Mann-Whitney pairs."""

@@ -412,6 +412,13 @@ def test_basis_network_complexity_counts_what_the_graph_builds():
             rp.build_basis_network(R, BasisId((0, 0), (0, 0)))
 
 
+def test_basis_network_complexity_refuses_a_dimension_below_one():
+    # basis_size owns d >= 1; d = 0 once raised IndexError
+    for d in (0, -3):
+        with pytest.raises(DataError, match=f"^dimension must be >= 1, got {d}$"):
+            rp.basis_network_complexity(d, 6)
+
+
 def test_basis_network_complexity_builds_no_graph(monkeypatch):
     # d=100000 at R=511 would be a graph of about 4.6e8 units: 3d hat pieces,
     # 9R per pair of the d-1 pairs, a clamp of 2 below the root, one output
